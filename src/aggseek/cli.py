@@ -287,27 +287,14 @@ def _run_one(
 
 
 def cmd_check(scenario: str) -> int:
-    try:
-        game = _load(scenario)
-    except (ScenarioError, OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    cert = compare_conditions(game)
+    cert = compare_conditions(_load(scenario))
     _emit([(f.name, getattr(cert, f.name)) for f in dataclasses.fields(cert)])
     return 0
 
 
 def cmd_solve(scenario: str, lam: float, tol: float, out: Optional[str]) -> int:
-    try:
-        game = _load(scenario)
-    except (ScenarioError, OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    try:
-        res = solve_equilibrium(game, lam=lam, tol=tol)
-    except ConvergenceError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    game = _load(scenario)
+    res = solve_equilibrium(game, lam=lam, tol=tol)
     _emit(
         [
             ("sigmabar", res.sigmabar),
@@ -328,30 +315,16 @@ def cmd_solve(scenario: str, lam: float, tol: float, out: Optional[str]) -> int:
 
 
 def _ensure_dir(prefix: str) -> None:
-    d = os.path.dirname(prefix)
-    if d:
-        os.makedirs(d, exist_ok=True)
+    os.makedirs(os.path.dirname(prefix) or ".", exist_ok=True)
 
 
 def cmd_run(scenario: str, k: Optional[float], h: float, T: float, out: Optional[str]) -> int:
-    try:
-        game = _load(scenario)
-        if k is not None:
-            game = dataclasses.replace(game, k=float(k))
-    except (ScenarioError, OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    game = _load(scenario)
+    if k is not None:
+        game = dataclasses.replace(game, k=float(k))
     if out:
         _ensure_dir(out)
-    try:
-        ref = solve_equilibrium(game)
-        report, _ = _run_one(game, None, h, T, ref, out)
-    except (ConvergenceError, NonFiniteStateError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    report, _ = _run_one(game, None, h, T, solve_equilibrium(game), out)
     _emit(report.lines())
     if out:
         with open(f"{out}.report.json", "w", encoding="utf-8") as fh:
@@ -360,35 +333,27 @@ def cmd_run(scenario: str, k: Optional[float], h: float, T: float, out: Optional
 
 
 def cmd_sweep(scenario: str, ks: Sequence[float], h: float, T: float, out: Optional[str]) -> int:
-    try:
-        game = _load(scenario)
-        for k in ks:
-            if not k > 0:
-                raise ScenarioError(f"swept k must be positive, got {k}")
-    except (ScenarioError, OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    game = _load(scenario)
+    labels: dict[str, float] = {}
+    for k in ks:
+        if not k > 0:
+            raise ScenarioError(f"swept k must be positive, got {k}")
+        label = f"k{k:g}"
+        if label in labels:
+            raise ScenarioError(f"gains {labels[label]!r} and {k!r} share the label {label}")
+        labels[label] = k
     if out:
         _ensure_dir(out)
-    try:
-        ref = solve_equilibrium(game)  # the fixed point does not depend on k
-        width = min(len(ks), 4)
-        env = os.environ.get("AGGSEEK_THREADS")
-        if env:
-            width = max(1, min(width, int(env)))
-        if width > 1:
-            with ThreadPoolExecutor(max_workers=width) as pool:
-                results = list(
-                    pool.map(lambda k: _run_one(game, k, h, T, ref, out, f"_k{k:g}"), ks)
-                )
-        else:
-            results = [_run_one(game, k, h, T, ref, out, f"_k{k:g}") for k in ks]
-    except (ConvergenceError, NonFiniteStateError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    ref = solve_equilibrium(game)  # the fixed point does not depend on k
+    width = min(len(ks), 4)
+    env = os.environ.get("AGGSEEK_THREADS")
+    if env:
+        width = max(1, min(width, int(env)))
+    if width > 1:
+        with ThreadPoolExecutor(max_workers=width) as pool:
+            results = list(pool.map(lambda k: _run_one(game, k, h, T, ref, out, f"_k{k:g}"), ks))
+    else:
+        results = [_run_one(game, k, h, T, ref, out, f"_k{k:g}") for k in ks]
     for k, (report, _) in zip(ks, results):
         _emit(report.lines(prefix=f"k{k:g}."))
     if out:
@@ -450,22 +415,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except (ConvergenceError, NonFiniteStateError, OSError, ValueError) as e:
+        # ScenarioError is a ValueError: input errors exit 1, numerical failures 2
+        print(f"error: {e}", file=sys.stderr)
+        return 2 if isinstance(e, (ConvergenceError, NonFiniteStateError)) else 1
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "check":
         return cmd_check(args.scenario)
     if args.command == "solve":
         return cmd_solve(args.scenario, lam=args.lam, tol=args.tol, out=args.out)
     if args.command == "run":
-        ks = args.k
-        if ks is not None and len(ks) != 1:
-            print("error: run takes a single --k value", file=sys.stderr)
-            return 1
-        return cmd_run(args.scenario, k=ks[0] if ks else None, h=args.h, T=args.T, out=args.out)
+        if args.k is not None and len(args.k) != 1:
+            raise ValueError("run takes a single --k value")
+        return cmd_run(args.scenario, k=args.k[0] if args.k else None, h=args.h, T=args.T, out=args.out)
     if args.command == "sweep":
-        ks = args.k if args.k else None
-        if not ks:
-            print("error: sweep needs --k with one or more values", file=sys.stderr)
-            return 1
-        return cmd_sweep(args.scenario, ks=ks, h=args.h, T=args.T, out=args.out)
+        if not args.k:
+            raise ValueError("sweep needs --k with one or more values")
+        return cmd_sweep(args.scenario, ks=args.k, h=args.h, T=args.T, out=args.out)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

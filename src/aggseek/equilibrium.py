@@ -10,17 +10,18 @@ direction.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Ball, Box, project, set_center
-from .model import GameSpec
+from .geometry import project_rows, vi_min_rows
+from .model import GameLayout, GameSpec, pseudo_gradient_F, signal_array
 
 
 class ConvergenceError(RuntimeError):
-    """Fixed-point iteration exhausted max_iter without meeting tolerance."""
+    """Fixed-point iteration exhausted max_iter or left the finite numbers."""
 
     def __init__(self, message: str, sigma_last: np.ndarray, update_norm: float, iterations: int):
         super().__init__(message)
@@ -60,28 +61,17 @@ def best_response(game: GameSpec, i: int, sigma: np.ndarray) -> np.ndarray:
     the projection of the unconstrained one, xstar - (C sigma + linear) / ell,
     for boxes and balls alike.
     """
-    sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
-    if sigma.shape != (game.n,):
-        raise ValueError(f"sigma has shape {sigma.shape}, expected ({game.n},)")
-    cost, cset = game.agents[i]
-    free = cost.xstar - (game.C @ sigma + cost.linear) / cost.ell
-    return project(cset, free)
+    return _best_responses(game.layout, game.C @ signal_array(game, sigma))[i]
 
 
-def _best_responses(game: GameSpec, sigma: np.ndarray) -> np.ndarray:
-    csig = game.C @ sigma
-    out = np.empty((game.N, game.n))
-    for i, (cost, cset) in enumerate(game.agents):
-        out[i] = project(cset, cost.xstar - (csig + cost.linear) / cost.ell)
-    return out
+def _best_responses(lay: GameLayout, csig: np.ndarray) -> np.ndarray:
+    """Best responses of the layout's rows to the coupling term C sigma."""
+    return project_rows(lay, lay.xstar - (csig + lay.linear) / lay.ell[:, None])
 
 
 def aggregation_map(game: GameSpec, sigma: np.ndarray) -> np.ndarray:
     """T(sigma): average of all agents' best responses to sigma."""
-    sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
-    if sigma.shape != (game.n,):
-        raise ValueError(f"sigma has shape {sigma.shape}, expected ({game.n},)")
-    return _best_responses(game, sigma).mean(axis=0)
+    return _best_responses(game.layout, game.C @ signal_array(game, sigma)).mean(axis=0)
 
 
 def strictly_monotone(game: GameSpec) -> bool:
@@ -106,7 +96,8 @@ def solve_equilibrium(
     terminating no-op pass is not counted).
 
     Warns when the strict-monotonicity check fails (the fixed point may not
-    be unique); raises ConvergenceError when max_iter is exhausted.
+    be unique); raises ConvergenceError when max_iter is exhausted or at the
+    first update that is not finite.
     """
     if not 0 < lam <= 1:
         raise ValueError(f"lam must lie in (0, 1], got {lam}")
@@ -117,12 +108,20 @@ def solve_equilibrium(
             "pseudo-gradient is not strictly monotone; the equilibrium may not be unique",
             stacklevel=2,
         )
-    sigma = np.stack([set_center(cset) for _, cset in game.agents]).mean(axis=0)
+    lay = game.layout
+    sigma = lay.center.mean(axis=0)
     update = np.inf
     iterations = 0
     for _ in range(max_iter):
-        nxt = (1.0 - lam) * sigma + lam * aggregation_map(game, sigma)
+        nxt = (1.0 - lam) * sigma + lam * _best_responses(lay, game.C @ sigma).mean(axis=0)
         update = float(np.max(np.abs(nxt - sigma)))
+        if not math.isfinite(update):
+            raise ConvergenceError(
+                f"non-finite fixed-point update at iteration {iterations + 1}",
+                sigma_last=sigma,
+                update_norm=update,
+                iterations=iterations + 1,
+            )
         sigma = nxt
         if update <= tol:
             break
@@ -134,7 +133,7 @@ def solve_equilibrium(
             update_norm=update,
             iterations=max_iter,
         )
-    xbar = _best_responses(game, sigma)
+    xbar = _best_responses(lay, game.C @ sigma)
     sigmabar = xbar.mean(axis=0)
     return EquilibriumResult(
         xbar=xbar,
@@ -145,12 +144,10 @@ def solve_equilibrium(
     )
 
 
-def _agent_vi_min(cset, x: np.ndarray, g: np.ndarray) -> float:
-    """min over z in the set of (z - x)' g, in closed form."""
-    if isinstance(cset, Box):
-        return float(np.minimum((cset.lo - x) * g, (cset.hi - x) * g).sum())
-    assert isinstance(cset, Ball)
-    return float((cset.center - x) @ g) - cset.radius * float(np.linalg.norm(g))
+def _agent_gaps(game: GameSpec, x: np.ndarray) -> np.ndarray:
+    """Per-agent violation max(0, -min_{z in X_i} (z - x_i)' g_i) of the VI."""
+    worst = -vi_min_rows(game.layout, x, pseudo_gradient_F(game, x))
+    return np.where(worst > 0.0, worst, 0.0)
 
 
 def vi_gap(game: GameSpec, x: np.ndarray) -> float:
@@ -161,24 +158,16 @@ def vi_gap(game: GameSpec, x: np.ndarray) -> float:
     is max_i max(0, -min_i): zero exactly when every agent's inequality holds.
     """
     x = np.asarray(x, dtype=float).reshape(game.N, game.n)
-    coupling = game.C @ x.mean(axis=0)
-    worst = 0.0
-    for i, (cost, cset) in enumerate(game.agents):
-        if np.linalg.norm(x[i] - project(cset, x[i])) > 1e-9:
-            raise ValueError(f"agent {i} decision lies outside its set")
-        g = cost.ell * (x[i] - cost.xstar) + cost.linear + coupling
-        worst = max(worst, max(0.0, -_agent_vi_min(cset, x[i], g)))
-    return worst
+    d = x - project_rows(game.layout, x)
+    outside = np.flatnonzero(np.sqrt(np.vecdot(d, d)) > 1e-9)
+    if outside.size:
+        raise ValueError(f"agent {outside[0]} decision lies outside its set")
+    return float(_agent_gaps(game, x).max())
 
 
 def verify_equilibrium(game: GameSpec, x: np.ndarray, tol: float) -> VerificationReport:
     """VI check at tolerance tol, reporting the worst-violating agent."""
-    x = np.asarray(x, dtype=float).reshape(game.N, game.n)
-    coupling = game.C @ x.mean(axis=0)
-    gaps = np.empty(game.N)
-    for i, (cost, cset) in enumerate(game.agents):
-        g = cost.ell * (x[i] - cost.xstar) + cost.linear + coupling
-        gaps[i] = max(0.0, -_agent_vi_min(cset, x[i], g))
+    gaps = _agent_gaps(game, np.asarray(x, dtype=float).reshape(game.N, game.n))
     worst = int(np.argmax(gaps))
     gap = float(gaps[worst])
     return VerificationReport(ok=gap <= tol, gap=gap, worst_agent=worst, tol=tol)

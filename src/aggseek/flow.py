@@ -16,8 +16,8 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .geometry import ACTIVITY_TOL, Ball, Box, tangent_project
-from .model import GameSpec, SystemState, project_state, state_arrays
+from .geometry import ACTIVITY_TOL, tangent_project
+from .model import GameLayout, GameSpec, SystemState, project_state, state_arrays
 
 if TYPE_CHECKING:
     from .equilibrium import EquilibriumResult
@@ -76,87 +76,40 @@ class Trajectory:
         return self.state(len(self) - 1)
 
 
-@dataclass(frozen=True)
-class _Stacked:
-    """Per-agent data rearranged into flat arrays for vectorized stepping."""
-
-    ell: np.ndarray        # (N, 1)
-    xstar: np.ndarray      # (N, n)
-    linear: np.ndarray     # (N, n)
-    box_idx: np.ndarray    # indices of box-constrained agents
-    box_lo: np.ndarray
-    box_hi: np.ndarray
-    ball_idx: np.ndarray   # indices of ball-constrained agents
-    ball_center: np.ndarray
-    ball_radius: np.ndarray  # (n_ball, 1)
+def _drive(st: GameLayout, C: np.ndarray, x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    return -(st.ell[:, None] * (x - st.xstar) + st.linear) - (C @ sigma)
 
 
-def _stack(game: GameSpec) -> _Stacked:
-    ell = np.array([[cost.ell] for cost, _ in game.agents])
-    xstar = np.stack([cost.xstar for cost, _ in game.agents])
-    linear = np.stack([cost.linear for cost, _ in game.agents])
-    box_idx, ball_idx = [], []
-    for i, (_, cset) in enumerate(game.agents):
-        (box_idx if isinstance(cset, Box) else ball_idx).append(i)
-    box_lo = np.stack([game.constraint(i).lo for i in box_idx]) if box_idx else np.zeros((0, game.n))
-    box_hi = np.stack([game.constraint(i).hi for i in box_idx]) if box_idx else np.zeros((0, game.n))
-    ball_c = np.stack([game.constraint(i).center for i in ball_idx]) if ball_idx else np.zeros((0, game.n))
-    ball_r = (
-        np.array([[game.constraint(i).radius] for i in ball_idx]) if ball_idx else np.zeros((0, 1))
-    )
-    return _Stacked(
-        ell=ell,
-        xstar=xstar,
-        linear=linear,
-        box_idx=np.asarray(box_idx, dtype=int),
-        box_lo=box_lo,
-        box_hi=box_hi,
-        ball_idx=np.asarray(ball_idx, dtype=int),
-        ball_center=ball_c,
-        ball_radius=ball_r,
-    )
-
-
-def _drive(st: _Stacked, C: np.ndarray, x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    return -(st.ell * (x - st.xstar) + st.linear) - (C @ sigma)
-
-
-def _project_rows(st: _Stacked, x: np.ndarray) -> np.ndarray:
-    out = x.copy()
-    if st.box_idx.size:
-        out[st.box_idx] = np.clip(x[st.box_idx], st.box_lo, st.box_hi)
-    if st.ball_idx.size:
-        d = x[st.ball_idx] - st.ball_center
-        norm = np.linalg.norm(d, axis=1, keepdims=True)
-        scale = np.where(norm > st.ball_radius, st.ball_radius / np.where(norm > 0, norm, 1.0), 1.0)
-        out[st.ball_idx] = st.ball_center + d * scale
+def _project_rows(st: GameLayout, x: np.ndarray) -> np.ndarray:
+    out = np.clip(x, st.lo, st.hi)
+    b = st.ball_rows
+    if b.size:
+        center, radius = st.center[b], st.radius[b, None]
+        d = x[b] - center
+        norm = np.linalg.norm(d, axis=1, keepdims=True)  # run/sweep CSV bits depend on this norm
+        scale = np.where(norm > radius, radius / np.where(norm > 0, norm, 1.0), 1.0)
+        out[b] = center + d * scale
     return out
 
 
-def _tangent_rows(st: _Stacked, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _tangent_rows(st: GameLayout, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Vectorized tangent-cone projection, matching geometry.tangent_project rowwise."""
-    out = v.copy()
-    if st.box_idx.size:
-        xb, vb = x[st.box_idx], v[st.box_idx]
-        blocked = ((xb - st.box_lo <= ACTIVITY_TOL) & (vb < 0)) | (
-            (st.box_hi - xb <= ACTIVITY_TOL) & (vb > 0)
-        )
-        sub = vb.copy()
-        sub[blocked] = 0.0
-        out[st.box_idx] = sub
-    if st.ball_idx.size:
-        d = x[st.ball_idx] - st.ball_center
+    blocked = ((x - st.lo <= ACTIVITY_TOL) & (v < 0)) | ((st.hi - x <= ACTIVITY_TOL) & (v > 0))
+    out = np.where(blocked, 0.0, v)
+    b = st.ball_rows
+    if b.size:
+        d = x[b] - st.center[b]
         norm = np.linalg.norm(d, axis=1, keepdims=True)
-        on_boundary = norm >= st.ball_radius - ACTIVITY_TOL
+        on_boundary = norm >= st.radius[b, None] - ACTIVITY_TOL
         u = d / np.where(norm > 0, norm, 1.0)
-        vb = v[st.ball_idx]
+        vb = v[b]
         outward = np.maximum(0.0, np.sum(u * vb, axis=1, keepdims=True))
-        out[st.ball_idx] = np.where(on_boundary, vb - outward * u, vb)
+        out[b] = np.where(on_boundary, vb - outward * u, vb)
     return out
 
 
 def _step_arrays(
-    st: _Stacked, C: np.ndarray, k: float, x: np.ndarray, sigma: np.ndarray, h: float
+    st: GameLayout, C: np.ndarray, k: float, x: np.ndarray, sigma: np.ndarray, h: float
 ) -> tuple[np.ndarray, np.ndarray]:
     x_next = _project_rows(st, x + h * _drive(st, C, x, sigma))
     sigma_next = sigma + h * k * (x.mean(axis=0) - sigma)
@@ -183,9 +136,7 @@ def rhs(game: GameSpec, state: SystemState) -> tuple[np.ndarray, np.ndarray]:
 def step(game: GameSpec, state: SystemState, h: float) -> SystemState:
     """One projected forward-Euler step of length h (h = 0 returns the state unchanged)."""
     x, sigma = state_arrays(game, state)
-    st = _stack(game)
-    x_next, sigma_next = _step_arrays(st, game.C, game.k, x, sigma, h)
-    return SystemState(x=x_next, sigma=sigma_next)
+    return SystemState(*_step_arrays(game.layout, game.C, game.k, x, sigma, h))
 
 
 def stationarity_residual(game: GameSpec, state: SystemState) -> float:
@@ -213,7 +164,7 @@ def integrate(
     """
     start = project_state(game, init)
     x, sigma = state_arrays(game, start)
-    st = _stack(game)
+    st = game.layout
     C, k, h = game.C, game.k, cfg.h
     n_steps = math.ceil(cfg.T / cfg.h)
 

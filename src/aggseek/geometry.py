@@ -10,7 +10,7 @@ uses as the internal consistency law.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -104,11 +104,10 @@ def contains(s: ConvexSet, y: np.ndarray, tol: float = MEMBERSHIP_TOL) -> bool:
 
 
 def _require_member(s: ConvexSet, x: np.ndarray) -> np.ndarray:
-    x = _check_dim(s, x, "point")
-    d = float(np.linalg.norm(x - project(s, x)))
+    d = distance(s, x)
     if d > MEMBERSHIP_TOL:
         raise ValueError(f"point lies outside the set (distance {d:.3e})")
-    return x
+    return _check_dim(s, x, "point")
 
 
 def tangent_project(s: ConvexSet, x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -143,16 +142,79 @@ def tangent_project(s: ConvexSet, x: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def normal_project(s: ConvexSet, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Project v onto the normal cone at x: the Moreau complement of tangent_project."""
-    x = _check_dim(s, x, "point")
     v = _check_dim(s, v, "vector")
     return v - tangent_project(s, x, v)
 
 
 def set_center(s: ConvexSet) -> np.ndarray:
     """Deterministic interior representative: box midpoint or ball center."""
-    if isinstance(s, Box):
-        return s.center
     return s.center.copy()
+
+
+@dataclass(frozen=True)
+class SetRows:
+    """N boxes and balls stacked row-wise for the batched kernels.
+
+    Row i is the intersection of a box [lo_i, hi_i] and a ball of radius_i
+    around center_i: a box row has an infinite radius, a ball row infinite
+    bounds. center_i is set_center of row i's set on every row.
+    """
+
+    is_ball: np.ndarray  # (N,) bool
+    ball_rows: np.ndarray  # indices of the ball rows, cheaper to index by than the mask
+    lo: np.ndarray       # (N, n)
+    hi: np.ndarray       # (N, n)
+    center: np.ndarray   # (N, n)
+    radius: np.ndarray   # (N,)
+
+
+def stack_sets(sets: Sequence[ConvexSet]) -> dict[str, np.ndarray]:
+    """The SetRows fields of a sequence of sets of one dimension."""
+    is_ball = np.array([isinstance(s, Ball) for s in sets], dtype=bool)
+    N, n = len(sets), sets[0].dim
+    lo, hi = np.full((N, n), -np.inf), np.full((N, n), np.inf)
+    center, radius = np.empty((N, n)), np.full(N, np.inf)
+    box, ball = np.flatnonzero(~is_ball), np.flatnonzero(is_ball)
+    if box.size:
+        lo[box] = [sets[i].lo for i in box]
+        hi[box] = [sets[i].hi for i in box]
+        center[box] = 0.5 * (lo[box] + hi[box])  # Box.center, row by row
+    if ball.size:
+        center[ball] = [sets[i].center for i in ball]
+        radius[ball] = [sets[i].radius for i in ball]
+    return dict(is_ball=is_ball, ball_rows=ball, lo=lo, hi=hi, center=center, radius=radius)
+
+
+def project_rows(sets: SetRows, y: np.ndarray) -> np.ndarray:
+    """Row-wise project: row i of the result equals project(set_i, y[i]) bit for bit."""
+    out = np.clip(y, sets.lo, sets.hi)
+    b = sets.ball_rows
+    if b.size:
+        yb, c, r = y[b], sets.center[b], sets.radius[b]
+        d = yb - c
+        # np.linalg.norm(axis=1) differs from the scalar norm in the last bits
+        norm = np.sqrt(np.vecdot(d, d))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            shrunk = c + d * (r / norm)[:, None]
+        out[b] = np.where((norm <= r)[:, None], yb, shrunk)
+    return out
+
+
+def vi_min_rows(sets: SetRows, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Row-wise min over z in set_i of (z - x_i)' g_i, in closed form.
+
+    Box: sum_j min((lo_j - x_j) g_j, (hi_j - x_j) g_j). Ball: (center - x)' g
+    minus radius * ||g||.
+    """
+    out = np.empty(x.shape[0])
+    ball = sets.is_ball
+    xb, gb = x[~ball], g[~ball]
+    out[~ball] = np.minimum((sets.lo[~ball] - xb) * gb, (sets.hi[~ball] - xb) * gb).sum(axis=1)
+    if ball.any():
+        gb = g[ball]
+        norm_g = np.sqrt(np.vecdot(gb, gb))
+        out[ball] = np.vecdot(sets.center[ball] - x[ball], gb) - sets.radius[ball] * norm_g
+    return out
 
 
 def set_from_document(fragment: dict) -> ConvexSet:

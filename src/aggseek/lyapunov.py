@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .equilibrium import EquilibriumResult
+from .equilibrium import EquilibriumResult, strictly_monotone
 from .flow import Trajectory
 from .geometry import tangent_project
 from .model import GameSpec, SystemState, grad_f, state_arrays
@@ -130,7 +130,6 @@ def compare_conditions(game: GameSpec) -> CertificateReport:
     ell, k, C, N = game.ell_min, game.k, game.C, game.N
     holds, margin = check_condition_5(ell, k, C, N)
     spectral = float(np.linalg.norm(C, 2))
-    sym_min = float(np.linalg.eigvalsh(C + C.T)[0])
     _, lam_paper = assemble_M(game, "paper")
     _, lam_sym = assemble_M(game, "symmetrized")
     return CertificateReport(
@@ -139,7 +138,7 @@ def compare_conditions(game: GameSpec) -> CertificateReport:
         gershgorin_rhs=0.5 * norm_inf(C) + 0.5 * k / N,
         prior_holds=ell >= spectral,
         prior_margin=ell - spectral,
-        strictly_monotone=ell + 0.5 * sym_min > 0,
+        strictly_monotone=strictly_monotone(game),
         lambda_min_paper=lam_paper,
         lambda_min_symmetrized=lam_sym,
     )

@@ -11,11 +11,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .geometry import ConvexSet, project, set_center, set_from_document
+from .geometry import ConvexSet, SetRows, project, project_rows, set_from_document, stack_sets
 
 
 class ScenarioError(ValueError):
@@ -45,6 +46,15 @@ class QuadraticCost:
     @property
     def dim(self) -> int:
         return self.xstar.shape[0]
+
+
+@dataclass(frozen=True)
+class GameLayout(SetRows):
+    """Every agent's cost and set stacked row-wise, row i for agent i."""
+
+    ell: np.ndarray     # (N,)
+    xstar: np.ndarray   # (N, n)
+    linear: np.ndarray  # (N, n)
 
 
 @dataclass(frozen=True)
@@ -97,6 +107,17 @@ class GameSpec:
         """Game-level strong-convexity modulus: the weakest agent's ell."""
         return min(cost.ell for cost, _ in self.agents)
 
+    @cached_property
+    def layout(self) -> GameLayout:
+        """The stacked arrays behind the batched kernels, built on first use."""
+        costs, sets = zip(*self.agents)
+        return GameLayout(
+            ell=np.array([cost.ell for cost in costs]),
+            xstar=np.stack([cost.xstar for cost in costs]),
+            linear=np.stack([cost.linear for cost in costs]),
+            **stack_sets(sets),
+        )
+
     def cost(self, i: int) -> QuadraticCost:
         return self.agents[i][0]
 
@@ -119,15 +140,20 @@ class SystemState:
         return SystemState(self.x.copy(), self.sigma.copy())
 
 
+def signal_array(game: GameSpec, sigma: np.ndarray) -> np.ndarray:
+    """Return sigma as an (n,) float array, validating its shape."""
+    sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
+    if sigma.shape != (game.n,):
+        raise ValueError(f"sigma has shape {sigma.shape}, expected ({game.n},)")
+    return sigma
+
+
 def state_arrays(game: GameSpec, state: SystemState) -> tuple[np.ndarray, np.ndarray]:
     """Return (x, sigma) as ((N, n), (n,)) float arrays, validating shapes."""
     x = np.asarray(state.x, dtype=float)
     if x.size != game.N * game.n:
         raise ValueError(f"state.x has {x.size} entries, game needs N*n = {game.N * game.n}")
-    sigma = np.atleast_1d(np.asarray(state.sigma, dtype=float))
-    if sigma.shape != (game.n,):
-        raise ValueError(f"state.sigma has shape {sigma.shape}, expected ({game.n},)")
-    return x.reshape(game.N, game.n), sigma
+    return x.reshape(game.N, game.n), signal_array(game, state.sigma)
 
 
 def splitmix64(seed: int) -> Iterator[float]:
@@ -179,6 +205,18 @@ def _expand_generator(block: dict, n: int) -> tuple[list, int]:
     return agents, seed
 
 
+def _require_finite(node, path: str) -> None:
+    """Reject NaN, +-Infinity and overflowing literals, naming their JSON path."""
+    if isinstance(node, float) and not math.isfinite(node):
+        raise ScenarioError(f"{path} is not finite ({node!r})")
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _require_finite(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for idx, value in enumerate(node):
+            _require_finite(value, f"{path}[{idx}]")
+
+
 def load_scenario(document: str) -> GameSpec:
     """Parse a scenario document (JSON text) into a validated GameSpec.
 
@@ -187,8 +225,8 @@ def load_scenario(document: str) -> GameSpec:
     coordinates are drawn from the documented splitmix64 stream. The same
     document always materializes the same game.
 
-    Raises ScenarioError on malformed text, dimension mismatches, nonpositive
-    ell/k/radius, or empty boxes.
+    Raises ScenarioError on malformed text, non-finite numbers, dimension
+    mismatches, nonpositive ell/k/radius, or empty boxes.
     """
     try:
         doc = json.loads(document)
@@ -196,6 +234,7 @@ def load_scenario(document: str) -> GameSpec:
         raise ScenarioError(f"scenario is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ScenarioError("scenario root must be an object")
+    _require_finite(doc, "")
     try:
         n = int(doc["n"])
         C = np.asarray(doc["C"], dtype=float)
@@ -209,11 +248,7 @@ def load_scenario(document: str) -> GameSpec:
         agents = []
         for idx, entry in enumerate(agents_block["list"]):
             try:
-                cost = QuadraticCost(
-                    ell=float(entry["ell"]),
-                    xstar=np.asarray(entry["xstar"], dtype=float),
-                    linear=np.asarray(entry["linear"], dtype=float),
-                )
+                cost = QuadraticCost(entry["ell"], entry["xstar"], entry["linear"])
                 cset = set_from_document(entry["set"])
             except KeyError as e:
                 raise ScenarioError(f"agent {idx} missing field {e}") from None
@@ -257,9 +292,7 @@ def cost_J(game: GameSpec, i: int, x: np.ndarray, sigma: np.ndarray) -> float:
     """
     cost, cset = game.agents[i]
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
-    if sigma.shape != (game.n,):
-        raise ValueError(f"sigma has shape {sigma.shape}, expected ({game.n},)")
+    sigma = signal_array(game, sigma)
     if x.shape != (game.n,):
         raise ValueError(f"x has shape {x.shape}, expected ({game.n},)")
     if np.linalg.norm(x - project(cset, x)) > 1e-9:
@@ -272,21 +305,17 @@ def pseudo_gradient_F(game: GameSpec, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (game.N, game.n):
         raise ValueError(f"x has shape {x.shape}, expected ({game.N}, {game.n})")
-    coupling = game.C @ x.mean(axis=0)
-    out = np.empty_like(x)
-    for i, (cost, _) in enumerate(game.agents):
-        out[i] = cost.ell * (x[i] - cost.xstar) + cost.linear + coupling
-    return out
+    lay = game.layout
+    return lay.ell[:, None] * (x - lay.xstar) + lay.linear + game.C @ x.mean(axis=0)
 
 
 def initial_state(game: GameSpec) -> SystemState:
     """Deterministic default start: agents at their set centers, sigma at the average."""
-    x0 = np.stack([set_center(cset) for _, cset in game.agents])
+    x0 = game.layout.center.copy()
     return SystemState(x=x0, sigma=x0.mean(axis=0))
 
 
 def project_state(game: GameSpec, state: SystemState) -> SystemState:
     """Push every agent decision onto its constraint set (sigma is unconstrained)."""
     x, sigma = state_arrays(game, state)
-    projected = np.stack([project(cset, x[i]) for i, (_, cset) in enumerate(game.agents)])
-    return SystemState(x=projected, sigma=sigma)
+    return SystemState(x=project_rows(game.layout, x), sigma=sigma)

@@ -289,6 +289,23 @@ def test_sweep_rejects_nonpositive_gain(capsys: pytest.CaptureFixture[str]) -> N
     assert "error:" in capsys.readouterr().err
 
 
+def test_sweep_rejects_gains_with_one_label(tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
+    out = tmp_path / "collide"
+    args = ["sweep", "--scenario", SINGLE, "--k", "0.5,0.5000001", "--T", "1", "--out", str(out)]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert "0.5 and 0.5000001" in err and "k0.5" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_nonfinite_scenario_exits_one(tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
+    text = json.dumps(wide_box_doc()).replace('"xstar": [0.6]', '"xstar": [NaN]')
+    scenario = tmp_path / "nan.json"
+    scenario.write_text(text)
+    assert cli.main(["solve", "--scenario", str(scenario)]) == 1
+    assert "agents.list[0].xstar[0] is not finite" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_one() -> None:
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["check"])

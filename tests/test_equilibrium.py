@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,11 +19,12 @@ from aggseek.equilibrium import (
 )
 from aggseek.flow import stationarity_residual
 from aggseek.geometry import Ball, Box, ConvexSet, project
-from aggseek.model import GameSpec, QuadraticCost, SystemState, cost_J
+from aggseek.model import GameSpec, QuadraticCost, SystemState, cost_J, initial_state, load_scenario
 
 from helpers import random_game, random_point_in, single_agent_game
 from oracles import grid_minimize_interval, sampled_set_infimum
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 WIDE = Box(np.array([-5.0]), np.array([5.0]))
 
 
@@ -284,3 +287,29 @@ def test_equilibrium_conditions_agree_on_rejections() -> None:
         sigma_err = float(np.max(np.abs(sigma - x.mean(axis=0))))
         # a random feasible triple is not an equilibrium by either criterion
         assert not (residual <= 1e-8 and gap <= 1e-6 and sigma_err <= 1e-8)
+
+
+@pytest.mark.parametrize(
+    ("name", "iterations", "sigmabar_hex"),
+    [
+        ("single_box", 31, ["0x1.0000000000000p-2"]),
+        ("demand_response", 25, ["0x1.1684b3f106c11p-2"]),
+        ("mixed_sets", 27, ["0x1.a802fc8371341p-2", "0x1.84b5ec9b890a1p-2"]),
+    ],
+)
+def test_bundled_scenarios_solve_to_pinned_bits(name: str, iterations: int, sigmabar_hex: list) -> None:
+    # values from the per-agent implementation the batched kernels replaced
+    game = load_scenario((SCENARIOS / f"{name}.json").read_text())
+    res = solve_equilibrium(game)
+    assert res.iterations == iterations
+    assert [float(v).hex() for v in res.sigmabar] == sigmabar_hex
+
+
+def test_solve_stops_at_first_nonfinite_update() -> None:
+    game = single_agent_game()
+    cost, cset = game.agents[0]
+    poisoned = replace(game, agents=((replace(cost, xstar=np.array([np.nan])), cset),))
+    with pytest.raises(ConvergenceError, match="non-finite") as excinfo:
+        solve_equilibrium(poisoned)
+    assert excinfo.value.iterations == 1
+    assert np.array_equal(excinfo.value.sigma_last, initial_state(game).sigma)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -180,6 +181,26 @@ def test_load_explicit_agent_list() -> None:
 def test_load_scenario_rejects_bad_documents(mutation: str) -> None:
     with pytest.raises(ScenarioError):
         load_scenario(mutation)
+
+
+@pytest.mark.parametrize(
+    ("good", "bad", "path"),
+    [
+        ('"xstar": [0.1]', '"xstar": [NaN]', "agents.list[0].xstar[0]"),
+        ('"lo": [0.0]', '"lo": [-Infinity]', "agents.list[0].set.box.lo[0]"),
+        ('"k": 1.0', '"k": 1e999', "k"),
+        ('"radius": 1.0', '"radius": Infinity', "agents.list[1].set.ball.radius"),
+    ],
+)
+def test_load_scenario_rejects_nonfinite_numbers(good: str, bad: str, path: str) -> None:
+    doc = (
+        '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"list": ['
+        '{"ell": 1.0, "xstar": [0.1], "linear": [0.0], "set": {"box": {"lo": [0.0], "hi": [1.0]}}}, '
+        '{"ell": 1.0, "xstar": [0.2], "linear": [0.0], "set": {"ball": {"center": [0.0], "radius": 1.0}}}]}}'
+    )
+    load_scenario(doc)
+    with pytest.raises(ScenarioError, match=re.escape(f"{path} is not finite")):
+        load_scenario(doc.replace(good, bad, 1))
 
 
 def test_generator_requires_uniform_block() -> None:
