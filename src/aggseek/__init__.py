@@ -24,6 +24,7 @@ from .flow import (
     NonFiniteStateError,
     Trajectory,
     integrate,
+    integrate_gains,
     rhs,
     stationarity_residual,
     step,
@@ -95,6 +96,7 @@ __all__ = [
     "grad_f",
     "initial_state",
     "integrate",
+    "integrate_gains",
     "load_scenario",
     "lyapunov_W",
     "norm_inf",

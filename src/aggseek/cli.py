@@ -2,8 +2,8 @@
 
 Subcommands: check (certificate conditions), solve (fixed-point equilibrium),
 run (one trajectory with CSV/SVG emission), sweep (several gains k against the
-same equilibrium, plus a comparison plot). Exit codes: 0 success, 1 input
-error, 2 numerical failure or non-convergence.
+same equilibrium in one batched integration, plus a comparison plot). Exit
+codes: 0 success, 1 input error, 2 numerical failure or non-convergence.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 from xml.sax.saxutils import escape
@@ -22,7 +21,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .equilibrium import ConvergenceError, EquilibriumResult, solve_equilibrium
-from .flow import IntegratorConfig, NonFiniteStateError, Trajectory, integrate
+from .flow import IntegratorConfig, NonFiniteStateError, Trajectory, integrate, integrate_gains
 from .lyapunov import CertificateReport, DecayReport, compare_conditions, decay_report
 from .model import GameSpec, ScenarioError, initial_state, load_scenario
 
@@ -241,17 +240,12 @@ def _time_to_threshold(traj: Trajectory, level: float = THRESHOLD) -> float:
 
 def _run_one(
     game: GameSpec,
-    k: Optional[float],
-    h: float,
-    T: float,
+    traj: Trajectory,
     ref: EquilibriumResult,
     out_prefix: Optional[str],
     suffix: str = "",
-) -> tuple[RunReport, Trajectory]:
-    if k is not None:
-        game = dataclasses.replace(game, k=float(k))
+) -> RunReport:
     cert = compare_conditions(game)
-    traj = integrate(game, initial_state(game), IntegratorConfig(h=h, T=T), reference=ref)
     can_judge = len(traj) >= 10 and ref.vi_gap_value <= 1e-6
     decay = decay_report(traj, ref, cert) if can_judge else None
     csv_path = svg_path = None
@@ -266,7 +260,7 @@ def _run_one(
             xlabel="t",
             ylabel="distance",
         )
-    report = RunReport(
+    return RunReport(
         seed=game.seed,
         N=game.N,
         n=game.n,
@@ -283,7 +277,6 @@ def _run_one(
         csv_path=csv_path,
         svg_path=svg_path,
     )
-    return report, traj
 
 
 def cmd_check(scenario: str) -> int:
@@ -322,9 +315,11 @@ def cmd_run(scenario: str, k: Optional[float], h: float, T: float, out: Optional
     game = _load(scenario)
     if k is not None:
         game = dataclasses.replace(game, k=float(k))
+    cfg = IntegratorConfig(h=h, T=T)
     if out:
         _ensure_dir(out)
-    report, _ = _run_one(game, None, h, T, solve_equilibrium(game), out)
+    ref = solve_equilibrium(game)
+    report = _run_one(game, integrate(game, initial_state(game), cfg, reference=ref), ref, out)
     _emit(report.lines())
     if out:
         with open(f"{out}.report.json", "w", encoding="utf-8") as fh:
@@ -342,32 +337,23 @@ def cmd_sweep(scenario: str, ks: Sequence[float], h: float, T: float, out: Optio
         if label in labels:
             raise ScenarioError(f"gains {labels[label]!r} and {k!r} share the label {label}")
         labels[label] = k
+    cfg = IntegratorConfig(h=h, T=T)
     if out:
         _ensure_dir(out)
     ref = solve_equilibrium(game)  # the fixed point does not depend on k
-    width = min(len(ks), 4)
-    env = os.environ.get("AGGSEEK_THREADS")
-    if env:
-        width = max(1, min(width, int(env)))
-    if width > 1:
-        with ThreadPoolExecutor(max_workers=width) as pool:
-            results = list(pool.map(lambda k: _run_one(game, k, h, T, ref, out, f"_k{k:g}"), ks))
-    else:
-        results = [_run_one(game, k, h, T, ref, out, f"_k{k:g}") for k in ks]
-    for k, (report, _) in zip(ks, results):
+    trajs = integrate_gains(game, ks, initial_state(game), cfg, reference=ref)
+    reports = [
+        _run_one(dataclasses.replace(game, k=float(k)), traj, ref, out, f"_k{k:g}")
+        for k, traj in zip(ks, trajs)
+    ]
+    for k, report in zip(ks, reports):
         _emit(report.lines(prefix=f"k{k:g}."))
     if out:
-        overlay = [(f"k = {k:g}", traj.times, traj.dist_avg) for k, (_, traj) in zip(ks, results)]
+        overlay = [(f"k = {k:g}", traj.times, traj.dist_avg) for k, traj in zip(ks, trajs)]
         compare_path = f"{out}_compare.svg"
-        write_svg(
-            compare_path,
-            overlay,
-            title="dist_avg for each gain k",
-            xlabel="t",
-            ylabel="dist_avg",
-        )
+        write_svg(compare_path, overlay, title="dist_avg for each gain k", xlabel="t", ylabel="dist_avg")
         print(f"compare_svg = {compare_path}")
-        dump = {f"k{k:g}": report.to_json() for k, (report, _) in zip(ks, results)}
+        dump = {f"k{k:g}": report.to_json() for k, report in zip(ks, reports)}
         with open(f"{out}.report.json", "w", encoding="utf-8") as fh:
             json.dump(dump, fh, indent=2, sort_keys=True)
     return 0

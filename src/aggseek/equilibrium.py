@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import project_rows, vi_min_rows
+from .geometry import project_rows, require_members, vi_min_rows
 from .model import GameLayout, GameSpec, pseudo_gradient_F, signal_array
 
 
@@ -158,10 +158,7 @@ def vi_gap(game: GameSpec, x: np.ndarray) -> float:
     is max_i max(0, -min_i): zero exactly when every agent's inequality holds.
     """
     x = np.asarray(x, dtype=float).reshape(game.N, game.n)
-    d = x - project_rows(game.layout, x)
-    outside = np.flatnonzero(np.sqrt(np.vecdot(d, d)) > 1e-9)
-    if outside.size:
-        raise ValueError(f"agent {outside[0]} decision lies outside its set")
+    require_members(game.layout, x)
     return float(_agent_gaps(game, x).max())
 
 

@@ -11,12 +11,12 @@ exactly and agrees with the tangent-cone flow to first order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .geometry import ACTIVITY_TOL, tangent_project
+from .geometry import require_members, tangent_rows
 from .model import GameLayout, GameSpec, SystemState, project_state, state_arrays
 
 if TYPE_CHECKING:
@@ -26,10 +26,11 @@ if TYPE_CHECKING:
 class NonFiniteStateError(RuntimeError):
     """Integration produced NaN or infinity."""
 
-    def __init__(self, step_index: int, time: float):
-        super().__init__(f"non-finite state at step {step_index} (t = {time:g})")
+    def __init__(self, step_index: int, time: float, k: float):
+        super().__init__(f"non-finite state at step {step_index} (t = {time:g}) for k = {k:g}")
         self.step_index = step_index
         self.time = time
+        self.k = k
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,20 @@ class Trajectory:
         return self.state(len(self) - 1)
 
 
+def _tile(st: GameLayout, B: int) -> GameLayout:
+    """B copies of the layout stacked row-wise, copy b on rows b*N to b*N + N - 1."""
+    if B == 1:
+        return st
+    rows = {f.name: np.concatenate([getattr(st, f.name)] * B) for f in fields(st)}
+    rows["ball_rows"] = (st.ball_rows + st.ell.shape[0] * np.arange(B)[:, None]).ravel()
+    return GameLayout(**rows)
+
+
 def _drive(st: GameLayout, C: np.ndarray, x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    return -(st.ell[:, None] * (x - st.xstar) + st.linear) - (C @ sigma)
+    """Unprojected velocities of B stacked copies; sigma has shape (B, n)."""
+    csig = np.array([C @ s for s in sigma])  # per copy: sigma @ C.T need not round the same way
+    own = -(st.ell[:, None] * (x - st.xstar) + st.linear)
+    return (own.reshape(len(sigma), -1, x.shape[1]) - csig[:, None, :]).reshape(x.shape)
 
 
 def _project_rows(st: GameLayout, x: np.ndarray) -> np.ndarray:
@@ -92,30 +105,6 @@ def _project_rows(st: GameLayout, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tangent_rows(st: GameLayout, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Vectorized tangent-cone projection, matching geometry.tangent_project rowwise."""
-    blocked = ((x - st.lo <= ACTIVITY_TOL) & (v < 0)) | ((st.hi - x <= ACTIVITY_TOL) & (v > 0))
-    out = np.where(blocked, 0.0, v)
-    b = st.ball_rows
-    if b.size:
-        d = x[b] - st.center[b]
-        norm = np.linalg.norm(d, axis=1, keepdims=True)
-        on_boundary = norm >= st.radius[b, None] - ACTIVITY_TOL
-        u = d / np.where(norm > 0, norm, 1.0)
-        vb = v[b]
-        outward = np.maximum(0.0, np.sum(u * vb, axis=1, keepdims=True))
-        out[b] = np.where(on_boundary, vb - outward * u, vb)
-    return out
-
-
-def _step_arrays(
-    st: GameLayout, C: np.ndarray, k: float, x: np.ndarray, sigma: np.ndarray, h: float
-) -> tuple[np.ndarray, np.ndarray]:
-    x_next = _project_rows(st, x + h * _drive(st, C, x, sigma))
-    sigma_next = sigma + h * k * (x.mean(axis=0) - sigma)
-    return x_next, sigma_next
-
-
 def rhs(game: GameSpec, state: SystemState) -> tuple[np.ndarray, np.ndarray]:
     """Instantaneous velocities (xdot, sigmadot) of the projected dynamics.
 
@@ -124,26 +113,22 @@ def rhs(game: GameSpec, state: SystemState) -> tuple[np.ndarray, np.ndarray]:
     outside its set beyond tolerance.
     """
     x, sigma = state_arrays(game, state)
-    csig = game.C @ sigma
-    xdot = np.empty_like(x)
-    for i, (cost, cset) in enumerate(game.agents):
-        drive = -(cost.ell * (x[i] - cost.xstar) + cost.linear) - csig
-        xdot[i] = tangent_project(cset, x[i], drive)
-    sigmadot = game.k * (x.mean(axis=0) - sigma)
-    return xdot, sigmadot
+    require_members(game.layout, x)
+    xdot = tangent_rows(game.layout, x, _drive(game.layout, game.C, x, sigma[None]))
+    return xdot, game.k * (x.mean(axis=0) - sigma)
 
 
 def step(game: GameSpec, state: SystemState, h: float) -> SystemState:
     """One projected forward-Euler step of length h (h = 0 returns the state unchanged)."""
     x, sigma = state_arrays(game, state)
-    return SystemState(*_step_arrays(game.layout, game.C, game.k, x, sigma, h))
+    x_next = _project_rows(game.layout, x + h * _drive(game.layout, game.C, x, sigma[None]))
+    return SystemState(x_next, sigma + h * game.k * (x.mean(axis=0) - sigma))
 
 
 def stationarity_residual(game: GameSpec, state: SystemState) -> float:
     """Sup-norm of the dynamics' velocities: zero exactly at equilibria."""
     xdot, sigmadot = rhs(game, state)
-    x_part = float(np.max(np.abs(xdot))) if xdot.size else 0.0
-    return max(x_part, float(np.max(np.abs(sigmadot))))
+    return max(float(np.max(np.abs(xdot))), float(np.max(np.abs(sigmadot))))
 
 
 def integrate(
@@ -152,20 +137,47 @@ def integrate(
     cfg: IntegratorConfig,
     reference: Optional["EquilibriumResult"] = None,
 ) -> Trajectory:
-    """Run the projected-Euler scheme for ceil(T / h) steps.
+    """Run the projected-Euler scheme for ceil(T / h) steps at the game's gain k.
 
     The initial decisions are projected onto their sets on entry. States are
     recorded at step 0, every record_every steps thereafter, and always at the
-    final step. When a reference equilibrium is given, the W, dist_avg and
-    dist_sigma diagnostics are filled against it; otherwise they are NaN.
+    final step. The time grid is t_j = j * h, so the last sample sits at
+    ceil(T / h) * h, which passes T by less than h when h does not divide T.
+    When a reference equilibrium is given, the W, dist_avg and dist_sigma
+    diagnostics are filled against it; otherwise they are NaN.
 
     Raises NonFiniteStateError (with the offending step index) if the state
     stops being finite; non-convergence by itself is not an error.
     """
-    start = project_state(game, init)
-    x, sigma = state_arrays(game, start)
-    st = game.layout
-    C, k, h = game.C, game.k, cfg.h
+    return integrate_gains(game, (game.k,), init, cfg, reference)[0]
+
+
+def integrate_gains(
+    game: GameSpec,
+    gains: Sequence[float],
+    init: SystemState,
+    cfg: IntegratorConfig,
+    reference: Optional["EquilibriumResult"] = None,
+) -> list[Trajectory]:
+    """integrate for every gain k in gains, all copies advanced in one time loop.
+
+    Trajectory b equals, bit for bit, integrate on the game with k = gains[b]:
+    the B copies of the agents are stacked row-wise, so every row-wise kernel
+    runs unchanged, and only the means, the coupling term C sigma and the gain
+    are taken per copy.
+
+    Raises NonFiniteStateError at the first step at which some copy stops
+    being finite, naming the first such gain.
+    """
+    ks = np.asarray(gains, dtype=float)
+    if not (ks.ndim == 1 and ks.size and np.all(ks > 0)):
+        raise ValueError(f"gains must be a non-empty list of positive numbers, got {gains!r}")
+    B, N, n = ks.size, game.N, game.n
+    x, sigma = state_arrays(game, project_state(game, init))
+    x, sigma = np.concatenate([x] * B), np.tile(sigma, (B, 1))
+    st = _tile(game.layout, B)
+    C, h, kcol = game.C, cfg.h, ks[:, None]
+    hk = h * kcol
     n_steps = math.ceil(cfg.T / cfg.h)
 
     sample_steps = list(range(0, n_steps, cfg.record_every))
@@ -174,51 +186,43 @@ def integrate(
     n_samples = len(sample_steps)
 
     times = np.empty(n_samples)
-    xs = np.empty((n_samples, game.N, game.n))
-    sigmas = np.empty((n_samples, game.n))
-    W = np.full(n_samples, np.nan)
-    residual = np.empty(n_samples)
-    dist_avg = np.full(n_samples, np.nan)
-    dist_sigma = np.full(n_samples, np.nan)
+    xs = np.empty((B, n_samples, N, n))
+    sigmas = np.empty((B, n_samples, n))
+    residual = np.empty((B, n_samples))
+    W, dist_avg, dist_sigma = (np.full((B, n_samples), np.nan) for _ in range(3))
 
     if reference is not None:
-        xbar = np.asarray(reference.xbar, dtype=float).reshape(game.N, game.n)
+        xbar = np.asarray(reference.xbar, dtype=float).reshape(N, n)
         sigmabar = np.asarray(reference.sigmabar, dtype=float)
 
     def record(slot: int, step_index: int) -> None:
         times[slot] = step_index * h
-        xs[slot] = x
-        sigmas[slot] = sigma
-        xdot = _tangent_rows(st, x, _drive(st, C, x, sigma))
-        sigmadot = k * (x.mean(axis=0) - sigma)
-        residual[slot] = max(float(np.max(np.abs(xdot))), float(np.max(np.abs(sigmadot))))
+        xs[:, slot] = x.reshape(B, N, n)
+        sigmas[:, slot] = sigma
+        xdot = np.abs(tangent_rows(st, x, drive)).reshape(B, -1).max(axis=1)
+        residual[:, slot] = np.maximum(xdot, np.abs(kcol * (mean - sigma)).max(axis=1))
         if reference is not None:
-            dx = x - xbar
+            dx = x.reshape(B, N, n) - xbar
             ds = sigma - sigmabar
-            W[slot] = 0.5 * float(np.sum(dx * dx)) + 0.5 * float(ds @ ds)
-            dist_avg[slot] = float(np.linalg.norm(x.mean(axis=0) - sigmabar))
-            dist_sigma[slot] = float(np.linalg.norm(ds))
+            da = mean - sigmabar
+            W[:, slot] = 0.5 * np.sum(dx * dx, axis=(1, 2)) + 0.5 * np.vecdot(ds, ds)
+            dist_avg[:, slot] = np.sqrt(np.vecdot(da, da))
+            dist_sigma[:, slot] = np.sqrt(np.vecdot(ds, ds))
 
     slot = 0
-    record(slot, 0)
-    slot += 1
     # blowup is detected explicitly, so numpy's own overflow warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, n_steps + 1):
-            x, sigma = _step_arrays(st, C, k, x, sigma, h)
-            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(sigma))):
-                raise NonFiniteStateError(step_index=i, time=i * h)
-            if slot < n_samples and i == sample_steps[slot]:
+        for i in range(n_steps + 1):
+            if i:
+                x, sigma = _project_rows(st, x + h * drive), sigma + hk * (mean - sigma)
+                if not (np.all(np.isfinite(x)) and np.all(np.isfinite(sigma))):
+                    finite = np.isfinite(x).reshape(B, -1).all(axis=1) & np.isfinite(sigma).all(axis=1)
+                    raise NonFiniteStateError(i, i * h, float(ks[np.argmin(finite)]))
+            mean = x.reshape(B, N, n).mean(axis=1)
+            drive = _drive(st, C, x, sigma)
+            if i == sample_steps[slot]:
                 record(slot, i)
                 slot += 1
 
-    return Trajectory(
-        times=times,
-        x=xs,
-        sigma=sigmas,
-        W=W,
-        residual=residual,
-        dist_avg=dist_avg,
-        dist_sigma=dist_sigma,
-        has_reference=reference is not None,
-    )
+    fields_b = zip(xs, sigmas, W, residual, dist_avg, dist_sigma)
+    return [Trajectory(times, *arrays, has_reference=reference is not None) for arrays in fields_b]

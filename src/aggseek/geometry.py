@@ -126,18 +126,7 @@ def tangent_project(s: ConvexSet, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """
     x = _require_member(s, x)
     v = _check_dim(s, v, "vector")
-    if isinstance(s, Box):
-        out = v.copy()
-        at_lo = (x - s.lo <= ACTIVITY_TOL) & (v < 0)
-        at_hi = (s.hi - x <= ACTIVITY_TOL) & (v > 0)
-        out[at_lo | at_hi] = 0.0
-        return out
-    d = x - s.center
-    norm = float(np.linalg.norm(d))
-    if norm < s.radius - ACTIVITY_TOL:
-        return v.copy()
-    u = d / norm
-    return v - max(0.0, float(u @ v)) * u
+    return tangent_rows(SetRows(**stack_sets([s])), x[None], v[None])[0]
 
 
 def normal_project(s: ConvexSet, x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -198,6 +187,30 @@ def project_rows(sets: SetRows, y: np.ndarray) -> np.ndarray:
             shrunk = c + d * (r / norm)[:, None]
         out[b] = np.where((norm <= r)[:, None], yb, shrunk)
     return out
+
+
+def tangent_rows(sets: SetRows, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise tangent_project of v[i] at x[i], for rows already inside their sets."""
+    blocked = ((x - sets.lo <= ACTIVITY_TOL) & (v < 0)) | ((sets.hi - x <= ACTIVITY_TOL) & (v > 0))
+    out = np.where(blocked, 0.0, v)
+    b = sets.ball_rows
+    if b.size:
+        d = x[b] - sets.center[b]
+        norm = np.linalg.norm(d, axis=1, keepdims=True)  # run/sweep CSV bits depend on this norm
+        on_boundary = norm >= sets.radius[b, None] - ACTIVITY_TOL
+        u = d / np.where(norm > 0, norm, 1.0)
+        vb = v[b]
+        outward = np.maximum(0.0, np.sum(u * vb, axis=1, keepdims=True))
+        out[b] = np.where(on_boundary, vb - outward * u, vb)
+    return out
+
+
+def require_members(sets: SetRows, x: np.ndarray) -> None:
+    """Raise ValueError naming the first agent whose row x[i] lies outside set_i."""
+    d = x - project_rows(sets, x)
+    outside = np.flatnonzero(np.sqrt(np.vecdot(d, d)) > MEMBERSHIP_TOL)
+    if outside.size:
+        raise ValueError(f"agent {outside[0]} decision lies outside its set")
 
 
 def vi_min_rows(sets: SetRows, x: np.ndarray, g: np.ndarray) -> np.ndarray:

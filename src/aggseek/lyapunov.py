@@ -19,8 +19,8 @@ import numpy as np
 
 from .equilibrium import EquilibriumResult, strictly_monotone
 from .flow import Trajectory
-from .geometry import tangent_project
-from .model import GameSpec, SystemState, grad_f, state_arrays
+from .geometry import require_members, tangent_rows
+from .model import GameSpec, SystemState, state_arrays
 
 VARIANTS = ("paper", "symmetrized")
 
@@ -169,17 +169,15 @@ def storage_inequality_check(
     where strong convexity enters the decrease argument.
     """
     x, _ = state_arrays(game, state)
+    lay = game.layout
+    require_members(lay, x)
     u = np.asarray(u, dtype=float).reshape(game.N, game.n)
     xbar = np.asarray(ref.xbar, dtype=float).reshape(game.N, game.n)
     ubar_row = -(game.C @ np.asarray(ref.sigmabar, dtype=float))
-    lhs = 0.0
-    rhs = 0.0
-    for i, (cost, cset) in enumerate(game.agents):
-        dx = x[i] - xbar[i]
-        gx = grad_f(cost, x[i])
-        gxbar = grad_f(cost, xbar[i])
-        lhs += float(dx @ tangent_project(cset, x[i], -gx + u[i]))
-        rhs -= float(dx @ (gx - gxbar + ubar_row - u[i]))
+    gx, gxbar = (lay.ell[:, None] * (z - lay.xstar) + lay.linear for z in (x, xbar))
+    dx = x - xbar
+    lhs = float(np.sum(dx * tangent_rows(lay, x, -gx + u)))
+    rhs = -float(np.sum(dx * (gx - gxbar + ubar_row - u)))
     return lhs <= rhs + slack
 
 

@@ -4,17 +4,29 @@ Every agent-level quantity used to be computed one agent at a time with the
 scalar geometry helpers. The references below keep those loops; the property
 tests demand np.array_equal, not approximate agreement, on random mixed
 box/ball games with points inside each set, on its boundary and outside it.
+Likewise every gain of integrate_gains is held to the single-gain integrator
+loop it replaced, kept below as the reference.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aggseek.equilibrium import aggregation_map, best_response, verify_equilibrium, vi_gap
-from aggseek.geometry import Ball, Box, ConvexSet, project, set_center
+from aggseek.equilibrium import (
+    EquilibriumResult,
+    aggregation_map,
+    best_response,
+    verify_equilibrium,
+    vi_gap,
+)
+from aggseek.flow import IntegratorConfig, integrate_gains
+from aggseek.geometry import ACTIVITY_TOL, Ball, Box, ConvexSet, project, set_center
 from aggseek.model import (
     GameSpec,
     QuadraticCost,
@@ -47,9 +59,9 @@ def _point(draw, cset: ConvexSet, n: int) -> np.ndarray:
 
 
 @st.composite
-def games_with_points(draw) -> tuple[GameSpec, np.ndarray, np.ndarray]:
+def games_with_points(draw, max_agents: int = 6) -> tuple[GameSpec, np.ndarray, np.ndarray]:
     n = draw(st.sampled_from([1, 2, 3]))
-    N = draw(st.integers(1, 6))
+    N = draw(st.integers(1, max_agents))
     vec = _vectors(n)
     agents, points = [], []
     for _ in range(N):
@@ -136,3 +148,94 @@ def test_vi_gap_and_verification_match_scalar(case, feasible: bool) -> None:
     else:
         with pytest.raises(ValueError, match=f"^agent {outside} decision lies outside its set$"):
             vi_gap(game, x)
+
+
+# The single-gain integrator as it stood before the gains were batched: the
+# reference every copy of integrate_gains must reproduce bit for bit.
+def _ref_drive(lay, C, x, sigma):
+    return -(lay.ell[:, None] * (x - lay.xstar) + lay.linear) - (C @ sigma)
+
+
+def _ref_project_rows(lay, x):
+    out = np.clip(x, lay.lo, lay.hi)
+    b = lay.ball_rows
+    if b.size:
+        center, radius = lay.center[b], lay.radius[b, None]
+        d = x[b] - center
+        norm = np.linalg.norm(d, axis=1, keepdims=True)
+        scale = np.where(norm > radius, radius / np.where(norm > 0, norm, 1.0), 1.0)
+        out[b] = center + d * scale
+    return out
+
+
+def _ref_tangent_rows(lay, x, v):
+    blocked = ((x - lay.lo <= ACTIVITY_TOL) & (v < 0)) | ((lay.hi - x <= ACTIVITY_TOL) & (v > 0))
+    out = np.where(blocked, 0.0, v)
+    b = lay.ball_rows
+    if b.size:
+        d = x[b] - lay.center[b]
+        norm = np.linalg.norm(d, axis=1, keepdims=True)
+        on_boundary = norm >= lay.radius[b, None] - ACTIVITY_TOL
+        u = d / np.where(norm > 0, norm, 1.0)
+        vb = v[b]
+        outward = np.maximum(0.0, np.sum(u * vb, axis=1, keepdims=True))
+        out[b] = np.where(on_boundary, vb - outward * u, vb)
+    return out
+
+
+def reference_integrate(game: GameSpec, init: SystemState, cfg: IntegratorConfig, ref) -> dict:
+    lay, C, k, h = game.layout, game.C, game.k, cfg.h
+    x, sigma = project_state(game, init).x.copy(), init.sigma.copy()
+    n_steps = math.ceil(cfg.T / h)
+    sample_steps = list(range(0, n_steps, cfg.record_every))
+    if sample_steps[-1] != n_steps:
+        sample_steps.append(n_steps)
+    xbar, sigmabar = ref.xbar, ref.sigmabar
+    out = {name: [] for name in ("times", "x", "sigma", "W", "residual", "dist_avg", "dist_sigma")}
+
+    def record(step_index: int) -> None:
+        xdot = _ref_tangent_rows(lay, x, _ref_drive(lay, C, x, sigma))
+        sigmadot = k * (x.mean(axis=0) - sigma)
+        dx, ds = x - xbar, sigma - sigmabar
+        out["times"].append(step_index * h)
+        out["x"].append(x)
+        out["sigma"].append(sigma)
+        out["residual"].append(max(float(np.max(np.abs(xdot))), float(np.max(np.abs(sigmadot)))))
+        out["W"].append(0.5 * float(np.sum(dx * dx)) + 0.5 * float(ds @ ds))
+        out["dist_avg"].append(float(np.linalg.norm(x.mean(axis=0) - sigmabar)))
+        out["dist_sigma"].append(float(np.linalg.norm(ds)))
+
+    record(0)
+    for i in range(1, n_steps + 1):
+        x, sigma = (
+            _ref_project_rows(lay, x + h * _ref_drive(lay, C, x, sigma)),
+            sigma + h * k * (x.mean(axis=0) - sigma),
+        )
+        if i in sample_steps:
+            record(i)
+    return {name: np.array(values) for name, values in out.items()}
+
+
+@st.composite
+def gain_sweeps(draw):
+    game, x, sigma = draw(games_with_points(max_agents=20))  # N >= 8 reaches numpy's unrolled sums
+    gains = draw(st.lists(st.floats(0.1, 5.0), min_size=1, max_size=4))
+    h = draw(st.sampled_from([0.02, 0.05, 0.1, 0.3]))
+    T = h * (draw(st.integers(1, 15)) + draw(st.floats(0.1, 0.9)))  # T / h is not an integer
+    cfg = IntegratorConfig(h=h, T=T, record_every=draw(st.sampled_from([1, 3])))
+    return game, SystemState(x, sigma), gains, cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(gain_sweeps())
+def test_integrate_gains_matches_single_gain_loop(case) -> None:
+    game, init, gains, cfg = case
+    xbar = project_state(game, SystemState(game.layout.xstar, init.sigma)).x
+    ref = EquilibriumResult(xbar, xbar.mean(axis=0), 0, 0.0, 0.0)
+    trajs = integrate_gains(game, gains, init, cfg, reference=ref)
+    assert len(trajs) == len(gains)
+    for k, traj in zip(gains, trajs):
+        expect = reference_integrate(dataclasses.replace(game, k=k), init, cfg, ref)
+        assert traj.has_reference
+        for name, values in expect.items():
+            assert np.array_equal(getattr(traj, name), values), name

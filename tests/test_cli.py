@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -264,19 +265,29 @@ def test_sweep_full_outputs(tmp_path: Path, capsys: pytest.CaptureFixture[str]) 
     assert report["k0.4"]["k"] == 0.4
 
 
-def test_sweep_thread_count_does_not_change_results(
-    tmp_path: Path, capsys: pytest.CaptureFixture[str], monkeypatch: pytest.MonkeyPatch
+@pytest.mark.parametrize("scenario", [SINGLE, MIXED])
+def test_sweep_csvs_match_single_gain_runs(
+    scenario: str, tmp_path: Path, capsys: pytest.CaptureFixture[str]
 ) -> None:
-    args = ["sweep", "--scenario", SINGLE, "--k", "0.4,0.8", "--T", "1", "--h", "0.01"]
-    monkeypatch.setenv("AGGSEEK_THREADS", "1")
-    assert cli.main(args + ["--out", str(tmp_path / "serial")]) == 0
-    monkeypatch.setenv("AGGSEEK_THREADS", "2")
-    assert cli.main(args + ["--out", str(tmp_path / "pooled")]) == 0
+    # mixed_sets has ball rows and n = 2
+    horizon = ["--T", "1.5", "--h", "0.02"]
+    sweep = ["sweep", "--scenario", scenario, "--k", "0.4,0.8,3", *horizon]
+    assert cli.main(sweep + ["--out", str(tmp_path / "sweep")]) == 0
+    for k in ("0.4", "0.8", "3"):
+        run = ["run", "--scenario", scenario, "--k", k, *horizon, "--out", str(tmp_path / f"run{k}")]
+        assert cli.main(run) == 0
+        assert (tmp_path / f"sweep_k{k}.csv").read_bytes() == (tmp_path / f"run{k}.csv").read_bytes()
     capsys.readouterr()
-    for k in ("0.4", "0.8"):
-        serial = (tmp_path / f"serial_k{k}.csv").read_bytes()
-        pooled = (tmp_path / f"pooled_k{k}.csv").read_bytes()
-        assert serial == pooled
+
+
+def test_sweep_blowup_in_one_gain_exits_two(tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
+    # h * k = 5 makes the signal update diverge for k = 10 only
+    out = tmp_path / "hot"
+    args = ["sweep", "--scenario", SINGLE, "--k", "0.5,10", "--h", "0.5", "--T", "400", "--out", str(out)]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"non-finite state at step \d+ \(t = [0-9.e+]+\) for k = 10$", err.strip())
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_requires_gain_list(capsys: pytest.CaptureFixture[str]) -> None:

@@ -12,6 +12,7 @@ from aggseek.flow import (
     NonFiniteStateError,
     Trajectory,
     integrate,
+    integrate_gains,
     rhs,
     stationarity_residual,
     step,
@@ -183,6 +184,21 @@ def test_trajectory_accessors() -> None:
     final = traj.final_state
     assert np.array_equal(final.x, traj.x[-1])
     assert np.array_equal(final.sigma, traj.sigma[-1])
+
+
+@pytest.mark.parametrize("gains", [(), (0.5, 0.0), (0.5, float("nan"))])
+def test_integrate_gains_rejects_bad_gains(gains) -> None:
+    game = single_agent_game()
+    with pytest.raises(ValueError, match="gains must be a non-empty list of positive numbers"):
+        integrate_gains(game, gains, initial_state(game), IntegratorConfig(h=0.1, T=0.3))
+
+
+def test_last_sample_may_pass_the_horizon() -> None:
+    # the grid is t_j = j * h for j up to ceil(T / h): T = 1, h = 0.3 ends at 1.2
+    game = single_agent_game()
+    traj = integrate(game, initial_state(game), IntegratorConfig(h=0.3, T=1.0))
+    assert len(traj) == 5
+    assert traj.times[-1] == 4 * 0.3
 
 
 def test_diagnostics_nan_without_reference() -> None:
