@@ -331,8 +331,8 @@ def cmd_sweep(scenario: str, ks: Sequence[float], h: float, T: float, out: Optio
     game = _load(scenario)
     labels: dict[str, float] = {}
     for k in ks:
-        if not k > 0:
-            raise ScenarioError(f"swept k must be positive, got {k}")
+        if not (k > 0 and math.isfinite(k)):
+            raise ScenarioError(f"swept k must be positive and finite, got {k}")
         label = f"k{k:g}"
         if label in labels:
             raise ScenarioError(f"gains {labels[label]!r} and {k!r} share the label {label}")

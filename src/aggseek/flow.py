@@ -11,12 +11,12 @@ exactly and agrees with the tangent-cone flow to first order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .geometry import require_members, tangent_rows
+from .geometry import project_rows, require_members, tangent_rows
 from .model import GameLayout, GameSpec, SystemState, project_state, state_arrays
 
 if TYPE_CHECKING:
@@ -40,10 +40,10 @@ class IntegratorConfig:
     record_every: int = 1
 
     def __post_init__(self) -> None:
-        if not self.h > 0:
-            raise ValueError(f"step size h must be positive, got {self.h}")
-        if not self.T >= self.h:
-            raise ValueError(f"horizon T must be at least h, got T={self.T}, h={self.h}")
+        if not (self.h > 0 and math.isfinite(self.h)):
+            raise ValueError(f"step size h must be positive and finite, got {self.h}")
+        if not (self.T >= self.h and math.isfinite(self.T)):
+            raise ValueError(f"horizon T must be finite and at least h, got T={self.T}, h={self.h}")
         if int(self.record_every) < 1:
             raise ValueError("record_every must be a positive integer")
         object.__setattr__(self, "record_every", int(self.record_every))
@@ -77,32 +77,10 @@ class Trajectory:
         return self.state(len(self) - 1)
 
 
-def _tile(st: GameLayout, B: int) -> GameLayout:
-    """B copies of the layout stacked row-wise, copy b on rows b*N to b*N + N - 1."""
-    if B == 1:
-        return st
-    rows = {f.name: np.concatenate([getattr(st, f.name)] * B) for f in fields(st)}
-    rows["ball_rows"] = (st.ball_rows + st.ell.shape[0] * np.arange(B)[:, None]).ravel()
-    return GameLayout(**rows)
-
-
-def _drive(st: GameLayout, C: np.ndarray, x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Unprojected velocities of B stacked copies; sigma has shape (B, n)."""
+def _drive(lay: GameLayout, C: np.ndarray, x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Unprojected velocities of the states x (B, N, n) under their signals sigma (B, n)."""
     csig = np.array([C @ s for s in sigma])  # per copy: sigma @ C.T need not round the same way
-    own = -(st.ell[:, None] * (x - st.xstar) + st.linear)
-    return (own.reshape(len(sigma), -1, x.shape[1]) - csig[:, None, :]).reshape(x.shape)
-
-
-def _project_rows(st: GameLayout, x: np.ndarray) -> np.ndarray:
-    out = np.clip(x, st.lo, st.hi)
-    b = st.ball_rows
-    if b.size:
-        center, radius = st.center[b], st.radius[b, None]
-        d = x[b] - center
-        norm = np.linalg.norm(d, axis=1, keepdims=True)  # run/sweep CSV bits depend on this norm
-        scale = np.where(norm > radius, radius / np.where(norm > 0, norm, 1.0), 1.0)
-        out[b] = center + d * scale
-    return out
+    return -(lay.ell[:, None] * (x - lay.xstar) + lay.linear) - csig[:, None, :]
 
 
 def rhs(game: GameSpec, state: SystemState) -> tuple[np.ndarray, np.ndarray]:
@@ -114,14 +92,14 @@ def rhs(game: GameSpec, state: SystemState) -> tuple[np.ndarray, np.ndarray]:
     """
     x, sigma = state_arrays(game, state)
     require_members(game.layout, x)
-    xdot = tangent_rows(game.layout, x, _drive(game.layout, game.C, x, sigma[None]))
+    xdot = tangent_rows(game.layout, x, _drive(game.layout, game.C, x, sigma[None])[0])
     return xdot, game.k * (x.mean(axis=0) - sigma)
 
 
 def step(game: GameSpec, state: SystemState, h: float) -> SystemState:
     """One projected forward-Euler step of length h (h = 0 returns the state unchanged)."""
     x, sigma = state_arrays(game, state)
-    x_next = _project_rows(game.layout, x + h * _drive(game.layout, game.C, x, sigma[None]))
+    x_next = project_rows(game.layout, x + h * _drive(game.layout, game.C, x, sigma[None])[0])
     return SystemState(x_next, sigma + h * game.k * (x.mean(axis=0) - sigma))
 
 
@@ -162,21 +140,20 @@ def integrate_gains(
     """integrate for every gain k in gains, all copies advanced in one time loop.
 
     Trajectory b equals, bit for bit, integrate on the game with k = gains[b]:
-    the B copies of the agents are stacked row-wise, so every row-wise kernel
-    runs unchanged, and only the means, the coupling term C sigma and the gain
-    are taken per copy.
+    the state x has shape (B, N, n) and sigma (B, n), the row kernels act on
+    the agent axis of every copy alike, and only the coupling term C sigma is
+    taken copy by copy.
 
     Raises NonFiniteStateError at the first step at which some copy stops
     being finite, naming the first such gain.
     """
     ks = np.asarray(gains, dtype=float)
-    if not (ks.ndim == 1 and ks.size and np.all(ks > 0)):
-        raise ValueError(f"gains must be a non-empty list of positive numbers, got {gains!r}")
+    if not (ks.ndim == 1 and ks.size and np.all((ks > 0) & np.isfinite(ks))):
+        raise ValueError(f"gains must be a non-empty list of positive numbers, all finite, got {gains!r}")
     B, N, n = ks.size, game.N, game.n
     x, sigma = state_arrays(game, project_state(game, init))
-    x, sigma = np.concatenate([x] * B), np.tile(sigma, (B, 1))
-    st = _tile(game.layout, B)
-    C, h, kcol = game.C, cfg.h, ks[:, None]
+    x, sigma = np.tile(x, (B, 1, 1)), np.tile(sigma, (B, 1))
+    lay, C, h, kcol = game.layout, game.C, cfg.h, ks[:, None]
     hk = h * kcol
     n_steps = math.ceil(cfg.T / cfg.h)
 
@@ -197,14 +174,12 @@ def integrate_gains(
 
     def record(slot: int, step_index: int) -> None:
         times[slot] = step_index * h
-        xs[:, slot] = x.reshape(B, N, n)
+        xs[:, slot] = x
         sigmas[:, slot] = sigma
-        xdot = np.abs(tangent_rows(st, x, drive)).reshape(B, -1).max(axis=1)
+        xdot = np.abs(tangent_rows(lay, x, drive)).max(axis=(1, 2))
         residual[:, slot] = np.maximum(xdot, np.abs(kcol * (mean - sigma)).max(axis=1))
         if reference is not None:
-            dx = x.reshape(B, N, n) - xbar
-            ds = sigma - sigmabar
-            da = mean - sigmabar
+            dx, ds, da = x - xbar, sigma - sigmabar, mean - sigmabar
             W[:, slot] = 0.5 * np.sum(dx * dx, axis=(1, 2)) + 0.5 * np.vecdot(ds, ds)
             dist_avg[:, slot] = np.sqrt(np.vecdot(da, da))
             dist_sigma[:, slot] = np.sqrt(np.vecdot(ds, ds))
@@ -214,12 +189,12 @@ def integrate_gains(
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps + 1):
             if i:
-                x, sigma = _project_rows(st, x + h * drive), sigma + hk * (mean - sigma)
-                if not (np.all(np.isfinite(x)) and np.all(np.isfinite(sigma))):
-                    finite = np.isfinite(x).reshape(B, -1).all(axis=1) & np.isfinite(sigma).all(axis=1)
+                x, sigma = project_rows(lay, x + h * drive), sigma + hk * (mean - sigma)
+                if not (np.isfinite(x).all() and np.isfinite(sigma).all()):
+                    finite = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(sigma).all(axis=1)
                     raise NonFiniteStateError(i, i * h, float(ks[np.argmin(finite)]))
-            mean = x.reshape(B, N, n).mean(axis=1)
-            drive = _drive(st, C, x, sigma)
+            mean = x.mean(axis=1)
+            drive = _drive(lay, C, x, sigma)
             if i == sample_steps[slot]:
                 record(slot, i)
                 slot += 1

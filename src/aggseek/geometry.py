@@ -175,33 +175,40 @@ def stack_sets(sets: Sequence[ConvexSet]) -> dict[str, np.ndarray]:
 
 
 def project_rows(sets: SetRows, y: np.ndarray) -> np.ndarray:
-    """Row-wise project: row i of the result equals project(set_i, y[i]) bit for bit."""
+    """Project along the agent axis of an (N, n) or (B, N, n) array.
+
+    y[..., i, :] goes onto set_i and equals project(set_i, y[..., i, :]) bit for bit.
+    """
     out = np.clip(y, sets.lo, sets.hi)
     b = sets.ball_rows
     if b.size:
-        yb, c, r = y[b], sets.center[b], sets.radius[b]
+        yb, c, r = y[..., b, :], sets.center[b], sets.radius[b]
         d = yb - c
-        # np.linalg.norm(axis=1) differs from the scalar norm in the last bits
+        # the scalar norm of project, bit for bit; a vectorized np.linalg.norm is not
         norm = np.sqrt(np.vecdot(d, d))
         with np.errstate(divide="ignore", invalid="ignore"):
-            shrunk = c + d * (r / norm)[:, None]
-        out[b] = np.where((norm <= r)[:, None], yb, shrunk)
+            shrunk = c + d * (r / norm)[..., None]
+        out[..., b, :] = np.where((norm <= r)[..., None], yb, shrunk)
     return out
 
 
 def tangent_rows(sets: SetRows, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise tangent_project of v[i] at x[i], for rows already inside their sets."""
+    """Tangent-cone projection along the agent axis of an (N, n) or (B, N, n) array.
+
+    v[..., i, :] goes onto the tangent cone of set_i at x[..., i, :], as in
+    tangent_project; every row of x must already lie inside its set.
+    """
     blocked = ((x - sets.lo <= ACTIVITY_TOL) & (v < 0)) | ((sets.hi - x <= ACTIVITY_TOL) & (v > 0))
     out = np.where(blocked, 0.0, v)
     b = sets.ball_rows
     if b.size:
-        d = x[b] - sets.center[b]
-        norm = np.linalg.norm(d, axis=1, keepdims=True)  # run/sweep CSV bits depend on this norm
+        d = x[..., b, :] - sets.center[b]
+        norm = np.sqrt(np.vecdot(d, d))[..., None]
         on_boundary = norm >= sets.radius[b, None] - ACTIVITY_TOL
         u = d / np.where(norm > 0, norm, 1.0)
-        vb = v[b]
-        outward = np.maximum(0.0, np.sum(u * vb, axis=1, keepdims=True))
-        out[b] = np.where(on_boundary, vb - outward * u, vb)
+        vb = v[..., b, :]
+        outward = np.maximum(0.0, np.sum(u * vb, axis=-1, keepdims=True))
+        out[..., b, :] = np.where(on_boundary, vb - outward * u, vb)
     return out
 
 

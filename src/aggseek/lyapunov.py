@@ -184,23 +184,22 @@ def storage_inequality_check(
 def decay_report(traj: Trajectory, ref: EquilibriumResult, cert: CertificateReport) -> DecayReport:
     """Judge W along a trajectory: monotonicity, fitted decay rate, certificate bound.
 
-    W is recomputed from the sampled states against ref. The fitted rate is the
-    negated least-squares slope of ln W over the prefix ending at the first
-    sample with W <= W0/2, falling back to the full window when W never halves
-    (NaN when W0 = 0 or fewer than two samples are positive). When the
-    symmetrized certificate eigenvalue is positive, the exponential envelope
-    W(t) <= W0 * exp(-rate * t) * 1.01 is checked at every sample; otherwise
-    the certificate fields stay None.
+    W is traj.W, recorded by the integrator against its reference, which must
+    be ref; a trajectory integrated without one raises ValueError. The fitted
+    rate is the negated least-squares slope of ln W over the prefix ending at
+    the first sample with W <= W0/2, falling back to the full window when W
+    never halves (NaN when W0 = 0 or fewer than two samples are positive). When
+    the symmetrized certificate eigenvalue is positive, the exponential
+    envelope W(t) <= W0 * exp(-rate * t) * 1.01 is checked at every sample;
+    otherwise the certificate fields stay None.
     """
+    if not traj.has_reference:
+        raise ValueError("trajectory was integrated without a reference, so it has no W")
     if not ref.vi_gap_value <= 1e-6:
         raise ValueError(f"reference not verified: vi_gap {ref.vi_gap_value:.3e} > 1e-6")
     if len(traj) < 10:
         raise ValueError(f"trajectory has {len(traj)} samples, need at least 10")
-    xbar = np.asarray(ref.xbar, dtype=float)
-    sigmabar = np.asarray(ref.sigmabar, dtype=float)
-    dx = traj.x - xbar[None, :, :]
-    ds = traj.sigma - sigmabar[None, :]
-    W = 0.5 * np.sum(dx * dx, axis=(1, 2)) + 0.5 * np.sum(ds * ds, axis=1)
+    W = traj.W
     W0 = float(W[0])
     monotone = bool(np.all(W[1:] <= W[:-1] * (1.0 + 1e-9)))
 

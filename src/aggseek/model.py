@@ -86,8 +86,8 @@ class GameSpec:
         if C.shape != (n, n):
             raise ValueError(f"C has shape {C.shape}, expected ({n}, {n})")
         k = float(self.k)
-        if not k > 0:
-            raise ValueError(f"k must be positive, got {k}")
+        if not (k > 0 and math.isfinite(k)):
+            raise ValueError(f"k must be positive and finite, got {k}")
         agents = tuple(self.agents)
         if len(agents) != N:
             raise ValueError(f"agents list has length {len(agents)}, expected N={N}")

@@ -4,8 +4,8 @@ Every agent-level quantity used to be computed one agent at a time with the
 scalar geometry helpers. The references below keep those loops; the property
 tests demand np.array_equal, not approximate agreement, on random mixed
 box/ball games with points inside each set, on its boundary and outside it.
-Likewise every gain of integrate_gains is held to the single-gain integrator
-loop it replaced, kept below as the reference.
+Likewise every gain of integrate_gains is held to a single-gain integrator
+loop kept below as the reference.
 """
 
 from __future__ import annotations
@@ -26,7 +26,16 @@ from aggseek.equilibrium import (
     vi_gap,
 )
 from aggseek.flow import IntegratorConfig, integrate_gains
-from aggseek.geometry import ACTIVITY_TOL, Ball, Box, ConvexSet, project, set_center
+from aggseek.geometry import (
+    ACTIVITY_TOL,
+    Ball,
+    Box,
+    ConvexSet,
+    project,
+    project_rows,
+    set_center,
+    tangent_rows,
+)
 from aggseek.model import (
     GameSpec,
     QuadraticCost,
@@ -121,8 +130,8 @@ def test_best_responses_and_aggregation_map_match_scalar(case) -> None:
 
 
 @settings(max_examples=200, deadline=None)
-@given(games_with_points())
-def test_projection_and_pseudo_gradient_match_scalar(case) -> None:
+@given(games_with_points(), st.data())
+def test_projection_and_pseudo_gradient_match_scalar(case, data) -> None:
     game, x, sigma = case
     projected = project_state(game, SystemState(x, sigma))
     assert np.array_equal(
@@ -131,6 +140,16 @@ def test_projection_and_pseudo_gradient_match_scalar(case) -> None:
     assert np.array_equal(projected.sigma, sigma)
     assert np.array_equal(pseudo_gradient_F(game, x), scalar_pseudo_gradient(game, x))
     assert np.array_equal(initial_state(game).x, np.array([set_center(s) for _, s in game.agents]))
+
+    # on a (B, N, n) stack the kernels act on the agent axis of each slice alike
+    B, lay = data.draw(st.integers(1, 3)), game.layout
+    more = [[_point(data.draw, s, game.n) for _, s in game.agents] for _ in range(B - 1)]
+    ys = np.array([x, *more])
+    stacked = project_rows(lay, ys)
+    assert np.array_equal(stacked, np.array([project_rows(lay, y) for y in ys]))
+    v = np.array([[data.draw(_vectors(game.n)) for _ in range(game.N)] for _ in range(B)])
+    per_slice = [tangent_rows(lay, p, w) for p, w in zip(stacked, v)]
+    assert np.array_equal(tangent_rows(lay, stacked, v), np.array(per_slice))
 
 
 @settings(max_examples=200, deadline=None)
@@ -150,22 +169,14 @@ def test_vi_gap_and_verification_match_scalar(case, feasible: bool) -> None:
             vi_gap(game, x)
 
 
-# The single-gain integrator as it stood before the gains were batched: the
+# The single-gain integrator loop, one agent at a time where it projects: the
 # reference every copy of integrate_gains must reproduce bit for bit.
 def _ref_drive(lay, C, x, sigma):
     return -(lay.ell[:, None] * (x - lay.xstar) + lay.linear) - (C @ sigma)
 
 
-def _ref_project_rows(lay, x):
-    out = np.clip(x, lay.lo, lay.hi)
-    b = lay.ball_rows
-    if b.size:
-        center, radius = lay.center[b], lay.radius[b, None]
-        d = x[b] - center
-        norm = np.linalg.norm(d, axis=1, keepdims=True)
-        scale = np.where(norm > radius, radius / np.where(norm > 0, norm, 1.0), 1.0)
-        out[b] = center + d * scale
-    return out
+def _ref_project_rows(game, x):
+    return np.array([project(s, x[i]) for i, (_, s) in enumerate(game.agents)])
 
 
 def _ref_tangent_rows(lay, x, v):
@@ -174,7 +185,7 @@ def _ref_tangent_rows(lay, x, v):
     b = lay.ball_rows
     if b.size:
         d = x[b] - lay.center[b]
-        norm = np.linalg.norm(d, axis=1, keepdims=True)
+        norm = np.sqrt(np.vecdot(d, d))[:, None]
         on_boundary = norm >= lay.radius[b, None] - ACTIVITY_TOL
         u = d / np.where(norm > 0, norm, 1.0)
         vb = v[b]
@@ -208,7 +219,7 @@ def reference_integrate(game: GameSpec, init: SystemState, cfg: IntegratorConfig
     record(0)
     for i in range(1, n_steps + 1):
         x, sigma = (
-            _ref_project_rows(lay, x + h * _ref_drive(lay, C, x, sigma)),
+            _ref_project_rows(game, x + h * _ref_drive(lay, C, x, sigma)),
             sigma + h * k * (x.mean(axis=0) - sigma),
         )
         if i in sample_steps:

@@ -234,6 +234,24 @@ def test_run_rejects_bad_config(capsys: pytest.CaptureFixture[str]) -> None:
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("args", "field"),
+    [
+        (["run", "--T", "inf"], "horizon T"),
+        (["run", "--h", "inf", "--T", "inf"], "step size h"),
+        (["run", "--k", "inf"], "k must be"),
+        (["sweep", "--k", "1,inf"], "swept k"),
+    ],
+)
+def test_nonfinite_numbers_are_input_errors(
+    args: list, field: str, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    assert cli.main([*args, "--scenario", SINGLE, "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err and "inf" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_rejects_multiple_gains(capsys: pytest.CaptureFixture[str]) -> None:
     assert cli.main(["run", "--scenario", SINGLE, "--k", "0.2,0.4"]) == 1
     assert "error:" in capsys.readouterr().err

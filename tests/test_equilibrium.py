@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 from dataclasses import replace
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from aggseek import cli
 from aggseek.equilibrium import (
     ConvergenceError,
     EquilibriumResult,
@@ -303,6 +305,26 @@ def test_bundled_scenarios_solve_to_pinned_bits(name: str, iterations: int, sigm
     res = solve_equilibrium(game)
     assert res.iterations == iterations
     assert [float(v).hex() for v in res.sigmabar] == sigmabar_hex
+
+
+@pytest.mark.parametrize(
+    ("name", "sha256"),
+    [
+        # recorded before the flow moved onto geometry's row kernels; unchanged by it
+        ("single_box", "748cd6713d272687da324c6667a82cad9f8f80978d958d8a31880c1200fe41c8"),
+        ("demand_response", "9d5b87930023196f3729dcd5be42f2512482833c5ae502ea5eda467e6d3bdfce"),
+        # recorded after that move: its ball norm is np.sqrt(np.vecdot(d, d))
+        ("mixed_sets", "7b3e30421c7c887b44472df0c9ab08af63c6cd5a835ba5c4c71162e4a30c4343"),
+    ],
+)
+def test_bundled_scenarios_run_to_pinned_csv_bytes(
+    name: str, sha256: str, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    out = tmp_path / name
+    args = ["run", "--scenario", str(SCENARIOS / f"{name}.json"), "--T", "5", "--h", "1e-2"]
+    assert cli.main([*args, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(Path(f"{out}.csv").read_bytes()).hexdigest() == sha256
 
 
 def test_solve_stops_at_first_nonfinite_update() -> None:

@@ -172,6 +172,14 @@ def test_integrator_config_validation() -> None:
         IntegratorConfig(h=1.0, T=0.5)
     with pytest.raises(ValueError):
         IntegratorConfig(record_every=0)
+    for h, T, field in (
+        (math.inf, 60.0, "step size h"),
+        (math.nan, 60.0, "step size h"),
+        (math.inf, math.inf, "step size h"),
+        (1e-3, math.inf, "horizon T"),
+    ):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            IntegratorConfig(h=h, T=T)
 
 
 def test_trajectory_accessors() -> None:
@@ -186,7 +194,7 @@ def test_trajectory_accessors() -> None:
     assert np.array_equal(final.sigma, traj.sigma[-1])
 
 
-@pytest.mark.parametrize("gains", [(), (0.5, 0.0), (0.5, float("nan"))])
+@pytest.mark.parametrize("gains", [(), (0.5, 0.0), (0.5, float("nan")), (1.0, math.inf)])
 def test_integrate_gains_rejects_bad_gains(gains) -> None:
     game = single_agent_game()
     with pytest.raises(ValueError, match="gains must be a non-empty list of positive numbers"):

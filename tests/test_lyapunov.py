@@ -47,7 +47,7 @@ def synthetic_reference(n: int = 1, N: int = 1) -> EquilibriumResult:
 
 
 def synthetic_trajectory(times: np.ndarray, W: np.ndarray) -> Trajectory:
-    # park all the energy in sigma so the recomputed W matches exactly
+    # decay_report reads W; the states park all of it in sigma to stay consistent
     sigma = np.sqrt(2.0 * W)[:, None]
     m = times.shape[0]
     return Trajectory(
@@ -347,3 +347,9 @@ def test_decay_report_guards() -> None:
     short = synthetic_trajectory(times[:5], W[:5])
     with pytest.raises(ValueError):
         decay_report(short, synthetic_reference(), synthetic_certificate(0.1))
+
+    game = small_certified_game(7)
+    ref = solve_equilibrium(game)
+    bare = integrate(game, initial_state(game), IntegratorConfig(h=1e-2, T=1.0))
+    with pytest.raises(ValueError, match="without a reference"):
+        decay_report(bare, ref, compare_conditions(game))
