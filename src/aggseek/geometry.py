@@ -9,7 +9,7 @@ uses as the internal consistency law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -150,28 +150,33 @@ class SetRows:
     """
 
     is_ball: np.ndarray  # (N,) bool
-    ball_rows: np.ndarray  # indices of the ball rows, cheaper to index by than the mask
     lo: np.ndarray       # (N, n)
     hi: np.ndarray       # (N, n)
     center: np.ndarray   # (N, n)
     radius: np.ndarray   # (N,)
+    ball_rows: np.ndarray = field(init=False)  # indices of the ball rows, cheaper than the mask
+
+    def __post_init__(self) -> None:
+        for rows in vars(self).values():
+            rows.setflags(write=False)  # games that share rows cannot change each other
+        object.__setattr__(self, "ball_rows", np.flatnonzero(self.is_ball))
+
+    def row(self, i: int) -> ConvexSet:
+        """Row i's set, rebuilt as a Box or a Ball."""
+        return Ball(self.center[i], self.radius[i]) if self.is_ball[i] else Box(self.lo[i], self.hi[i])
 
 
 def stack_sets(sets: Sequence[ConvexSet]) -> dict[str, np.ndarray]:
-    """The SetRows fields of a sequence of sets of one dimension."""
+    """The SetRows fields of a sequence of sets of one dimension, one row per set."""
     is_ball = np.array([isinstance(s, Ball) for s in sets], dtype=bool)
-    N, n = len(sets), sets[0].dim
-    lo, hi = np.full((N, n), -np.inf), np.full((N, n), np.inf)
-    center, radius = np.empty((N, n)), np.full(N, np.inf)
-    box, ball = np.flatnonzero(~is_ball), np.flatnonzero(is_ball)
-    if box.size:
-        lo[box] = [sets[i].lo for i in box]
-        hi[box] = [sets[i].hi for i in box]
-        center[box] = 0.5 * (lo[box] + hi[box])  # Box.center, row by row
-    if ball.size:
-        center[ball] = [sets[i].center for i in ball]
-        radius[ball] = [sets[i].radius for i in ball]
-    return dict(is_ball=is_ball, ball_rows=ball, lo=lo, hi=hi, center=center, radius=radius)
+    unbounded = np.full(sets[0].dim, np.inf)
+    return dict(
+        is_ball=is_ball,
+        lo=np.stack([-unbounded if ball else s.lo for s, ball in zip(sets, is_ball)]),
+        hi=np.stack([unbounded if ball else s.hi for s, ball in zip(sets, is_ball)]),
+        center=np.stack([s.center for s in sets]),
+        radius=np.array([s.radius if ball else np.inf for s, ball in zip(sets, is_ball)]),
+    )
 
 
 def project_rows(sets: SetRows, y: np.ndarray) -> np.ndarray:

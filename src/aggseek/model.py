@@ -8,15 +8,18 @@ broadcast aggregate signal.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, fields
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .geometry import ConvexSet, SetRows, project, project_rows, set_from_document, stack_sets
+from .geometry import ConvexSet, SetRows, contains, project_rows, set_from_document, stack_sets
+
+_GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's state increment
+_MASK = (1 << 64) - 1
 
 
 class ScenarioError(ValueError):
@@ -62,67 +65,73 @@ class GameSpec:
     """Immutable description of one aggregative game.
 
     Fields:
-        n: decision dimension shared by all agents.
-        N: agent count.
         C: n-by-n coupling matrix applied to the broadcast signal.
         k: integral gain of the aggregate dynamics.
-        agents: per-agent (cost, constraint set) pairs, length N.
+        layout: every agent's cost and set as stacked rows, the one stored
+            form; the agent count N and the dimension n are read from it.
         seed: generator seed recorded when agents were synthesized, else None.
     """
 
-    n: int
-    N: int
     C: np.ndarray
     k: float
-    agents: tuple
+    layout: GameLayout
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        n = int(self.n)
-        N = int(self.N)
-        if n < 1 or N < 1:
-            raise ValueError("n and N must be positive integers")
+        n = self.n
         C = np.asarray(self.C, dtype=float)
         if C.shape != (n, n):
             raise ValueError(f"C has shape {C.shape}, expected ({n}, {n})")
         k = float(self.k)
         if not (k > 0 and math.isfinite(k)):
             raise ValueError(f"k must be positive and finite, got {k}")
-        agents = tuple(self.agents)
-        if len(agents) != N:
-            raise ValueError(f"agents list has length {len(agents)}, expected N={N}")
+        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "k", k)
+
+    @classmethod
+    def from_agents(cls, C: np.ndarray, k: float, agents) -> "GameSpec":
+        """The game of (cost, constraint set) pairs, each of C's dimension n, stacked row-wise."""
+        agents = tuple(agents)
+        if not agents:
+            raise ValueError("a game needs at least one agent")
+        n = np.atleast_2d(C).shape[0]
         for i, (cost, cset) in enumerate(agents):
             if cost.dim != n:
                 raise ValueError(f"agent {i} cost has dimension {cost.dim}, expected {n}")
             if cset.dim != n:
                 raise ValueError(f"agent {i} set has dimension {cset.dim}, expected {n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "agents", agents)
-
-    @property
-    def ell_min(self) -> float:
-        """Game-level strong-convexity modulus: the weakest agent's ell."""
-        return min(cost.ell for cost, _ in self.agents)
-
-    @cached_property
-    def layout(self) -> GameLayout:
-        """The stacked arrays behind the batched kernels, built on first use."""
-        costs, sets = zip(*self.agents)
-        return GameLayout(
+        costs, sets = zip(*agents)
+        layout = GameLayout(
             ell=np.array([cost.ell for cost in costs]),
             xstar=np.stack([cost.xstar for cost in costs]),
             linear=np.stack([cost.linear for cost in costs]),
             **stack_sets(sets),
         )
+        return cls(C=C, k=k, layout=layout)
+
+    @property
+    def N(self) -> int:
+        return self.layout.xstar.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.layout.xstar.shape[1]
+
+    @property
+    def ell_min(self) -> float:
+        """Game-level strong-convexity modulus: the weakest agent's ell."""
+        return float(self.layout.ell.min())
+
+    @property
+    def agents(self) -> tuple:
+        """Per-agent (cost, constraint set) pairs, rebuilt from the layout's rows."""
+        return tuple((self.cost(i), self.constraint(i)) for i in range(self.N))
 
     def cost(self, i: int) -> QuadraticCost:
-        return self.agents[i][0]
+        return QuadraticCost(self.layout.ell[i], self.layout.xstar[i], self.layout.linear[i])
 
     def constraint(self, i: int) -> ConvexSet:
-        return self.agents[i][1]
+        return self.layout.row(i)
 
 
 @dataclass
@@ -156,53 +165,54 @@ def state_arrays(game: GameSpec, state: SystemState) -> tuple[np.ndarray, np.nda
     return x.reshape(game.N, game.n), signal_array(game, state.sigma)
 
 
-def splitmix64(seed: int) -> Iterator[float]:
-    """Infinite stream of uniform floats in [0, 1) from the splitmix64 generator.
+def splitmix64(seed: int, count: Optional[int] = None) -> np.ndarray | Iterator[float]:
+    """The first count uniform floats in [0, 1) of the splitmix64 generator.
 
-    The recurrence is fixed so that scenario generation is reproducible
-    bit-exactly across platforms and languages.
+    The state after i draws is seed + i * 0x9E3779B97F4A7C15 mod 2^64, so the
+    stream is a closed form in i, computed in wrapping uint64 arithmetic and
+    reproducible bit-exactly across platforms. Without count, the unbounded stream.
     """
-    mask = (1 << 64) - 1
-    state = seed & mask
-    while True:
-        state = (state + 0x9E3779B97F4A7C15) & mask
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        z = z ^ (z >> 31)
-        yield z / 2.0**64
+    if count is None:
+        return (u for j in itertools.count() for u in splitmix64(seed + j * 4096 * _GOLDEN, 4096))
+    z = np.uint64(seed & _MASK) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z = z ^ (z >> np.uint64(31))
+    return z.astype(np.float64) / 2.0**64
 
 
-def _expand_generator(block: dict, n: int) -> tuple[list, int]:
-    """Materialize a generator-style agent block into an explicit agent list."""
+def _typed(node, kind: type, path: str):
+    """Return node when it is a JSON value of kind; a fraction or a boolean is no integer."""
+    if isinstance(node, bool) or not isinstance(node, kind):
+        kind_name = {dict: "an object", list: "a list", int: "an integer"}[kind]
+        raise ScenarioError(f"{path} must be {kind_name}, got {node!r}")
+    return node
+
+
+def _generated_game(C: np.ndarray, k: float, block, n: int) -> GameSpec:
+    """The game of a generator-style agent block: count agents sharing one cost and one set."""
+    block = _typed(block, dict, "agents.generator")
     try:
-        count = int(block["count"])
-        ell = float(block["ell"])
-        linear = np.asarray(block["linear"], dtype=float)
-        xstar_spec = block["xstar"]
-        set_spec = block["set"]
+        count = _typed(block["count"], int, "agents.generator.count")
+        agent = QuadraticCost(block["ell"], np.zeros(n), block["linear"]), set_from_document(block["set"])
+        one = GameSpec.from_agents(C, k, [agent]).layout  # validated once, then repeated
+        xstar = _typed(block["xstar"], dict, "agents.generator.xstar")
+        uni = _typed(xstar.get("uniform"), dict, "agents.generator.xstar.uniform")
     except KeyError as e:
         raise ScenarioError(f"generator block missing field {e}") from None
     if count < 1:
         raise ScenarioError("generator count must be positive")
-    if "uniform" not in xstar_spec:
-        raise ScenarioError("generator xstar must be a {'uniform': ...} block")
-    uni = xstar_spec["uniform"]
     try:
-        lo, hi, seed = float(uni["lo"]), float(uni["hi"]), int(uni["seed"])
+        lo, hi = float(uni["lo"]), float(uni["hi"])
+        seed = _typed(uni["seed"], int, "agents.generator.xstar.uniform.seed")
     except KeyError as e:
         raise ScenarioError(f"uniform block missing field {e}") from None
     if not hi >= lo:
         raise ScenarioError("uniform range must satisfy hi >= lo")
-    stream = splitmix64(seed)
-    agents = []
-    for _ in range(count):
-        # one draw per coordinate, agents in index order
-        xstar = np.array([lo + (hi - lo) * next(stream) for _ in range(n)])
-        cost = QuadraticCost(ell=ell, xstar=xstar, linear=linear.copy())
-        cset = set_from_document(set_spec)
-        agents.append((cost, cset))
-    return agents, seed
+    rows = {f.name: np.repeat(getattr(one, f.name), count, axis=0) for f in fields(GameLayout) if f.init}
+    # one draw per coordinate, agents in index order
+    rows["xstar"] = lo + (hi - lo) * splitmix64(seed, count * n).reshape(count, n)
+    return GameSpec(C=C, k=k, layout=GameLayout(**rows), seed=seed)
 
 
 def _require_finite(node, path: str) -> None:
@@ -225,48 +235,45 @@ def load_scenario(document: str) -> GameSpec:
     coordinates are drawn from the documented splitmix64 stream. The same
     document always materializes the same game.
 
-    Raises ScenarioError on malformed text, non-finite numbers, dimension
-    mismatches, nonpositive ell/k/radius, or empty boxes.
+    Raises ScenarioError, naming the field where it can, on malformed text,
+    non-finite numbers, a fractional or boolean n/count/seed, a block that is
+    not an object, dimension mismatches, nonpositive ell/k/radius, or empty boxes.
     """
     try:
-        doc = json.loads(document)
+        doc = _typed(json.loads(document), dict, "scenario root")
     except json.JSONDecodeError as e:
         raise ScenarioError(f"scenario is not valid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario root must be an object")
     _require_finite(doc, "")
     try:
-        n = int(doc["n"])
+        n = _typed(doc["n"], int, "n")
         C = np.asarray(doc["C"], dtype=float)
         k = float(doc["k"])
-        agents_block = doc["agents"]
+        agents_block = _typed(doc["agents"], dict, "agents")
     except KeyError as e:
         raise ScenarioError(f"scenario missing field {e}") from None
-
-    seed: Optional[int] = None
-    if "list" in agents_block:
-        agents = []
-        for idx, entry in enumerate(agents_block["list"]):
-            try:
-                cost = QuadraticCost(entry["ell"], entry["xstar"], entry["linear"])
-                cset = set_from_document(entry["set"])
-            except KeyError as e:
-                raise ScenarioError(f"agent {idx} missing field {e}") from None
-            except ValueError as e:
-                raise ScenarioError(f"agent {idx}: {e}") from None
-            agents.append((cost, cset))
-    elif "generator" in agents_block:
-        try:
-            agents, seed = _expand_generator(agents_block["generator"], n)
-        except ValueError as e:
-            raise ScenarioError(str(e)) from None
-    else:
-        raise ScenarioError("agents block must contain 'list' or 'generator'")
+    if C.shape != (n, n):
+        raise ScenarioError(f"C has shape {C.shape}, expected ({n}, {n})")
 
     try:
-        return GameSpec(n=n, N=len(agents), C=C, k=k, agents=tuple(agents), seed=seed)
+        if "list" in agents_block:
+            entries = _typed(agents_block["list"], list, "agents.list")
+            return GameSpec.from_agents(C, k, [_agent(entry, idx) for idx, entry in enumerate(entries)])
+        if "generator" in agents_block:
+            return _generated_game(C, k, agents_block["generator"], n)
     except ValueError as e:
         raise ScenarioError(str(e)) from None
+    raise ScenarioError("agents block must contain 'list' or 'generator'")
+
+
+def _agent(entry, idx: int) -> tuple[QuadraticCost, ConvexSet]:
+    """One explicit agent list entry as its (cost, constraint set) pair."""
+    entry = _typed(entry, dict, f"agents.list[{idx}]")
+    try:
+        return QuadraticCost(entry["ell"], entry["xstar"], entry["linear"]), set_from_document(entry["set"])
+    except KeyError as e:
+        raise ScenarioError(f"agent {idx} missing field {e}") from None
+    except ValueError as e:
+        raise ScenarioError(f"agent {idx}: {e}") from None
 
 
 def grad_f(cost: QuadraticCost, x: np.ndarray) -> np.ndarray:
@@ -290,14 +297,11 @@ def cost_J(game: GameSpec, i: int, x: np.ndarray, sigma: np.ndarray) -> float:
     Returns f_i(x) + (C sigma)' x for feasible x, and math.inf outside the
     agent's constraint set (the indicator term).
     """
-    cost, cset = game.agents[i]
     x = np.atleast_1d(np.asarray(x, dtype=float))
     sigma = signal_array(game, sigma)
-    if x.shape != (game.n,):
-        raise ValueError(f"x has shape {x.shape}, expected ({game.n},)")
-    if np.linalg.norm(x - project(cset, x)) > 1e-9:
+    if not contains(game.constraint(i), x):
         return math.inf
-    return local_f(cost, x) + float((game.C @ sigma) @ x)
+    return local_f(game.cost(i), x) + float((game.C @ sigma) @ x)
 
 
 def pseudo_gradient_F(game: GameSpec, x: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from aggseek.model import GameSpec, QuadraticCost, load_scenario
 def single_agent_game(lo: float = 0.25, hi: float = 0.75, k: float = 0.6) -> GameSpec:
     """One agent, ell=1.5, xstar=0.6, linear=0.5, scalar coupling C=1."""
     cost = QuadraticCost(ell=1.5, xstar=np.array([0.6]), linear=np.array([0.5]))
-    return GameSpec(n=1, N=1, C=np.array([[1.0]]), k=k, agents=((cost, Box(np.array([lo]), np.array([hi]))),))
+    return GameSpec.from_agents(C=np.array([[1.0]]), k=k, agents=((cost, Box(np.array([lo]), np.array([hi]))),))
 
 
 def demand_response_doc(k: float = 0.6, count: int = 100, seed: int = 42) -> str:
@@ -117,4 +117,4 @@ def random_game(
         else:
             cset = Ball(rng.uniform(0.2, 0.8, size=n), float(rng.uniform(0.3, 0.8)))
         agents.append((cost, cset))
-    return GameSpec(n=n, N=N, C=C, k=k, agents=tuple(agents))
+    return GameSpec.from_agents(C=C, k=k, agents=tuple(agents))

@@ -137,8 +137,8 @@ def test_criterion_5_dense_and_reduced_eigenvalues_agree() -> None:
             (QuadraticCost(float(rng.uniform(0.5, 3.0)), np.full(n, 0.5), np.zeros(n)), box_cache[n])
             for _ in range(N)
         )
-        game = GameSpec(
-            n=n, N=N, C=rng.normal(size=(n, n)), k=float(rng.uniform(0.1, 2.0)), agents=agents
+        game = GameSpec.from_agents(
+            C=rng.normal(size=(n, n)), k=float(rng.uniform(0.1, 2.0)), agents=agents
         )
         for variant in ("paper", "symmetrized"):
             _, dense = assemble_M(game, variant)
@@ -195,7 +195,7 @@ def test_criterion_7_closed_forms_match_independent_oracles() -> None:
             r = float(rng.uniform(0.3, 1.0))
             cset = Ball(np.array([c]), r)
             lo_hi = (c - r, c + r)
-        game = GameSpec(n=1, N=1, C=rng.uniform(-1, 1, (1, 1)), k=1.0, agents=((cost, cset),))
+        game = GameSpec.from_agents(C=rng.uniform(-1, 1, (1, 1)), k=1.0, agents=((cost, cset),))
         sigma = rng.uniform(-1, 1, 1)
         shift = cost.linear[0] + float(game.C[0, 0] * sigma[0])
 

@@ -83,7 +83,7 @@ def games_with_points(draw, max_agents: int = 6) -> tuple[GameSpec, np.ndarray, 
         agents.append((cost, cset))
         points.append(_point(draw, cset, n))
     C = np.array([draw(vec) for _ in range(n)])
-    game = GameSpec(n=n, N=N, C=C, k=1.0, agents=tuple(agents))
+    game = GameSpec.from_agents(C=C, k=1.0, agents=tuple(agents))
     return game, np.array(points), draw(vec)
 
 

@@ -84,6 +84,24 @@ def test_check_malformed_scenario(tmp_path: Path, capsys: pytest.CaptureFixture[
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("agents", "field"),
+    [
+        ({"list": [5]}, "agents.list[0] must be an object"),
+        ("list", "agents must be an object"),
+        ({"generator": {"count": 2.9, "ell": 1.5, "linear": [0.5], "set": {"box": {"lo": [0.0], "hi": [1.0]}},
+                        "xstar": {"uniform": {"lo": 0.0, "hi": 1.0, "seed": 1}}}},
+         "agents.generator.count must be an integer"),
+    ],
+)
+def test_check_names_the_field_of_a_bad_type(
+    tmp_path: Path, capsys: pytest.CaptureFixture[str], agents, field: str
+) -> None:
+    doc = write_doc(tmp_path, "bad.json", {**wide_box_doc(), "agents": agents})
+    assert cli.main(["check", "--scenario", doc]) == 1
+    assert field in capsys.readouterr().err
+
+
 def test_solve_single_scenario(capsys: pytest.CaptureFixture[str]) -> None:
     assert cli.main(["solve", "--scenario", SINGLE]) == 0
     kv = parse_kv(capsys.readouterr().out)

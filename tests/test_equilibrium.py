@@ -34,7 +34,7 @@ def probe_game(cset: ConvexSet, x: np.ndarray, g: np.ndarray) -> GameSpec:
     """Single decoupled agent whose gradient at x equals g exactly."""
     n = cset.dim
     cost = QuadraticCost(ell=1.0, xstar=np.asarray(x, dtype=float), linear=np.asarray(g, dtype=float))
-    return GameSpec(n=n, N=1, C=np.zeros((n, n)), k=1.0, agents=((cost, cset),))
+    return GameSpec.from_agents(C=np.zeros((n, n)), k=1.0, agents=((cost, cset),))
 
 
 def test_best_response_clamps_low() -> None:
@@ -55,7 +55,7 @@ def test_best_response_clamps_high() -> None:
 
 def test_best_response_decoupled_hits_target() -> None:
     cost = QuadraticCost(2.0, np.array([0.5]), np.array([0.0]))
-    game = GameSpec(n=1, N=1, C=np.array([[0.0]]), k=1.0,
+    game = GameSpec.from_agents(C=np.array([[0.0]]), k=1.0,
                     agents=((cost, Box(np.array([0.0]), np.array([1.0]))),))
     assert best_response(game, 0, np.array([77.0])) == pytest.approx([0.5])
 
@@ -63,7 +63,7 @@ def test_best_response_decoupled_hits_target() -> None:
 def test_best_response_ball_boundary() -> None:
     cost = QuadraticCost(1.0, np.array([3.0, 0.0]), np.zeros(2))
     ball = Ball(np.zeros(2), 1.0)
-    game = GameSpec(n=2, N=1, C=np.zeros((2, 2)), k=1.0, agents=((cost, ball),))
+    game = GameSpec.from_agents(C=np.zeros((2, 2)), k=1.0, agents=((cost, ball),))
     assert best_response(game, 0, np.zeros(2)) == pytest.approx([1.0, 0.0])
 
 
@@ -87,7 +87,7 @@ def test_best_response_matches_grid_search() -> None:
         cost = QuadraticCost(ell, rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1))
         lo, hi = sorted(rng.uniform(-1.5, 1.5, 2))
         box = Box(np.array([lo]), np.array([hi + 0.1]))
-        game = GameSpec(n=1, N=1, C=rng.uniform(-1, 1, (1, 1)), k=1.0, agents=((cost, box),))
+        game = GameSpec.from_agents(C=rng.uniform(-1, 1, (1, 1)), k=1.0, agents=((cost, box),))
         sigma = rng.uniform(-1, 1, 1)
         csig = float(game.C[0, 0] * sigma[0])
 
@@ -105,7 +105,7 @@ def test_aggregation_map_fixed_point_single_agent() -> None:
 
 def test_aggregation_map_constant_when_decoupled() -> None:
     mk = lambda xs: QuadraticCost(1.0, np.array([xs]), np.array([0.0]))
-    game = GameSpec(n=1, N=2, C=np.array([[0.0]]), k=1.0,
+    game = GameSpec.from_agents(C=np.array([[0.0]]), k=1.0,
                     agents=((mk(0.2), WIDE), (mk(0.6), WIDE)))
     for s in (-3.0, 0.0, 0.4, 10.0):
         assert aggregation_map(game, np.array([s])) == pytest.approx([0.4])
@@ -137,7 +137,7 @@ def test_solve_demand_scenario(demand_ref: EquilibriumResult) -> None:
 
 def test_solve_decoupled_full_relaxation_counts_one_update() -> None:
     mk = lambda xs: QuadraticCost(1.0, np.array([xs]), np.array([0.0]))
-    game = GameSpec(n=1, N=2, C=np.array([[0.0]]), k=1.0,
+    game = GameSpec.from_agents(C=np.array([[0.0]]), k=1.0,
                     agents=((mk(0.2), WIDE), (mk(0.6), WIDE)))
     res = solve_equilibrium(game, lam=1.0)
     assert res.iterations == 1
@@ -164,7 +164,7 @@ def test_solve_raises_on_oscillating_iteration() -> None:
     # strong positive coupling makes the relaxed map a 2-cycle, not a contraction
     cost = QuadraticCost(1.0, np.array([1.0]), np.array([0.0]))
     box = Box(np.array([-10.0]), np.array([10.0]))
-    game = GameSpec(n=1, N=1, C=np.array([[5.0]]), k=1.0, agents=((cost, box),))
+    game = GameSpec.from_agents(C=np.array([[5.0]]), k=1.0, agents=((cost, box),))
     with pytest.raises(ConvergenceError) as excinfo:
         solve_equilibrium(game, max_iter=2000)
     err = excinfo.value
@@ -175,7 +175,7 @@ def test_solve_raises_on_oscillating_iteration() -> None:
 
 def test_solve_warns_when_uniqueness_unverified() -> None:
     game = single_agent_game()
-    loose = GameSpec(n=1, N=1, C=np.array([[-2.0]]), k=game.k, agents=game.agents)
+    loose = GameSpec.from_agents(C=np.array([[-2.0]]), k=game.k, agents=game.agents)
     assert not strictly_monotone(loose)
     with pytest.warns(UserWarning):
         res = solve_equilibrium(loose)
@@ -330,7 +330,7 @@ def test_bundled_scenarios_run_to_pinned_csv_bytes(
 def test_solve_stops_at_first_nonfinite_update() -> None:
     game = single_agent_game()
     cost, cset = game.agents[0]
-    poisoned = replace(game, agents=((replace(cost, xstar=np.array([np.nan])), cset),))
+    poisoned = GameSpec.from_agents(game.C, game.k, ((replace(cost, xstar=np.array([np.nan])), cset),))
     with pytest.raises(ConvergenceError, match="non-finite") as excinfo:
         solve_equilibrium(poisoned)
     assert excinfo.value.iterations == 1

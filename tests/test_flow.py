@@ -54,7 +54,7 @@ def test_rhs_ball_boundary_keeps_tangential_part() -> None:
     # drive (1, 1) at boundary point (1, 0): outward radial part removed
     cost = QuadraticCost(1.0, np.array([2.0, 1.0]), np.zeros(2))
     ball = Ball(np.zeros(2), 1.0)
-    game = GameSpec(n=2, N=1, C=np.zeros((2, 2)), k=2.0, agents=((cost, ball),))
+    game = GameSpec.from_agents(C=np.zeros((2, 2)), k=2.0, agents=((cost, ball),))
     state = SystemState(x=np.array([[1.0, 0.0]]), sigma=np.zeros(2))
     xdot, sigmadot = rhs(game, state)
     assert xdot == pytest.approx(np.array([[0.0, 1.0]]))

@@ -33,7 +33,7 @@ from helpers import (
 def boxes_game(ell: float, C: float, k: float, N: int) -> GameSpec:
     cost = QuadraticCost(ell, np.array([0.5]), np.array([0.0]))
     box = Box(np.array([0.0]), np.array([1.0]))
-    return GameSpec(n=1, N=N, C=np.array([[C]]), k=k, agents=tuple((cost, box) for _ in range(N)))
+    return GameSpec.from_agents(C=np.array([[C]]), k=k, agents=tuple((cost, box) for _ in range(N)))
 
 
 def synthetic_reference(n: int = 1, N: int = 1) -> EquilibriumResult:
@@ -201,7 +201,7 @@ def test_compare_conditions_separates_old_and_new() -> None:
 
 def test_compare_conditions_flags_nonmonotone_coupling() -> None:
     game = single_agent_game()
-    loose = GameSpec(n=1, N=1, C=np.array([[-2.0]]), k=game.k, agents=game.agents)
+    loose = GameSpec.from_agents(C=np.array([[-2.0]]), k=game.k, agents=game.agents)
     report = compare_conditions(loose)
     assert not report.strictly_monotone
 
@@ -284,7 +284,7 @@ def test_decay_report_exact_equilibrium_start() -> None:
     cost_a = QuadraticCost(1.0, np.array([0.4]), np.array([0.0]))
     cost_b = QuadraticCost(1.0, np.array([0.6]), np.array([0.0]))
     box = Box(np.array([0.0]), np.array([1.0]))
-    game = GameSpec(n=1, N=2, C=np.zeros((1, 1)), k=1.0, agents=((cost_a, box), (cost_b, box)))
+    game = GameSpec.from_agents(C=np.zeros((1, 1)), k=1.0, agents=((cost_a, box), (cost_b, box)))
     ref = solve_equilibrium(game)
     assert np.array_equal(ref.xbar, np.array([[0.4], [0.6]]))
     cert = compare_conditions(game)
