@@ -51,10 +51,10 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled states with per-sample diagnostics.
+    """Per-sample diagnostics of one run, and its final state x (N, n), sigma (n,).
 
     W, dist_avg and dist_sigma are NaN when no reference equilibrium was
-    attached to the run; residual is always filled.
+    attached to the run; times and residual are always filled.
     """
 
     times: np.ndarray
@@ -69,12 +69,14 @@ class Trajectory:
     def __len__(self) -> int:
         return self.times.shape[0]
 
-    def state(self, j: int) -> SystemState:
-        return SystemState(self.x[j].copy(), self.sigma[j].copy())
-
     @property
     def final_state(self) -> SystemState:
-        return self.state(len(self) - 1)
+        return SystemState(self.x.copy(), self.sigma.copy())
+
+
+def energy(dx: np.ndarray, ds: np.ndarray) -> np.ndarray:
+    """W = ½‖x − x̄‖² + ½‖σ − σ̄‖² per copy, from the offsets dx (B, N, n) and ds (B, n)."""
+    return 0.5 * np.sum(dx * dx, axis=(1, 2)) + 0.5 * np.vecdot(ds, ds)
 
 
 def _drive(lay: GameLayout, C: np.ndarray, x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -117,12 +119,12 @@ def integrate(
 ) -> Trajectory:
     """Run the projected-Euler scheme for ceil(T / h) steps at the game's gain k.
 
-    The initial decisions are projected onto their sets on entry. States are
-    recorded at step 0, every record_every steps thereafter, and always at the
-    final step. The time grid is t_j = j * h, so the last sample sits at
-    ceil(T / h) * h, which passes T by less than h when h does not divide T.
-    When a reference equilibrium is given, the W, dist_avg and dist_sigma
-    diagnostics are filled against it; otherwise they are NaN.
+    The initial decisions are projected onto their sets on entry. Diagnostics
+    are sampled at step 0, every record_every steps and at the last step; of
+    the states only the last is kept, so memory is O(N*n + samples). The grid
+    is t_j = j * h: the last sample, at ceil(T / h) * h, passes T by less than
+    h when h does not divide T. With a reference equilibrium, the W, dist_avg
+    and dist_sigma diagnostics are filled against it; otherwise they are NaN.
 
     Raises NonFiniteStateError (with the offending step index) if the state
     stops being finite; non-convergence by itself is not an error.
@@ -150,39 +152,21 @@ def integrate_gains(
     ks = np.asarray(gains, dtype=float)
     if not (ks.ndim == 1 and ks.size and np.all((ks > 0) & np.isfinite(ks))):
         raise ValueError(f"gains must be a non-empty list of positive numbers, all finite, got {gains!r}")
-    B, N, n = ks.size, game.N, game.n
+    B, N, n, every = ks.size, game.N, game.n, cfg.record_every
     x, sigma = state_arrays(game, project_state(game, init))
     x, sigma = np.tile(x, (B, 1, 1)), np.tile(sigma, (B, 1))
     lay, C, h, kcol = game.layout, game.C, cfg.h, ks[:, None]
     hk = h * kcol
     n_steps = math.ceil(cfg.T / cfg.h)
-
-    sample_steps = list(range(0, n_steps, cfg.record_every))
-    if sample_steps[-1] != n_steps:
-        sample_steps.append(n_steps)
-    n_samples = len(sample_steps)
+    n_samples = -(-n_steps // every) + 1  # steps 0, every, 2*every, ... and n_steps
 
     times = np.empty(n_samples)
-    xs = np.empty((B, n_samples, N, n))
-    sigmas = np.empty((B, n_samples, n))
     residual = np.empty((B, n_samples))
     W, dist_avg, dist_sigma = (np.full((B, n_samples), np.nan) for _ in range(3))
 
     if reference is not None:
         xbar = np.asarray(reference.xbar, dtype=float).reshape(N, n)
         sigmabar = np.asarray(reference.sigmabar, dtype=float)
-
-    def record(slot: int, step_index: int) -> None:
-        times[slot] = step_index * h
-        xs[:, slot] = x
-        sigmas[:, slot] = sigma
-        xdot = np.abs(tangent_rows(lay, x, drive)).max(axis=(1, 2))
-        residual[:, slot] = np.maximum(xdot, np.abs(kcol * (mean - sigma)).max(axis=1))
-        if reference is not None:
-            dx, ds, da = x - xbar, sigma - sigmabar, mean - sigmabar
-            W[:, slot] = 0.5 * np.sum(dx * dx, axis=(1, 2)) + 0.5 * np.vecdot(ds, ds)
-            dist_avg[:, slot] = np.sqrt(np.vecdot(da, da))
-            dist_sigma[:, slot] = np.sqrt(np.vecdot(ds, ds))
 
     slot = 0
     # blowup is detected explicitly, so numpy's own overflow warnings are noise
@@ -195,9 +179,16 @@ def integrate_gains(
                     raise NonFiniteStateError(i, i * h, float(ks[np.argmin(finite)]))
             mean = x.mean(axis=1)
             drive = _drive(lay, C, x, sigma)
-            if i == sample_steps[slot]:
-                record(slot, i)
+            if i % every == 0 or i == n_steps:
+                times[slot] = i * h
+                xdot = np.abs(tangent_rows(lay, x, drive)).max(axis=(1, 2))
+                residual[:, slot] = np.maximum(xdot, np.abs(kcol * (mean - sigma)).max(axis=1))
+                if reference is not None:
+                    dx, ds, da = x - xbar, sigma - sigmabar, mean - sigmabar
+                    W[:, slot] = energy(dx, ds)
+                    dist_avg[:, slot] = np.sqrt(np.vecdot(da, da))
+                    dist_sigma[:, slot] = np.sqrt(np.vecdot(ds, ds))
                 slot += 1
 
-    fields_b = zip(xs, sigmas, W, residual, dist_avg, dist_sigma)
+    fields_b = zip(x, sigma, W, residual, dist_avg, dist_sigma)
     return [Trajectory(times, *arrays, has_reference=reference is not None) for arrays in fields_b]

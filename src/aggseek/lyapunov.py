@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .equilibrium import EquilibriumResult, strictly_monotone
-from .flow import Trajectory
+from .flow import Trajectory, energy
 from .geometry import require_members, tangent_rows
 from .model import GameSpec, SystemState, state_arrays
 
@@ -143,13 +143,11 @@ def compare_conditions(game: GameSpec) -> CertificateReport:
 
 
 def lyapunov_W(state: SystemState, ref: EquilibriumResult) -> float:
-    """Squared-distance energy: half the squared distance to the equilibrium pair."""
+    """Half the squared distance to the equilibrium pair: flow.energy, as in traj.W."""
     xbar = np.asarray(ref.xbar, dtype=float)
-    x = np.asarray(state.x, dtype=float).reshape(xbar.shape)
-    sigma = np.atleast_1d(np.asarray(state.sigma, dtype=float))
-    dx = x - xbar
-    ds = sigma - np.asarray(ref.sigmabar, dtype=float)
-    return 0.5 * float(np.sum(dx * dx)) + 0.5 * float(ds @ ds)
+    dx = np.asarray(state.x, dtype=float).reshape(xbar.shape) - xbar
+    ds = np.atleast_1d(np.asarray(state.sigma, dtype=float)) - np.asarray(ref.sigmabar, dtype=float)
+    return float(energy(dx.reshape(1, -1, ds.size), ds[None])[0])
 
 
 def storage_inequality_check(

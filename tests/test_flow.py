@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from aggseek.model import (
     project_state,
 )
 
-from helpers import single_agent_game
+from helpers import demand_response_game, single_agent_game
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -102,20 +103,34 @@ def test_integrate_minimal_horizon_records_two_samples() -> None:
     assert traj.times == pytest.approx([0.0, 0.5])
 
 
+def assert_same_trajectory(a: Trajectory, b: Trajectory) -> None:
+    assert a.has_reference == b.has_reference
+    for name in ("times", "x", "sigma", "W", "residual", "dist_avg", "dist_sigma"):
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
+
+
 def test_integrate_projects_initial_state() -> None:
     game = single_agent_game()
     wild = SystemState(x=np.array([[5.0]]), sigma=np.array([0.5]))
-    traj = integrate(game, wild, IntegratorConfig(h=0.1, T=0.2))
-    assert traj.x[0] == pytest.approx(np.array([[0.75]]))
+    tamed = project_state(game, wild)
+    assert tamed.x == pytest.approx(np.array([[0.75]]))
+    cfg = IntegratorConfig(h=0.1, T=0.2)
+    assert_same_trajectory(integrate(game, wild, cfg), integrate(game, tamed, cfg))
 
 
 def test_integrate_forward_invariance_mixed_sets() -> None:
     game = mixed_game()
     start = SystemState(x=np.array([[2.0, -1.0], [3.0, 3.0], [-2.0, 0.0]]), sigma=np.array([1.5, -0.5]))
+    # step is the integrator's update: chaining it reproduces integrate's final
+    # state bit for bit, so the chain visits every iterate of the run
     traj = integrate(game, start, IntegratorConfig(h=0.01, T=2.0))
-    for j in range(len(traj)):
+    state = project_state(game, start)
+    for _ in range(len(traj) - 1):
+        state = step(game, state, 0.01)
         for i in range(game.N):
-            assert contains(game.constraint(i), traj.x[j, i])
+            assert contains(game.constraint(i), state.x[i])
+    assert np.array_equal(state.x, traj.x)
+    assert np.array_equal(state.sigma, traj.sigma)
 
 
 def test_integrate_sampling_grid() -> None:
@@ -123,17 +138,17 @@ def test_integrate_sampling_grid() -> None:
     traj = integrate(game, initial_state(game), IntegratorConfig(h=0.01, T=0.1, record_every=3))
     assert traj.times == pytest.approx([0.0, 0.03, 0.06, 0.09, 0.1])
     assert len(traj) == 5
-    assert traj.x.shape == (5, 1, 1)
+    assert all(getattr(traj, name).shape == (5,) for name in ("W", "residual", "dist_avg", "dist_sigma"))
 
 
 def test_integrate_bitwise_deterministic(demand_game: GameSpec) -> None:
     cfg = IntegratorConfig(h=1e-3, T=0.5, record_every=50)
     init = initial_state(demand_game)
-    a = integrate(demand_game, init, cfg)
-    b = integrate(demand_game, init, cfg)
-    assert np.array_equal(a.x, b.x)
-    assert np.array_equal(a.sigma, b.sigma)
-    assert np.array_equal(a.residual, b.residual)
+    ref = solve_equilibrium(demand_game)
+    assert_same_trajectory(integrate(demand_game, init, cfg), integrate(demand_game, init, cfg))
+    assert_same_trajectory(
+        integrate(demand_game, init, cfg, reference=ref), integrate(demand_game, init, cfg, reference=ref)
+    )
 
 
 def test_integrate_raises_on_blowup() -> None:
@@ -186,12 +201,13 @@ def test_trajectory_accessors() -> None:
     game = single_agent_game()
     traj = integrate(game, initial_state(game), IntegratorConfig(h=0.1, T=0.3))
     assert len(traj) == 4
-    snap = traj.state(1)
-    snap.x[0, 0] = 99.0
-    assert traj.x[1, 0, 0] != 99.0
     final = traj.final_state
-    assert np.array_equal(final.x, traj.x[-1])
-    assert np.array_equal(final.sigma, traj.sigma[-1])
+    assert np.array_equal(final.x, traj.x)
+    assert np.array_equal(final.sigma, traj.sigma)
+    final.x[0, 0] = 99.0
+    final.sigma[0] = 99.0
+    assert traj.x[0, 0] != 99.0
+    assert traj.sigma[0] != 99.0
 
 
 @pytest.mark.parametrize("gains", [(), (0.5, 0.0), (0.5, float("nan")), (1.0, math.inf)])
@@ -234,3 +250,19 @@ def test_diagnostics_filled_with_reference(
     assert traj.W[0] == pytest.approx(0.0625)
     assert traj.W[-1] <= 1e-6
     assert traj.dist_sigma[-1] <= 1e-3
+
+
+def test_integrate_gains_memory_is_state_plus_samples() -> None:
+    # B = 4 copies of N = 2000 agents over 2,001 samples hold B*(N*n + samples)*8
+    # = 128 kB; a stored state history would be B*samples*N*n*8 = 128 MB
+    game = demand_response_game(count=2000)
+    init, ref = initial_state(game), solve_equilibrium(game)
+    tracemalloc.start()
+    try:
+        trajs = integrate_gains(game, (0.5, 1.0, 2.0, 4.0), init, IntegratorConfig(h=1e-3, T=2.0), reference=ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(traj) for traj in trajs] == [2001] * 4
+    assert all(traj.x.shape == (2000, 1) for traj in trajs)
+    assert peak < 4_000_000, f"traced peak {peak} bytes"

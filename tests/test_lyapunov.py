@@ -48,16 +48,16 @@ def synthetic_reference(n: int = 1, N: int = 1) -> EquilibriumResult:
 
 def synthetic_trajectory(times: np.ndarray, W: np.ndarray) -> Trajectory:
     # decay_report reads W; the states park all of it in sigma to stay consistent
-    sigma = np.sqrt(2.0 * W)[:, None]
+    dist_sigma = np.sqrt(2.0 * W)
     m = times.shape[0]
     return Trajectory(
         times=times,
-        x=np.zeros((m, 1, 1)),
-        sigma=sigma,
+        x=np.zeros((1, 1)),
+        sigma=dist_sigma[-1:],
         W=W.copy(),
         residual=np.zeros(m),
         dist_avg=np.zeros(m),
-        dist_sigma=np.abs(sigma[:, 0]),
+        dist_sigma=dist_sigma,
         has_reference=True,
     )
 
