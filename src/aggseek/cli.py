@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import html
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -109,9 +109,9 @@ def write_csv(path: str, traj: Trajectory) -> None:
     """Emit the sampled diagnostics, 17 significant digits, fixed header."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,dist_avg,dist_sigma,W,residual\n")
-        for j in range(len(traj)):
-            row = (traj.times[j], traj.dist_avg[j], traj.dist_sigma[j], traj.W[j], traj.residual[j])
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        columns = (traj.times, traj.dist_avg, traj.dist_sigma, traj.W, traj.residual)
+        line = ",".join(["{:.17g}"] * len(columns)) + "\n"
+        fh.writelines(line.format(*row) for row in np.column_stack(columns).tolist())
 
 
 def _finite_range(values: np.ndarray, fallback: tuple[float, float]) -> tuple[float, float]:
@@ -153,7 +153,7 @@ def write_svg(
         f'viewBox="0 0 {width:g} {height:g}">',
         f'<rect x="0" y="0" width="{width:g}" height="{height:g}" fill="white"/>',
         f'<text x="{width / 2:g}" y="24" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="15">{escape(title)}</text>',
+        f'font-size="15">{html.escape(title, quote=False)}</text>',
     ]
     # axes box and ticks
     parts.append(
@@ -181,24 +181,22 @@ def write_svg(
         )
     parts.append(
         f'<text x="{ml + pw / 2:g}" y="{height - 12:g}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{escape(xlabel)}</text>'
+        f'font-family="sans-serif" font-size="13">{html.escape(xlabel, quote=False)}</text>'
     )
     parts.append(
         f'<text x="18" y="{mt + ph / 2:g}" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="13" transform="rotate(-90 18 {mt + ph / 2:g})">{escape(ylabel)}</text>'
+        f'font-size="13" transform="rotate(-90 18 {mt + ph / 2:g})">{html.escape(ylabel, quote=False)}</text>'
     )
 
     for idx, (label, xs, ys) in enumerate(series):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
+        xs = np.asarray(xs, dtype=float).tolist()
+        ys = np.asarray(ys, dtype=float).tolist()
         stride = max(1, math.ceil(len(xs) / 2000))
         keep = list(range(0, len(xs), stride))
         if keep[-1] != len(xs) - 1:
             keep.append(len(xs) - 1)
         pts = [
-            f"{sx(float(xs[j])):.2f},{sy(float(ys[j])):.2f}"
-            for j in keep
-            if np.isfinite(xs[j]) and np.isfinite(ys[j])
+            f"{sx(xs[j]):.2f},{sy(ys[j]):.2f}" for j in keep if math.isfinite(xs[j]) and math.isfinite(ys[j])
         ]
         color = _COLORS[idx % len(_COLORS)]
         parts.append(
@@ -211,7 +209,7 @@ def write_svg(
         )
         parts.append(
             f'<text x="{ml + pw - 116:g}" y="{ly + 4:g}" font-family="sans-serif" '
-            f'font-size="12">{escape(label)}</text>'
+            f'font-size="12">{html.escape(label, quote=False)}</text>'
         )
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -22,6 +22,9 @@ from .model import GameLayout, GameSpec, SystemState, project_state, state_array
 if TYPE_CHECKING:
     from .equilibrium import EquilibriumResult
 
+# floats of x per block of recorded samples; with the drive's block beside it, 256 kB
+BLOCK_FLOATS = 1 << 14
+
 
 class NonFiniteStateError(RuntimeError):
     """Integration produced NaN or infinity."""
@@ -75,8 +78,8 @@ class Trajectory:
 
 
 def energy(dx: np.ndarray, ds: np.ndarray) -> np.ndarray:
-    """W = ½‖x − x̄‖² + ½‖σ − σ̄‖² per copy, from the offsets dx (B, N, n) and ds (B, n)."""
-    return 0.5 * np.sum(dx * dx, axis=(1, 2)) + 0.5 * np.vecdot(ds, ds)
+    """W = ½‖x − x̄‖² + ½‖σ − σ̄‖² from the offsets dx (..., N, n) and ds (..., n)."""
+    return 0.5 * np.sum(dx * dx, axis=(-2, -1)) + 0.5 * np.vecdot(ds, ds)
 
 
 def _drive(lay: GameLayout, C: np.ndarray, x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -120,11 +123,12 @@ def integrate(
     """Run the projected-Euler scheme for ceil(T / h) steps at the game's gain k.
 
     The initial decisions are projected onto their sets on entry. Diagnostics
-    are sampled at step 0, every record_every steps and at the last step; of
-    the states only the last is kept, so memory is O(N*n + samples). The grid
-    is t_j = j * h: the last sample, at ceil(T / h) * h, passes T by less than
-    h when h does not divide T. With a reference equilibrium, the W, dist_avg
-    and dist_sigma diagnostics are filled against it; otherwise they are NaN.
+    are sampled at step 0, every record_every steps and at the last step, a block
+    at a time; of the states only the last is kept, so memory is O(N*n + samples)
+    plus a block of fixed size. The grid is t_j = j * h: the last sample, at
+    ceil(T / h) * h, passes T by less than h when h does not divide T. With a
+    reference equilibrium, the W, dist_avg and dist_sigma diagnostics are filled
+    against it; otherwise they are NaN.
 
     Raises NonFiniteStateError (with the offending step index) if the state
     stops being finite; non-convergence by itself is not an error.
@@ -144,7 +148,8 @@ def integrate_gains(
     Trajectory b equals, bit for bit, integrate on the game with k = gains[b]:
     the state x has shape (B, N, n) and sigma (B, n), the row kernels act on
     the agent axis of every copy alike, and only the coupling term C sigma is
-    taken copy by copy.
+    taken copy by copy. The diagnostics of up to BLOCK_FLOATS // (B*N*n) samples
+    take one call of each kernel.
 
     Raises NonFiniteStateError at the first step at which some copy stops
     being finite, naming the first such gain.
@@ -160,9 +165,11 @@ def integrate_gains(
     n_steps = math.ceil(cfg.T / cfg.h)
     n_samples = -(-n_steps // every) + 1  # steps 0, every, 2*every, ... and n_steps
 
-    times = np.empty(n_samples)
+    times = np.minimum(np.arange(n_samples) * every, n_steps) * h
     residual = np.empty((B, n_samples))
     W, dist_avg, dist_sigma = (np.full((B, n_samples), np.nan) for _ in range(3))
+    K = max(1, min(n_samples, BLOCK_FLOATS // (B * N * n)))
+    (xs, drives), (sigmas, means) = np.empty((2, K, B, N, n)), np.empty((2, K, B, n))
 
     if reference is not None:
         xbar = np.asarray(reference.xbar, dtype=float).reshape(N, n)
@@ -180,15 +187,17 @@ def integrate_gains(
             mean = x.mean(axis=1)
             drive = _drive(lay, C, x, sigma)
             if i % every == 0 or i == n_steps:
-                times[slot] = i * h
-                xdot = np.abs(tangent_rows(lay, x, drive)).max(axis=(1, 2))
-                residual[:, slot] = np.maximum(xdot, np.abs(kcol * (mean - sigma)).max(axis=1))
-                if reference is not None:
-                    dx, ds, da = x - xbar, sigma - sigmabar, mean - sigmabar
-                    W[:, slot] = energy(dx, ds)
-                    dist_avg[:, slot] = np.sqrt(np.vecdot(da, da))
-                    dist_sigma[:, slot] = np.sqrt(np.vecdot(ds, ds))
-                slot += 1
+                j, slot = slot % K, slot + 1
+                xs[j], drives[j], sigmas[j], means[j] = x, drive, sigma, mean
+                if j == K - 1 or i == n_steps:  # a full block, or the last one
+                    block, sk, mk = slice(slot - j - 1, slot), sigmas[: j + 1], means[: j + 1]
+                    xdot = np.abs(tangent_rows(lay, xs[: j + 1], drives[: j + 1])).max(axis=(-2, -1))
+                    residual[:, block] = np.maximum(xdot, np.abs(kcol * (mk - sk)).max(axis=-1)).T
+                    if reference is not None:
+                        ds, da = sk - sigmabar, mk - sigmabar
+                        W[:, block] = energy(xs[: j + 1] - xbar, ds).T
+                        dist_avg[:, block] = np.sqrt(np.vecdot(da, da)).T
+                        dist_sigma[:, block] = np.sqrt(np.vecdot(ds, ds)).T
 
     fields_b = zip(x, sigma, W, residual, dist_avg, dist_sigma)
     return [Trajectory(times, *arrays, has_reference=reference is not None) for arrays in fields_b]

@@ -180,7 +180,7 @@ def stack_sets(sets: Sequence[ConvexSet]) -> dict[str, np.ndarray]:
 
 
 def project_rows(sets: SetRows, y: np.ndarray) -> np.ndarray:
-    """Project along the agent axis of an (N, n) or (B, N, n) array.
+    """Project along the agent axis of an (..., N, n) array, with any leading axes.
 
     y[..., i, :] goes onto set_i and equals project(set_i, y[..., i, :]) bit for bit.
     """
@@ -198,7 +198,7 @@ def project_rows(sets: SetRows, y: np.ndarray) -> np.ndarray:
 
 
 def tangent_rows(sets: SetRows, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Tangent-cone projection along the agent axis of an (N, n) or (B, N, n) array.
+    """Tangent-cone projection along the agent axis of an (..., N, n) array, any leading axes.
 
     v[..., i, :] goes onto the tangent cone of set_i at x[..., i, :], as in
     tangent_project; every row of x must already lie inside its set.

@@ -147,7 +147,7 @@ def lyapunov_W(state: SystemState, ref: EquilibriumResult) -> float:
     xbar = np.asarray(ref.xbar, dtype=float)
     dx = np.asarray(state.x, dtype=float).reshape(xbar.shape) - xbar
     ds = np.atleast_1d(np.asarray(state.sigma, dtype=float)) - np.asarray(ref.sigmabar, dtype=float)
-    return float(energy(dx.reshape(1, -1, ds.size), ds[None])[0])
+    return float(energy(dx.reshape(-1, ds.size), ds))
 
 
 def storage_inequality_check(

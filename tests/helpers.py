@@ -98,10 +98,14 @@ def random_game(
     n_choices: tuple[int, ...] = (1, 2),
     max_agents: int = 50,
     coupling_scale: float = 0.15,
+    N: int | None = None,
 ) -> GameSpec:
-    """A well-conditioned random game: strong convexity dominates the coupling."""
+    """A well-conditioned random game: strong convexity dominates the coupling.
+
+    N agents if given, otherwise a random count from 2 to max_agents.
+    """
     n = int(rng.choice(n_choices))
-    N = int(rng.integers(2, max_agents + 1))
+    N = int(rng.integers(2, max_agents + 1)) if N is None else N
     C = rng.uniform(-coupling_scale, coupling_scale, size=(n, n)) / n
     k = float(rng.uniform(0.8, 1.5))
     agents = []

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aggseek.equilibrium import (
@@ -25,7 +25,8 @@ from aggseek.equilibrium import (
     verify_equilibrium,
     vi_gap,
 )
-from aggseek.flow import IntegratorConfig, integrate_gains
+from aggseek import flow
+from aggseek.flow import IntegratorConfig, NonFiniteStateError, integrate_gains
 from aggseek.geometry import (
     ACTIVITY_TOL,
     Ball,
@@ -44,6 +45,8 @@ from aggseek.model import (
     project_state,
     pseudo_gradient_F,
 )
+
+from helpers import random_game, single_agent_game
 
 COORD = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 # where a point sits relative to its set: 0 is the center, 1 the boundary
@@ -141,15 +144,19 @@ def test_projection_and_pseudo_gradient_match_scalar(case, data) -> None:
     assert np.array_equal(pseudo_gradient_F(game, x), scalar_pseudo_gradient(game, x))
     assert np.array_equal(initial_state(game).x, np.array([set_center(s) for _, s in game.agents]))
 
-    # on a (B, N, n) stack the kernels act on the agent axis of each slice alike
-    B, lay = data.draw(st.integers(1, 3)), game.layout
-    more = [[_point(data.draw, s, game.n) for _, s in game.agents] for _ in range(B - 1)]
-    ys = np.array([x, *more])
+    # on a (B, N, n) stack, and on a (K, B, N, n) stack of those, the kernels
+    # act on the agent axis of each (N, n) slice alike
+    K, B, lay = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)), game.layout
+    more = [[_point(data.draw, s, game.n) for _, s in game.agents] for _ in range(K * B - 1)]
+    ys = np.array([x, *more]).reshape(K, B, game.N, game.n)
     stacked = project_rows(lay, ys)
-    assert np.array_equal(stacked, np.array([project_rows(lay, y) for y in ys]))
-    v = np.array([[data.draw(_vectors(game.n)) for _ in range(game.N)] for _ in range(B)])
-    per_slice = [tangent_rows(lay, p, w) for p, w in zip(stacked, v)]
-    assert np.array_equal(tangent_rows(lay, stacked, v), np.array(per_slice))
+    assert np.array_equal(stacked, np.array([[project_rows(lay, y) for y in yb] for yb in ys]))
+    assert np.array_equal(stacked, np.array([project_rows(lay, yb) for yb in ys]))
+    v = np.array([data.draw(_vectors(game.n)) for _ in range(K * B * game.N)]).reshape(ys.shape)
+    tangent = tangent_rows(lay, stacked, v)
+    per_slice = [[tangent_rows(lay, p, w) for p, w in zip(pb, wb)] for pb, wb in zip(stacked, v)]
+    assert np.array_equal(tangent, np.array(per_slice))
+    assert np.array_equal(tangent, np.array([tangent_rows(lay, *pwb) for pwb in zip(stacked, v)]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -225,6 +232,31 @@ def reference_integrate(game: GameSpec, init: SystemState, cfg: IntegratorConfig
     return {name: np.array(values) for name, values in out.items()} | {"x": x, "sigma": sigma}
 
 
+def assert_gains_match_reference(game: GameSpec, init: SystemState, gains, cfg: IntegratorConfig) -> None:
+    xbar = project_state(game, SystemState(game.layout.xstar, init.sigma)).x
+    ref = EquilibriumResult(xbar, xbar.mean(axis=0), 0, 0.0, 0.0)
+    trajs = integrate_gains(game, gains, init, cfg, reference=ref)
+    assert len(trajs) == len(gains)
+    for k, traj in zip(gains, trajs):
+        expect = reference_integrate(dataclasses.replace(game, k=k), init, cfg, ref)
+        assert traj.has_reference
+        for name, values in expect.items():
+            assert np.array_equal(getattr(traj, name), values), name
+
+
+def block_floats(K: int, gains, game: GameSpec) -> int:
+    """The flow.BLOCK_FLOATS at which integrate_gains keeps K samples per block."""
+    return K * len(gains) * game.N * game.n
+
+
+def random_population(N: int, n: int, seed: int, record_every: int = 1, T: float = 0.48):
+    """A random box/ball game of N agents, a start off its sets, two gains and h = 0.05 (10 steps at T = 0.48)."""
+    rng = np.random.default_rng(seed)
+    game = random_game(rng, n_choices=(n,), N=N)
+    init = SystemState(rng.uniform(-2, 2, (N, n)), rng.uniform(-1, 1, n))
+    return game, init, (0.7, 3.0), IntegratorConfig(h=0.05, T=T, record_every=record_every)
+
+
 @st.composite
 def gain_sweeps(draw):
     game, x, sigma = draw(games_with_points(max_agents=20))  # N >= 8 reaches numpy's unrolled sums
@@ -235,16 +267,56 @@ def gain_sweeps(draw):
     return game, SystemState(x, sigma), gains, cfg
 
 
+# the block edges, pinned: K = 1, a K of 4 that divides neither the 11 samples
+# of record_every = 1 nor the 5 of record_every = 3, and K >= samples
+@example(random_population(9, 2, seed=1), 1)
+@example(random_population(9, 2, seed=2), 4)
+@example(random_population(9, 2, seed=3, record_every=3), 4)
+@example(random_population(9, 2, seed=4), 10**6)
+@example(random_population(9, 2, seed=5, record_every=3), 10**6)
 @settings(max_examples=150, deadline=None)
-@given(gain_sweeps())
-def test_integrate_gains_matches_single_gain_loop(case) -> None:
+@given(gain_sweeps(), st.sampled_from([1, 2, 3, 5, 10**6]))
+def test_integrate_gains_matches_single_gain_loop(case, K: int) -> None:
     game, init, gains, cfg = case
-    xbar = project_state(game, SystemState(game.layout.xstar, init.sigma)).x
-    ref = EquilibriumResult(xbar, xbar.mean(axis=0), 0, 0.0, 0.0)
-    trajs = integrate_gains(game, gains, init, cfg, reference=ref)
-    assert len(trajs) == len(gains)
-    for k, traj in zip(gains, trajs):
-        expect = reference_integrate(dataclasses.replace(game, k=k), init, cfg, ref)
-        assert traj.has_reference
-        for name, values in expect.items():
-            assert np.array_equal(getattr(traj, name), values), name
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow, "BLOCK_FLOATS", block_floats(K, gains, game))
+        assert_gains_match_reference(game, init, gains, cfg)
+
+
+def test_many_agents_match_single_gain_loop() -> None:
+    # each energy sum spans N*n = 4,000 floats, several of numpy's 128-element
+    # pairwise blocks; the default block holds 2 samples of B*N*n = 8,000 floats
+    game, init, gains, cfg = random_population(2000, 2, seed=3, T=0.4)
+    assert sum(isinstance(s, Ball) for _, s in game.agents) > 500
+    assert flow.BLOCK_FLOATS // block_floats(1, gains, game) == 2
+    assert_gains_match_reference(game, init, gains, cfg)
+
+
+def first_nonfinite(game: GameSpec, init: SystemState, gains, cfg: IntegratorConfig) -> tuple[int, float]:
+    """The first step at which some gain's single-gain loop stops being finite, and that gain."""
+    lay, h = game.layout, cfg.h
+    states = [(project_state(game, init).x, init.sigma) for _ in gains]
+    for i in range(1, math.ceil(cfg.T / h) + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            states = [
+                (_ref_project_rows(game, x + h * _ref_drive(lay, game.C, x, s)),
+                 s + h * k * (x.mean(axis=0) - s))
+                for k, (x, s) in zip(gains, states)
+            ]
+        for k, (x, s) in zip(gains, states):
+            if not (np.isfinite(x).all() and np.isfinite(s).all()):
+                return i, k
+    raise AssertionError("the loop stayed finite")
+
+
+@pytest.mark.parametrize("K", [1, 7, 10**6])
+def test_blowup_inside_a_block_raises_at_the_loop_step(monkeypatch: pytest.MonkeyPatch, K: int) -> None:
+    # h * k = 5 makes the signal update diverge for k = 10 only, about 500 steps in
+    game, gains = single_agent_game(), (0.5, 10.0)
+    init, cfg = initial_state(game), IntegratorConfig(h=0.5, T=400.0)
+    step_index, k = first_nonfinite(game, init, gains, cfg)
+    monkeypatch.setattr(flow, "BLOCK_FLOATS", block_floats(K, gains, game))
+    with pytest.raises(NonFiniteStateError) as excinfo:
+        integrate_gains(game, gains, init, cfg)
+    assert (excinfo.value.step_index, excinfo.value.k) == (step_index, k)
+    assert K == 1 or step_index % K, "the blow-up falls inside a block"

@@ -372,3 +372,22 @@ def test_console_entry_point() -> None:
     )
     assert proc.returncode == 0
     assert "cond5_holds = false" in proc.stdout
+
+
+def test_cli_import_leaves_out_the_network_stack() -> None:
+    # xml.sax.saxutils would pull in urllib.request, http.client and email (30-40 ms);
+    # urllib.parse itself comes with pathlib
+    code = "import sys, aggseek.cli; print(' '.join(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    loaded = proc.stdout.split()
+    assert "aggseek.cli" in loaded
+    heavy = [m for m in loaded if m.split(".")[0] in {"xml", "http", "email"} or m == "urllib.request"]
+    assert heavy == []
+
+
+def test_svg_escapes_markup_in_text(tmp_path: Path) -> None:
+    path = tmp_path / "plot.svg"
+    cli.write_svg(path, [("a<b", np.array([0.0, 1.0]), np.array([1.0, 0.5]))], "x & y > z", "t", "d")
+    text = path.read_text()
+    assert ">x &amp; y &gt; z</text>" in text and ">a&lt;b</text>" in text
+    assert polyline_count(path) == 1
