@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import html
 import json
 import math
 import os
@@ -148,12 +147,15 @@ def write_svg(
     def sy(v: float) -> float:
         return mt + ph - (v - y0) / (y1 - y0) * ph
 
+    def esc(text: str) -> str:  # html.escape(text, quote=False), without importing html
+        return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" height="{height:g}" '
         f'viewBox="0 0 {width:g} {height:g}">',
         f'<rect x="0" y="0" width="{width:g}" height="{height:g}" fill="white"/>',
         f'<text x="{width / 2:g}" y="24" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="15">{html.escape(title, quote=False)}</text>',
+        f'font-size="15">{esc(title)}</text>',
     ]
     # axes box and ticks
     parts.append(
@@ -165,27 +167,21 @@ def write_svg(
         xv = x0 + (x1 - x0) * j / n_ticks
         yv = y0 + (y1 - y0) * j / n_ticks
         xp, yp = sx(xv), sy(yv)
-        parts.append(
-            f'<line x1="{xp:.2f}" y1="{mt + ph:g}" x2="{xp:.2f}" y2="{mt + ph + 5:g}" stroke="black"/>'
-        )
-        parts.append(
+        parts += [
+            f'<line x1="{xp:.2f}" y1="{mt + ph:g}" x2="{xp:.2f}" y2="{mt + ph + 5:g}" stroke="black"/>',
             f'<text x="{xp:.2f}" y="{mt + ph + 20:g}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{xv:.4g}</text>'
-        )
-        parts.append(
-            f'<line x1="{ml - 5:g}" y1="{yp:.2f}" x2="{ml:g}" y2="{yp:.2f}" stroke="black"/>'
-        )
-        parts.append(
+            f'font-family="sans-serif" font-size="11">{xv:.4g}</text>',
+            f'<line x1="{ml - 5:g}" y1="{yp:.2f}" x2="{ml:g}" y2="{yp:.2f}" stroke="black"/>',
             f'<text x="{ml - 8:g}" y="{yp + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{yv:.4g}</text>'
-        )
+            f'font-family="sans-serif" font-size="11">{yv:.4g}</text>',
+        ]
     parts.append(
         f'<text x="{ml + pw / 2:g}" y="{height - 12:g}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{html.escape(xlabel, quote=False)}</text>'
+        f'font-family="sans-serif" font-size="13">{esc(xlabel)}</text>'
     )
     parts.append(
         f'<text x="18" y="{mt + ph / 2:g}" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="13" transform="rotate(-90 18 {mt + ph / 2:g})">{html.escape(ylabel, quote=False)}</text>'
+        f'font-size="13" transform="rotate(-90 18 {mt + ph / 2:g})">{esc(ylabel)}</text>'
     )
 
     for idx, (label, xs, ys) in enumerate(series):
@@ -209,7 +205,7 @@ def write_svg(
         )
         parts.append(
             f'<text x="{ml + pw - 116:g}" y="{ly + 4:g}" font-family="sans-serif" '
-            f'font-size="12">{html.escape(label, quote=False)}</text>'
+            f'font-size="12">{esc(label)}</text>'
         )
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -47,9 +47,10 @@ class IntegratorConfig:
             raise ValueError(f"step size h must be positive and finite, got {self.h}")
         if not (self.T >= self.h and math.isfinite(self.T)):
             raise ValueError(f"horizon T must be finite and at least h, got T={self.T}, h={self.h}")
-        if int(self.record_every) < 1:
-            raise ValueError("record_every must be a positive integer")
-        object.__setattr__(self, "record_every", int(self.record_every))
+        every = self.record_every
+        if isinstance(every, bool) or not isinstance(every, (int, np.integer)) or every < 1:
+            raise ValueError(f"record_every must be a positive integer, got {every}")
+        object.__setattr__(self, "record_every", int(every))
 
 
 @dataclass(frozen=True)
@@ -83,9 +84,9 @@ def energy(dx: np.ndarray, ds: np.ndarray) -> np.ndarray:
 
 
 def _drive(lay: GameLayout, C: np.ndarray, x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Unprojected velocities of the states x (B, N, n) under their signals sigma (B, n)."""
-    csig = np.array([C @ s for s in sigma])  # per copy: sigma @ C.T need not round the same way
-    return -(lay.ell[:, None] * (x - lay.xstar) + lay.linear) - csig[:, None, :]
+    """Unprojected velocities of the states x (..., N, n) under their signals sigma (..., n)."""
+    # C sigma as one matmul of every copy's column rounds as C @ s does; sigma @ C.T need not
+    return -lay.grad_f(x) - np.matmul(C, sigma[..., None]).mT
 
 
 def rhs(game: GameSpec, state: SystemState) -> tuple[np.ndarray, np.ndarray]:
@@ -97,14 +98,14 @@ def rhs(game: GameSpec, state: SystemState) -> tuple[np.ndarray, np.ndarray]:
     """
     x, sigma = state_arrays(game, state)
     require_members(game.layout, x)
-    xdot = tangent_rows(game.layout, x, _drive(game.layout, game.C, x, sigma[None])[0])
+    xdot = tangent_rows(game.layout, x, _drive(game.layout, game.C, x, sigma))
     return xdot, game.k * (x.mean(axis=0) - sigma)
 
 
 def step(game: GameSpec, state: SystemState, h: float) -> SystemState:
     """One projected forward-Euler step of length h (h = 0 returns the state unchanged)."""
     x, sigma = state_arrays(game, state)
-    x_next = project_rows(game.layout, x + h * _drive(game.layout, game.C, x, sigma[None])[0])
+    x_next = project_rows(game.layout, x + h * _drive(game.layout, game.C, x, sigma))
     return SystemState(x_next, sigma + h * game.k * (x.mean(axis=0) - sigma))
 
 
@@ -147,8 +148,8 @@ def integrate_gains(
 
     Trajectory b equals, bit for bit, integrate on the game with k = gains[b]:
     the state x has shape (B, N, n) and sigma (B, n), the row kernels act on
-    the agent axis of every copy alike, and only the coupling term C sigma is
-    taken copy by copy. The diagnostics of up to BLOCK_FLOATS // (B*N*n) samples
+    the agent axis of every copy alike, and the coupling term C sigma of every
+    copy is one matmul. The diagnostics of up to BLOCK_FLOATS // (B*N*n) samples
     take one call of each kernel.
 
     Raises NonFiniteStateError at the first step at which some copy stops

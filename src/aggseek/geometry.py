@@ -58,8 +58,8 @@ class Ball:
         if c.ndim != 1:
             raise ValueError("ball center must be a 1-D array")
         r = float(self.radius)
-        if not r > 0:
-            raise ValueError("ball radius must be positive")
+        if not 0 < r < np.inf:
+            raise ValueError("ball radius must be positive and finite")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", r)
 
@@ -149,33 +149,31 @@ class SetRows:
     bounds. center_i is set_center of row i's set on every row.
     """
 
-    is_ball: np.ndarray  # (N,) bool
     lo: np.ndarray       # (N, n)
     hi: np.ndarray       # (N, n)
     center: np.ndarray   # (N, n)
     radius: np.ndarray   # (N,)
-    ball_rows: np.ndarray = field(init=False)  # indices of the ball rows, cheaper than the mask
+    ball_rows: np.ndarray = field(init=False)  # indices of the rows of finite radius
 
     def __post_init__(self) -> None:
         for rows in vars(self).values():
             rows.setflags(write=False)  # games that share rows cannot change each other
-        object.__setattr__(self, "ball_rows", np.flatnonzero(self.is_ball))
+        object.__setattr__(self, "ball_rows", np.flatnonzero(self.radius < np.inf))
 
     def row(self, i: int) -> ConvexSet:
         """Row i's set, rebuilt as a Box or a Ball."""
-        return Ball(self.center[i], self.radius[i]) if self.is_ball[i] else Box(self.lo[i], self.hi[i])
+        return Ball(self.center[i], self.radius[i]) if self.radius[i] < np.inf else Box(self.lo[i], self.hi[i])
 
 
 def stack_sets(sets: Sequence[ConvexSet]) -> dict[str, np.ndarray]:
     """The SetRows fields of a sequence of sets of one dimension, one row per set."""
-    is_ball = np.array([isinstance(s, Ball) for s in sets], dtype=bool)
+    balls = [isinstance(s, Ball) for s in sets]
     unbounded = np.full(sets[0].dim, np.inf)
     return dict(
-        is_ball=is_ball,
-        lo=np.stack([-unbounded if ball else s.lo for s, ball in zip(sets, is_ball)]),
-        hi=np.stack([unbounded if ball else s.hi for s, ball in zip(sets, is_ball)]),
+        lo=np.stack([-unbounded if ball else s.lo for s, ball in zip(sets, balls)]),
+        hi=np.stack([unbounded if ball else s.hi for s, ball in zip(sets, balls)]),
         center=np.stack([s.center for s in sets]),
-        radius=np.array([s.radius if ball else np.inf for s, ball in zip(sets, is_ball)]),
+        radius=np.array([s.radius if ball else np.inf for s, ball in zip(sets, balls)]),
     )
 
 
@@ -226,19 +224,18 @@ def require_members(sets: SetRows, x: np.ndarray) -> None:
 
 
 def vi_min_rows(sets: SetRows, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Row-wise min over z in set_i of (z - x_i)' g_i, in closed form.
+    """Row-wise min over z in set_i of (z - x_i)' g_i of (..., N, n) arrays, any leading axes.
 
     Box: sum_j min((lo_j - x_j) g_j, (hi_j - x_j) g_j). Ball: (center - x)' g
     minus radius * ||g||.
     """
-    out = np.empty(x.shape[0])
-    ball = sets.is_ball
-    xb, gb = x[~ball], g[~ball]
-    out[~ball] = np.minimum((sets.lo[~ball] - xb) * gb, (sets.hi[~ball] - xb) * gb).sum(axis=1)
-    if ball.any():
-        gb = g[ball]
+    with np.errstate(invalid="ignore"):  # a ball row's infinite bounds meet g = 0; overwritten below
+        out = np.minimum((sets.lo - x) * g, (sets.hi - x) * g).sum(axis=-1)
+    b = sets.ball_rows
+    if b.size:
+        gb = g[..., b, :]
         norm_g = np.sqrt(np.vecdot(gb, gb))
-        out[ball] = np.vecdot(sets.center[ball] - x[ball], gb) - sets.radius[ball] * norm_g
+        out[..., b] = np.vecdot(sets.center[b] - x[..., b, :], gb) - sets.radius[b] * norm_g
     return out
 
 

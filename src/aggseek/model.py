@@ -59,6 +59,10 @@ class GameLayout(SetRows):
     xstar: np.ndarray   # (N, n)
     linear: np.ndarray  # (N, n)
 
+    def grad_f(self, x: np.ndarray) -> np.ndarray:
+        """Every agent's local gradient ell_i (x_i - xstar_i) + linear_i, for x (..., N, n)."""
+        return self.ell[:, None] * (x - self.xstar) + self.linear
+
 
 @dataclass(frozen=True)
 class GameSpec:
@@ -194,21 +198,19 @@ def _generated_game(C: np.ndarray, k: float, block, n: int) -> GameSpec:
     block = _typed(block, dict, "agents.generator")
     try:
         count = _typed(block["count"], int, "agents.generator.count")
-        agent = QuadraticCost(block["ell"], np.zeros(n), block["linear"]), set_from_document(block["set"])
-        one = GameSpec.from_agents(C, k, [agent]).layout  # validated once, then repeated
         xstar = _typed(block["xstar"], dict, "agents.generator.xstar")
         uni = _typed(xstar.get("uniform"), dict, "agents.generator.xstar.uniform")
+        seed = _typed(uni["seed"], int, "agents.generator.xstar.uniform.seed")
+        _require_finite(block, "agents.generator")
+        agent = QuadraticCost(block["ell"], np.zeros(n), block["linear"]), set_from_document(block["set"])
+        lo, hi = float(uni["lo"]), float(uni["hi"])
     except KeyError as e:
         raise ScenarioError(f"generator block missing field {e}") from None
     if count < 1:
         raise ScenarioError("generator count must be positive")
-    try:
-        lo, hi = float(uni["lo"]), float(uni["hi"])
-        seed = _typed(uni["seed"], int, "agents.generator.xstar.uniform.seed")
-    except KeyError as e:
-        raise ScenarioError(f"uniform block missing field {e}") from None
     if not hi >= lo:
         raise ScenarioError("uniform range must satisfy hi >= lo")
+    one = GameSpec.from_agents(C, k, [agent]).layout  # validated once, then repeated
     rows = {f.name: np.repeat(getattr(one, f.name), count, axis=0) for f in fields(GameLayout) if f.init}
     # one draw per coordinate, agents in index order
     rows["xstar"] = lo + (hi - lo) * splitmix64(seed, count * n).reshape(count, n)
@@ -216,15 +218,17 @@ def _generated_game(C: np.ndarray, k: float, block, n: int) -> GameSpec:
 
 
 def _require_finite(node, path: str) -> None:
-    """Reject NaN, +-Infinity and overflowing literals, naming their JSON path."""
-    if isinstance(node, float) and not math.isfinite(node):
-        raise ScenarioError(f"{path} is not finite ({node!r})")
+    """Reject NaN, +-Infinity, overflowing literals and non-numbers, naming their JSON path."""
     if isinstance(node, dict):
         for key, value in node.items():
             _require_finite(value, f"{path}.{key}" if path else key)
     elif isinstance(node, list):
         for idx, value in enumerate(node):
             _require_finite(value, f"{path}[{idx}]")
+    elif isinstance(node, bool) or not isinstance(node, (int, float)):
+        raise ScenarioError(f"{path} must be a number, got {node!r}")
+    elif isinstance(node, float) and not math.isfinite(node):
+        raise ScenarioError(f"{path} is not finite ({node!r})")
 
 
 def load_scenario(document: str) -> GameSpec:
@@ -235,20 +239,20 @@ def load_scenario(document: str) -> GameSpec:
     coordinates are drawn from the documented splitmix64 stream. The same
     document always materializes the same game.
 
-    Raises ScenarioError, naming the field where it can, on malformed text,
-    non-finite numbers, a fractional or boolean n/count/seed, a block that is
-    not an object, dimension mismatches, nonpositive ell/k/radius, or empty boxes.
+    Raises ScenarioError, naming the field where it can, on malformed text, a
+    number that is not finite or not a number, a fractional or boolean n/count/seed,
+    a non-object block, dimension mismatches, nonpositive ell/k/radius, or empty boxes.
     """
     try:
         doc = _typed(json.loads(document), dict, "scenario root")
     except json.JSONDecodeError as e:
         raise ScenarioError(f"scenario is not valid JSON: {e}") from None
-    _require_finite(doc, "")
     try:
         n = _typed(doc["n"], int, "n")
+        agents_block = _typed(doc["agents"], dict, "agents")
+        _require_finite({"C": doc["C"], "k": doc["k"]}, "")
         C = np.asarray(doc["C"], dtype=float)
         k = float(doc["k"])
-        agents_block = _typed(doc["agents"], dict, "agents")
     except KeyError as e:
         raise ScenarioError(f"scenario missing field {e}") from None
     if C.shape != (n, n):
@@ -267,7 +271,7 @@ def load_scenario(document: str) -> GameSpec:
 
 def _agent(entry, idx: int) -> tuple[QuadraticCost, ConvexSet]:
     """One explicit agent list entry as its (cost, constraint set) pair."""
-    entry = _typed(entry, dict, f"agents.list[{idx}]")
+    _require_finite(_typed(entry, dict, f"agents.list[{idx}]"), f"agents.list[{idx}]")
     try:
         return QuadraticCost(entry["ell"], entry["xstar"], entry["linear"]), set_from_document(entry["set"])
     except KeyError as e:
@@ -309,8 +313,7 @@ def pseudo_gradient_F(game: GameSpec, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (game.N, game.n):
         raise ValueError(f"x has shape {x.shape}, expected ({game.N}, {game.n})")
-    lay = game.layout
-    return lay.ell[:, None] * (x - lay.xstar) + lay.linear + game.C @ x.mean(axis=0)
+    return game.layout.grad_f(x) + game.C @ x.mean(axis=0)
 
 
 def initial_state(game: GameSpec) -> SystemState:

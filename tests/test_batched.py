@@ -36,6 +36,7 @@ from aggseek.geometry import (
     project_rows,
     set_center,
     tangent_rows,
+    vi_min_rows,
 )
 from aggseek.model import (
     GameSpec,
@@ -157,6 +158,10 @@ def test_projection_and_pseudo_gradient_match_scalar(case, data) -> None:
     per_slice = [[tangent_rows(lay, p, w) for p, w in zip(pb, wb)] for pb, wb in zip(stacked, v)]
     assert np.array_equal(tangent, np.array(per_slice))
     assert np.array_equal(tangent, np.array([tangent_rows(lay, *pwb) for pwb in zip(stacked, v)]))
+    vi_min = vi_min_rows(lay, stacked, v)
+    per_slice = [[vi_min_rows(lay, p, w) for p, w in zip(pb, wb)] for pb, wb in zip(stacked, v)]
+    assert np.array_equal(vi_min, np.array(per_slice))
+    assert np.array_equal(vi_min, np.array([vi_min_rows(lay, *pwb) for pwb in zip(stacked, v)]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -268,12 +273,14 @@ def gain_sweeps(draw):
 
 
 # the block edges, pinned: K = 1, a K of 4 that divides neither the 11 samples
-# of record_every = 1 nor the 5 of record_every = 3, and K >= samples
+# of record_every = 1 nor the 5 of record_every = 3, and K >= samples; and a
+# non-symmetric 3-by-3 C, so the batched C sigma meets the per-copy C @ sigma
 @example(random_population(9, 2, seed=1), 1)
 @example(random_population(9, 2, seed=2), 4)
 @example(random_population(9, 2, seed=3, record_every=3), 4)
 @example(random_population(9, 2, seed=4), 10**6)
 @example(random_population(9, 2, seed=5, record_every=3), 10**6)
+@example(random_population(9, 3, seed=6), 3)
 @settings(max_examples=150, deadline=None)
 @given(gain_sweeps(), st.sampled_from([1, 2, 3, 5, 10**6]))
 def test_integrate_gains_matches_single_gain_loop(case, K: int) -> None:

@@ -375,13 +375,13 @@ def test_console_entry_point() -> None:
 
 
 def test_cli_import_leaves_out_the_network_stack() -> None:
-    # xml.sax.saxutils would pull in urllib.request, http.client and email (30-40 ms);
-    # urllib.parse itself comes with pathlib
+    # xml.sax.saxutils would pull in urllib.request, http.client and email (30-40 ms),
+    # html and html.entities another 2-3 ms; urllib.parse itself comes with pathlib
     code = "import sys, aggseek.cli; print(' '.join(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     loaded = proc.stdout.split()
     assert "aggseek.cli" in loaded
-    heavy = [m for m in loaded if m.split(".")[0] in {"xml", "http", "email"} or m == "urllib.request"]
+    heavy = [m for m in loaded if m.split(".")[0] in {"xml", "http", "email", "html"} or m == "urllib.request"]
     assert heavy == []
 
 

@@ -187,6 +187,10 @@ def test_integrator_config_validation() -> None:
         IntegratorConfig(h=1.0, T=0.5)
     with pytest.raises(ValueError):
         IntegratorConfig(record_every=0)
+    for every in (2.5, True):
+        with pytest.raises(ValueError, match=f"^record_every must be a positive integer, got {every}$"):
+            IntegratorConfig(record_every=every)
+    assert IntegratorConfig(record_every=np.int64(3)).record_every == 3
     for h, T, field in (
         (math.inf, 60.0, "step size h"),
         (math.nan, 60.0, "step size h"),

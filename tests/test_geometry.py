@@ -138,6 +138,8 @@ def test_set_validation() -> None:
         Ball(np.zeros(2), 0.0)
     with pytest.raises(ValueError):
         Ball(np.zeros(2), -1.0)
+    with pytest.raises(ValueError, match="positive and finite"):
+        Ball(np.zeros(2), np.inf)  # an infinite radius marks a box row in SetRows
 
 
 def test_contains_distance_center() -> None:

@@ -251,6 +251,15 @@ _BAD_FIELD_DOCUMENTS = {
     '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"generator": "count"}}': "agents.generator must be an object",
     '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"list": [5]}}': "agents.list[0] must be an object",
     '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"list": []}}': "at least one agent",
+    # the format has no string, boolean or null values: none is read as a number
+    '{"n": 1, "C": [[1.0]], "k": true, "agents": {"list": [{"ell": 1.0, "xstar": [0.1], "linear": [0.0], "set": {"box": {"lo": [0.0], "hi": [1.0]}}}]}}': "k must be a number, got True",
+    '{"n": 1, "C": [["1"]], "k": 1.0, "agents": {"list": [{"ell": 1.0, "xstar": [0.1], "linear": [0.0], "set": {"box": {"lo": [0.0], "hi": [1.0]}}}]}}': "C[0][0] must be a number, got '1'",
+    '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"list": [{"ell": "2", "xstar": [0.1], "linear": [0.0], "set": {"box": {"lo": [0.0], "hi": [1.0]}}}]}}': "agents.list[0].ell must be a number, got '2'",
+    '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"list": [{"ell": 1.0, "xstar": ["0.1"], "linear": [0.0], "set": {"box": {"lo": [0.0], "hi": [1.0]}}}]}}': "agents.list[0].xstar[0] must be a number, got '0.1'",
+    '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"list": [{"ell": 1.0, "xstar": [0.1], "linear": [0.0], "set": {"ball": {"center": [0.0], "radius": true}}}]}}': "agents.list[0].set.ball.radius must be a number, got True",
+    '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"generator": {"count": 2, "ell": null, "linear": [0.0], "xstar": {"uniform": {"lo": 0.0, "hi": 1.0, "seed": 1}}, "set": {"box": {"lo": [0.0], "hi": [1.0]}}}}}': "agents.generator.ell must be a number, got None",
+    '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"generator": {"count": 2, "ell": 1.0, "linear": [0.0], "xstar": {"uniform": {"lo": "0", "hi": 1.0, "seed": 1}}, "set": {"box": {"lo": [0.0], "hi": [1.0]}}}}}': "agents.generator.xstar.uniform.lo must be a number, got '0'",
+    '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"generator": {"count": 2, "ell": 1.0, "linear": [0.0], "xstar": {"uniform": {"lo": 0.0, "hi": 1.0, "seed": true}}, "set": {"box": {"lo": [0.0], "hi": [1.0]}}}}}': "agents.generator.xstar.uniform.seed must be an integer",
 }
 
 
