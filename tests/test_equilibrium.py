@@ -310,21 +310,49 @@ def test_bundled_scenarios_solve_to_pinned_bits(name: str, iterations: int, sigm
 @pytest.mark.parametrize(
     ("name", "sha256"),
     [
-        # recorded before the flow moved onto geometry's row kernels; unchanged by it
-        ("single_box", "748cd6713d272687da324c6667a82cad9f8f80978d958d8a31880c1200fe41c8"),
-        ("demand_response", "9d5b87930023196f3729dcd5be42f2512482833c5ae502ea5eda467e6d3bdfce"),
-        # recorded after that move: its ball norm is np.sqrt(np.vecdot(d, d))
-        ("mixed_sets", "7b3e30421c7c887b44472df0c9ab08af63c6cd5a835ba5c4c71162e4a30c4343"),
+        # the run's CSV was recorded before the flow moved onto geometry's row
+        # kernels and is unchanged by it; mixed_sets' after that move (its ball
+        # norm is np.sqrt(np.vecdot(d, d))); every SVG and every sweep file was
+        # recorded before the writers formatted whole arrays
+        ("single_box", {
+            ".csv": "748cd6713d272687da324c6667a82cad9f8f80978d958d8a31880c1200fe41c8",
+            ".svg": "b915313b4357e70af449e4560a97b69cfb7bf8a3ee81e1eeca5d3d7fe4dee7f5",
+            "_k0.5.csv": "f76cc846c51d34db82e3acfa3f0013b4a166d61499cf20b6d97acd477e93a8a6",
+            "_k0.5.svg": "b50171792417fe70f51a0245aca4df3e2e4caebdfd239a55dd5f7fa2181254d4",
+            "_k2.csv": "19e9286c62ac146c721695fe73fdbd74dcfc0d10f14c7e3140d7520ada6ea368",
+            "_k2.svg": "2a3272ea956a4413fe8e701a723d9973db14a2fe532dbbb0c010bb8c5f322448",
+            "_compare.svg": "e0b8a45f424667553a650cbfa8e97dbd709156783712706af4eec5322156bc12",
+        }),
+        ("demand_response", {
+            ".csv": "9d5b87930023196f3729dcd5be42f2512482833c5ae502ea5eda467e6d3bdfce",
+            ".svg": "7e0ad73c17b8fcf1e183214e9ee9b45ce0a68f009c757522098e08f67dda346c",
+            "_k0.5.csv": "8d207eb974041129bc48de821cf578b2f9f0d4141b0fb32a657be03c5b241427",
+            "_k0.5.svg": "50b384d77429f2ed409ad3c3c8319b474caffba67607cd1037e30fdcf36ad361",
+            "_k2.csv": "0fa2e133750b4cf54e1ba62253c40ae480188444e41b8062f768cd0fedae9bbe",
+            "_k2.svg": "59a2a235cdfb4fa8fce98875e717d2f2ef31f7719bbf97591b6b926a03353134",
+            "_compare.svg": "11c5e004e8048502e5c7c3fce56ac171462c56296dac42e7b78b13a70a48deb8",
+        }),
+        ("mixed_sets", {
+            ".csv": "7b3e30421c7c887b44472df0c9ab08af63c6cd5a835ba5c4c71162e4a30c4343",
+            ".svg": "fb93df0f3a9bbc7e19bda0893a166c64560218ea7ade10fdcda2dc31a302ad60",
+            "_k0.5.csv": "2acc2e2043ecf34722b8401dced44ded5b69a1f88cce27ebbb35981d226c9686",
+            "_k0.5.svg": "a2cd9f4ae853a56bdff30ade4a0d8bc99284cc2adec750a61c851262bf07cb94",
+            "_k2.csv": "cf8e8c3dc6c34690e5e81ee1c098b7b370c10a4872486fd138a28bf4035c28a2",
+            "_k2.svg": "96acc400b97950bfdd75f77bdb430764e377a6948441caf9ae9956d04407f5ff",
+            "_compare.svg": "a2a0d81d924d6f65119adf49d887b25a957a2089d5ccc1dfa91987a6b2389df7",
+        }),
     ],
 )
 def test_bundled_scenarios_run_to_pinned_csv_bytes(
-    name: str, sha256: str, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+    name: str, sha256: dict, tmp_path: Path, capsys: pytest.CaptureFixture[str]
 ) -> None:
     out = tmp_path / name
-    args = ["run", "--scenario", str(SCENARIOS / f"{name}.json"), "--T", "5", "--h", "1e-2"]
-    assert cli.main([*args, "--out", str(out)]) == 0
+    args = ["--scenario", str(SCENARIOS / f"{name}.json"), "--T", "5", "--h", "1e-2", "--out", str(out)]
+    assert cli.main(["run", *args]) == 0
+    assert cli.main(["sweep", "--k", "0.5,2", *args]) == 0
     capsys.readouterr()
-    assert hashlib.sha256(Path(f"{out}.csv").read_bytes()).hexdigest() == sha256
+    written = {suffix: hashlib.sha256(Path(f"{out}{suffix}").read_bytes()).hexdigest() for suffix in sha256}
+    assert written == sha256
 
 
 def test_solve_stops_at_first_nonfinite_update() -> None:
