@@ -108,9 +108,9 @@ def write_csv(path: str, traj: Trajectory) -> None:
     """Emit the sampled diagnostics, 17 significant digits, fixed header."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,dist_avg,dist_sigma,W,residual\n")
-        columns = (traj.times, traj.dist_avg, traj.dist_sigma, traj.W, traj.residual)
-        line = ",".join(["{:.17g}"] * len(columns)) + "\n"
-        fh.writelines(line.format(*row) for row in np.column_stack(columns).tolist())
+        rows = np.column_stack((traj.times, traj.dist_avg, traj.dist_sigma, traj.W, traj.residual))
+        line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        fh.write(line * rows.shape[0] % tuple(rows.ravel().tolist()))
 
 
 def _finite_range(values: np.ndarray, fallback: tuple[float, float]) -> tuple[float, float]:
@@ -141,10 +141,10 @@ def write_svg(
     x0, x1 = _finite_range(all_x, (0.0, 1.0))
     y0, y1 = _finite_range(all_y, (0.0, 1.0))
 
-    def sx(v: float) -> float:
+    def sx(v):  # a float or an array of them
         return ml + (v - x0) / (x1 - x0) * pw
 
-    def sy(v: float) -> float:
+    def sy(v):
         return mt + ph - (v - y0) / (y1 - y0) * ph
 
     def esc(text: str) -> str:  # html.escape(text, quote=False), without importing html
@@ -156,12 +156,10 @@ def write_svg(
         f'<rect x="0" y="0" width="{width:g}" height="{height:g}" fill="white"/>',
         f'<text x="{width / 2:g}" y="24" text-anchor="middle" font-family="sans-serif" '
         f'font-size="15">{esc(title)}</text>',
-    ]
-    # axes box and ticks
-    parts.append(
+        # axes box and ticks
         f'<rect x="{ml:g}" y="{mt:g}" width="{pw:g}" height="{ph:g}" fill="none" '
-        'stroke="black" stroke-width="1"/>'
-    )
+        'stroke="black" stroke-width="1"/>',
+    ]
     n_ticks = 5
     for j in range(n_ticks + 1):
         xv = x0 + (x1 - x0) * j / n_ticks
@@ -175,38 +173,29 @@ def write_svg(
             f'<text x="{ml - 8:g}" y="{yp + 4:.2f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{yv:.4g}</text>',
         ]
-    parts.append(
+    parts += [
         f'<text x="{ml + pw / 2:g}" y="{height - 12:g}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{esc(xlabel)}</text>'
-    )
-    parts.append(
+        f'font-family="sans-serif" font-size="13">{esc(xlabel)}</text>',
         f'<text x="18" y="{mt + ph / 2:g}" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="13" transform="rotate(-90 18 {mt + ph / 2:g})">{esc(ylabel)}</text>'
-    )
+        f'font-size="13" transform="rotate(-90 18 {mt + ph / 2:g})">{esc(ylabel)}</text>',
+    ]
 
     for idx, (label, xs, ys) in enumerate(series):
-        xs = np.asarray(xs, dtype=float).tolist()
-        ys = np.asarray(ys, dtype=float).tolist()
-        stride = max(1, math.ceil(len(xs) / 2000))
-        keep = list(range(0, len(xs), stride))
-        if keep[-1] != len(xs) - 1:
-            keep.append(len(xs) - 1)
-        pts = [
-            f"{sx(xs[j]):.2f},{sy(ys[j]):.2f}" for j in keep if math.isfinite(xs[j]) and math.isfinite(ys[j])
-        ]
-        color = _COLORS[idx % len(_COLORS)]
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{" ".join(pts)}"/>'
-        )
-        ly = mt + 16 + 18 * idx
-        parts.append(
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        # at most about 2,000 points, the last always among them
+        keep = np.unique(np.append(np.arange(0, len(xs), max(1, math.ceil(len(xs) / 2000))), len(xs) - 1))
+        xs, ys = xs[keep], ys[keep]
+        finite = np.isfinite(xs) & np.isfinite(ys)
+        points = np.column_stack((sx(xs[finite]), sy(ys[finite])))
+        pts = ("%.2f,%.2f " * len(points) % tuple(points.ravel().tolist()))[:-1]
+        color, ly = _COLORS[idx % len(_COLORS)], mt + 16 + 18 * idx
+        parts += [
+            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>',
             f'<line x1="{ml + pw - 150:g}" y1="{ly:g}" x2="{ml + pw - 122:g}" y2="{ly:g}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
+            f'stroke="{color}" stroke-width="2"/>',
             f'<text x="{ml + pw - 116:g}" y="{ly + 4:g}" font-family="sans-serif" '
-            f'font-size="12">{esc(label)}</text>'
-        )
+            f'font-size="12">{esc(label)}</text>',
+        ]
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -83,10 +83,30 @@ def energy(dx: np.ndarray, ds: np.ndarray) -> np.ndarray:
     return 0.5 * np.sum(dx * dx, axis=(-2, -1)) + 0.5 * np.vecdot(ds, ds)
 
 
-def _drive(lay: GameLayout, C: np.ndarray, x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Unprojected velocities of the states x (..., N, n) under their signals sigma (..., n)."""
+def _derive(lay: GameLayout, C: np.ndarray, x: np.ndarray, sigma: np.ndarray, mean=None, drive=None):
+    """The mean (..., n) and unprojected velocities (..., N, n) of states x (..., N, n), sigma (..., n)."""
+    mean, drive = np.add.reduce(x, axis=-2, out=mean), lay.descent(x, drive)  # and / N: ndarray.mean
     # C sigma as one matmul of every copy's column rounds as C @ s does; sigma @ C.T need not
-    return -lay.grad_f(x) - np.matmul(C, sigma[..., None]).mT
+    drive = np.subtract(drive, np.matmul(C, sigma[..., None]).mT, out=drive)
+    return np.divide(mean, x.shape[-2], out=mean), drive
+
+
+def _velocities(lay: GameLayout, k, x, sigma, mean, drive) -> tuple[np.ndarray, np.ndarray]:
+    """(xdot, sigmadot) of the states x, sigma with their mean and drive, at gain k."""
+    return tangent_rows(lay, x, drive), k * (mean - sigma)
+
+
+def _sup(xdot: np.ndarray, sigmadot: np.ndarray) -> np.ndarray:
+    """The residual of every state: the sup-norm of its velocities."""
+    return np.maximum(np.abs(xdot).max(axis=(-2, -1)), np.abs(sigmadot).max(axis=-1))
+
+
+def _euler(lay: GameLayout, h: float, hk, x, sigma, mean, drive, x_next=None, sigma_next=None, scratch=None):
+    """The projected-Euler successor of states x, sigma with their mean and drive; x_next, sigma_next,
+    if given, receive it and may be x and sigma, and scratch, if given, must be neither."""
+    y = np.multiply(h, drive, out=scratch)
+    x_next = project_rows(lay, np.add(x, y, out=y), out=x_next)
+    return x_next, np.add(sigma, hk * (mean - sigma), out=sigma_next)
 
 
 def rhs(game: GameSpec, state: SystemState) -> tuple[np.ndarray, np.ndarray]:
@@ -98,21 +118,18 @@ def rhs(game: GameSpec, state: SystemState) -> tuple[np.ndarray, np.ndarray]:
     """
     x, sigma = state_arrays(game, state)
     require_members(game.layout, x)
-    xdot = tangent_rows(game.layout, x, _drive(game.layout, game.C, x, sigma))
-    return xdot, game.k * (x.mean(axis=0) - sigma)
+    return _velocities(game.layout, game.k, x, sigma, *_derive(game.layout, game.C, x, sigma))
 
 
 def step(game: GameSpec, state: SystemState, h: float) -> SystemState:
     """One projected forward-Euler step of length h (h = 0 returns the state unchanged)."""
     x, sigma = state_arrays(game, state)
-    x_next = project_rows(game.layout, x + h * _drive(game.layout, game.C, x, sigma))
-    return SystemState(x_next, sigma + h * game.k * (x.mean(axis=0) - sigma))
+    return SystemState(*_euler(game.layout, h, h * game.k, x, sigma, *_derive(game.layout, game.C, x, sigma)))
 
 
 def stationarity_residual(game: GameSpec, state: SystemState) -> float:
     """Sup-norm of the dynamics' velocities: zero exactly at equilibria."""
-    xdot, sigmadot = rhs(game, state)
-    return max(float(np.max(np.abs(xdot))), float(np.max(np.abs(sigmadot))))
+    return float(_sup(*rhs(game, state)))
 
 
 def integrate(
@@ -148,9 +165,10 @@ def integrate_gains(
 
     Trajectory b equals, bit for bit, integrate on the game with k = gains[b]:
     the state x has shape (B, N, n) and sigma (B, n), the row kernels act on
-    the agent axis of every copy alike, and the coupling term C sigma of every
-    copy is one matmul. The diagnostics of up to BLOCK_FLOATS // (B*N*n) samples
-    take one call of each kernel.
+    the agent axis of every copy alike, and C sigma of every copy is one matmul.
+    Every step is advanced in place, with preallocated arrays, straight into
+    a block of up to BLOCK_FLOATS // (B*N*n) samples whose diagnostics take one
+    call of each kernel.
 
     Raises NonFiniteStateError at the first step at which some copy stops
     being finite, naming the first such gain.
@@ -159,8 +177,6 @@ def integrate_gains(
     if not (ks.ndim == 1 and ks.size and np.all((ks > 0) & np.isfinite(ks))):
         raise ValueError(f"gains must be a non-empty list of positive numbers, all finite, got {gains!r}")
     B, N, n, every = ks.size, game.N, game.n, cfg.record_every
-    x, sigma = state_arrays(game, project_state(game, init))
-    x, sigma = np.tile(x, (B, 1, 1)), np.tile(sigma, (B, 1))
     lay, C, h, kcol = game.layout, game.C, cfg.h, ks[:, None]
     hk = h * kcol
     n_steps = math.ceil(cfg.T / cfg.h)
@@ -170,35 +186,40 @@ def integrate_gains(
     residual = np.empty((B, n_samples))
     W, dist_avg, dist_sigma = (np.full((B, n_samples), np.nan) for _ in range(3))
     K = max(1, min(n_samples, BLOCK_FLOATS // (B * N * n)))
+    # step i's state lives in slot j, written from slot j - 1 after a recorded step, else in place
     (xs, drives), (sigmas, means) = np.empty((2, K, B, N, n)), np.empty((2, K, B, n))
+    slots, scratch = list(zip(xs, sigmas, means, drives)), np.empty((B, N, n))
+    xs[0], sigmas[0] = state_arrays(game, project_state(game, init))
 
     if reference is not None:
         xbar = np.asarray(reference.xbar, dtype=float).reshape(N, n)
         sigmabar = np.asarray(reference.sigmabar, dtype=float)
 
-    slot = 0
+    j = slot = 0
     # blowup is detected explicitly, so numpy's own overflow warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps + 1):
+            x, sigma, mean, drive = slots[j]
             if i:
-                x, sigma = project_rows(lay, x + h * drive), sigma + hk * (mean - sigma)
-                if not (np.isfinite(x).all() and np.isfinite(sigma).all()):
-                    finite = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(sigma).all(axis=1)
+                _euler(lay, h, hk, *last, x, sigma, scratch)
+            _derive(lay, C, x, sigma, mean, drive)
+            # a non-finite row of x makes its agent sum, and so the mean, non-finite
+            if i and not (np.isfinite(mean).all() and np.isfinite(sigma).all()):
+                finite = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(sigma).all(axis=1)
+                if not finite.all():  # else only a sum of finite decisions overflowed
                     raise NonFiniteStateError(i, i * h, float(ks[np.argmin(finite)]))
-            mean = x.mean(axis=1)
-            drive = _drive(lay, C, x, sigma)
+            last = x, sigma, mean, drive
             if i % every == 0 or i == n_steps:
-                j, slot = slot % K, slot + 1
-                xs[j], drives[j], sigmas[j], means[j] = x, drive, sigma, mean
+                slot += 1
                 if j == K - 1 or i == n_steps:  # a full block, or the last one
                     block, sk, mk = slice(slot - j - 1, slot), sigmas[: j + 1], means[: j + 1]
-                    xdot = np.abs(tangent_rows(lay, xs[: j + 1], drives[: j + 1])).max(axis=(-2, -1))
-                    residual[:, block] = np.maximum(xdot, np.abs(kcol * (mk - sk)).max(axis=-1)).T
+                    residual[:, block] = _sup(*_velocities(lay, kcol, xs[: j + 1], sk, mk, drives[: j + 1])).T
                     if reference is not None:
                         ds, da = sk - sigmabar, mk - sigmabar
                         W[:, block] = energy(xs[: j + 1] - xbar, ds).T
                         dist_avg[:, block] = np.sqrt(np.vecdot(da, da)).T
                         dist_sigma[:, block] = np.sqrt(np.vecdot(ds, ds)).T
+                j = slot % K
 
-    fields_b = zip(x, sigma, W, residual, dist_avg, dist_sigma)
+    fields_b = zip(last[0].copy(), last[1].copy(), W, residual, dist_avg, dist_sigma)
     return [Trajectory(times, *arrays, has_reference=reference is not None) for arrays in fields_b]

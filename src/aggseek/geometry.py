@@ -10,7 +10,7 @@ uses as the internal consistency law.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -153,12 +153,16 @@ class SetRows:
     hi: np.ndarray       # (N, n)
     center: np.ndarray   # (N, n)
     radius: np.ndarray   # (N,)
-    ball_rows: np.ndarray = field(init=False)  # indices of the rows of finite radius
+    ball_rows: np.ndarray = field(init=False)    # indices of the rows of finite radius
+    ball_center: np.ndarray = field(init=False)  # center[ball_rows], gathered once
+    ball_radius: np.ndarray = field(init=False)  # radius[ball_rows], gathered once
 
     def __post_init__(self) -> None:
+        b = np.flatnonzero(self.radius < np.inf)
+        for name, rows in (("ball_rows", b), ("ball_center", self.center[b]), ("ball_radius", self.radius[b])):
+            object.__setattr__(self, name, rows)
         for rows in vars(self).values():
             rows.setflags(write=False)  # games that share rows cannot change each other
-        object.__setattr__(self, "ball_rows", np.flatnonzero(self.radius < np.inf))
 
     def row(self, i: int) -> ConvexSet:
         """Row i's set, rebuilt as a Box or a Ball."""
@@ -177,15 +181,15 @@ def stack_sets(sets: Sequence[ConvexSet]) -> dict[str, np.ndarray]:
     )
 
 
-def project_rows(sets: SetRows, y: np.ndarray) -> np.ndarray:
-    """Project along the agent axis of an (..., N, n) array, with any leading axes.
+def project_rows(sets: SetRows, y: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Project along the agent axis of an (..., N, n) array, with any leading axes, into out if given.
 
     y[..., i, :] goes onto set_i and equals project(set_i, y[..., i, :]) bit for bit.
     """
-    out = np.clip(y, sets.lo, sets.hi)
+    out = y.clip(sets.lo, sets.hi, out=out)  # np.clip's ufunc, without its dispatch wrapper
     b = sets.ball_rows
     if b.size:
-        yb, c, r = y[..., b, :], sets.center[b], sets.radius[b]
+        yb, c, r = np.take(y, b, axis=-2), sets.ball_center, sets.ball_radius
         d = yb - c
         # the scalar norm of project, bit for bit; a vectorized np.linalg.norm is not
         norm = np.sqrt(np.vecdot(d, d))
@@ -205,11 +209,11 @@ def tangent_rows(sets: SetRows, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     out = np.where(blocked, 0.0, v)
     b = sets.ball_rows
     if b.size:
-        d = x[..., b, :] - sets.center[b]
+        d = np.take(x, b, axis=-2) - sets.ball_center
         norm = np.sqrt(np.vecdot(d, d))[..., None]
-        on_boundary = norm >= sets.radius[b, None] - ACTIVITY_TOL
+        on_boundary = norm >= sets.ball_radius[:, None] - ACTIVITY_TOL
         u = d / np.where(norm > 0, norm, 1.0)
-        vb = v[..., b, :]
+        vb = np.take(v, b, axis=-2)
         outward = np.maximum(0.0, np.sum(u * vb, axis=-1, keepdims=True))
         out[..., b, :] = np.where(on_boundary, vb - outward * u, vb)
     return out
@@ -233,9 +237,9 @@ def vi_min_rows(sets: SetRows, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         out = np.minimum((sets.lo - x) * g, (sets.hi - x) * g).sum(axis=-1)
     b = sets.ball_rows
     if b.size:
-        gb = g[..., b, :]
+        gb = np.take(g, b, axis=-2)
         norm_g = np.sqrt(np.vecdot(gb, gb))
-        out[..., b] = np.vecdot(sets.center[b] - x[..., b, :], gb) - sets.radius[b] * norm_g
+        out[..., b] = np.vecdot(sets.ball_center - np.take(x, b, axis=-2), gb) - sets.ball_radius * norm_g
     return out
 
 

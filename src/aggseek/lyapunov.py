@@ -170,7 +170,7 @@ def storage_inequality_check(
     u = np.asarray(u, dtype=float).reshape(game.N, game.n)
     xbar = np.asarray(ref.xbar, dtype=float).reshape(game.N, game.n)
     ubar_row = -(game.C @ np.asarray(ref.sigmabar, dtype=float))
-    gx, gxbar = lay.grad_f(np.stack((x, xbar)))
+    gx, gxbar = -lay.descent(np.stack((x, xbar)))
     dx = x - xbar
     lhs = float(np.sum(dx * tangent_rows(lay, x, -gx + u)))
     rhs = -float(np.sum(dx * (gx - gxbar + ubar_row - u)))

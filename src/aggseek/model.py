@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional
 
 import numpy as np
@@ -20,6 +20,13 @@ from .geometry import ConvexSet, SetRows, contains, project_rows, set_from_docum
 
 _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's state increment
 _MASK = (1 << 64) - 1
+
+# each value's kind for _require_finite: float, int, [kind] a list, {key: kind} an object; a key
+# not listed, like kind None, takes numbers in lists and objects to any depth
+_VECTOR = [float]
+_SET = {"box": {"lo": _VECTOR, "hi": _VECTOR}, "ball": {"center": _VECTOR, "radius": float}}
+_AGENT = {"ell": float, "xstar": _VECTOR, "linear": _VECTOR, "set": _SET}
+_GENERATOR = {**_AGENT, "count": int, "xstar": {"uniform": {"lo": float, "hi": float, "seed": int}}}
 
 
 class ScenarioError(ValueError):
@@ -58,10 +65,17 @@ class GameLayout(SetRows):
     ell: np.ndarray     # (N,)
     xstar: np.ndarray   # (N, n)
     linear: np.ndarray  # (N, n)
+    neg_ell: np.ndarray = field(init=False)  # (N, n): -ell_i in every column; an (N, 1) one broadcasts slowly
 
-    def grad_f(self, x: np.ndarray) -> np.ndarray:
-        """Every agent's local gradient ell_i (x_i - xstar_i) + linear_i, for x (..., N, n)."""
-        return self.ell[:, None] * (x - self.xstar) + self.linear
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "neg_ell", np.repeat(-self.ell[:, None], self.xstar.shape[1], axis=1))
+        super().__post_init__()
+
+    def descent(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """-grad_f of the rows of x (..., N, n) as (-ell_i)(x_i - xstar_i) - linear_i (same bits), into out."""
+        out = np.subtract(x, self.xstar, out=out)
+        np.multiply(self.neg_ell, out, out=out)
+        return np.subtract(out, self.linear, out=out)
 
 
 @dataclass(frozen=True)
@@ -195,15 +209,11 @@ def _typed(node, kind: type, path: str):
 
 def _generated_game(C: np.ndarray, k: float, block, n: int) -> GameSpec:
     """The game of a generator-style agent block: count agents sharing one cost and one set."""
-    block = _typed(block, dict, "agents.generator")
+    _require_finite(block, "agents.generator", _GENERATOR)
     try:
-        count = _typed(block["count"], int, "agents.generator.count")
-        xstar = _typed(block["xstar"], dict, "agents.generator.xstar")
-        uni = _typed(xstar.get("uniform"), dict, "agents.generator.xstar.uniform")
-        seed = _typed(uni["seed"], int, "agents.generator.xstar.uniform.seed")
-        _require_finite(block, "agents.generator")
+        count, uni = block["count"], block["xstar"]["uniform"]
         agent = QuadraticCost(block["ell"], np.zeros(n), block["linear"]), set_from_document(block["set"])
-        lo, hi = float(uni["lo"]), float(uni["hi"])
+        lo, hi, seed = float(uni["lo"]), float(uni["hi"]), uni["seed"]
     except KeyError as e:
         raise ScenarioError(f"generator block missing field {e}") from None
     if count < 1:
@@ -217,18 +227,21 @@ def _generated_game(C: np.ndarray, k: float, block, n: int) -> GameSpec:
     return GameSpec(C=C, k=k, layout=GameLayout(**rows), seed=seed)
 
 
-def _require_finite(node, path: str) -> None:
-    """Reject NaN, +-Infinity, overflowing literals and non-numbers, naming their JSON path."""
-    if isinstance(node, dict):
-        for key, value in node.items():
-            _require_finite(value, f"{path}.{key}" if path else key)
-    elif isinstance(node, list):
-        for idx, value in enumerate(node):
-            _require_finite(value, f"{path}[{idx}]")
+def _require_finite(node, path: str, kind=None) -> None:
+    """Reject NaN, +-Infinity, overflowing literals and values not of their kind, naming their JSON path."""
+    if type(node) is float and (kind is None or kind is float):  # the common case, first
+        if not math.isfinite(node):
+            raise ScenarioError(f"{path} is not finite ({node!r})")
+    elif isinstance(kind, dict) or kind is None and isinstance(node, dict):
+        for key, value in _typed(node, dict, path).items():
+            _require_finite(value, f"{path}.{key}" if path else key, kind and kind.get(key))
+    elif isinstance(kind, list) or kind is None and isinstance(node, list):
+        for idx, value in enumerate(_typed(node, list, path)):
+            _require_finite(value, f"{path}[{idx}]", kind and kind[0])
+    elif kind is int:
+        _typed(node, int, path)
     elif isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ScenarioError(f"{path} must be a number, got {node!r}")
-    elif isinstance(node, float) and not math.isfinite(node):
-        raise ScenarioError(f"{path} is not finite ({node!r})")
 
 
 def load_scenario(document: str) -> GameSpec:
@@ -241,7 +254,8 @@ def load_scenario(document: str) -> GameSpec:
 
     Raises ScenarioError, naming the field where it can, on malformed text, a
     number that is not finite or not a number, a fractional or boolean n/count/seed,
-    a non-object block, dimension mismatches, nonpositive ell/k/radius, or empty boxes.
+    a list or object where a number belongs, a non-object block or set body,
+    dimension mismatches, nonpositive ell/k/radius, or empty boxes.
     """
     try:
         doc = _typed(json.loads(document), dict, "scenario root")
@@ -250,7 +264,7 @@ def load_scenario(document: str) -> GameSpec:
     try:
         n = _typed(doc["n"], int, "n")
         agents_block = _typed(doc["agents"], dict, "agents")
-        _require_finite({"C": doc["C"], "k": doc["k"]}, "")
+        _require_finite({"C": doc["C"], "k": doc["k"]}, "", {"C": [_VECTOR], "k": float})
         C = np.asarray(doc["C"], dtype=float)
         k = float(doc["k"])
     except KeyError as e:
@@ -271,7 +285,7 @@ def load_scenario(document: str) -> GameSpec:
 
 def _agent(entry, idx: int) -> tuple[QuadraticCost, ConvexSet]:
     """One explicit agent list entry as its (cost, constraint set) pair."""
-    _require_finite(_typed(entry, dict, f"agents.list[{idx}]"), f"agents.list[{idx}]")
+    _require_finite(entry, f"agents.list[{idx}]", _AGENT)
     try:
         return QuadraticCost(entry["ell"], entry["xstar"], entry["linear"]), set_from_document(entry["set"])
     except KeyError as e:
@@ -313,7 +327,7 @@ def pseudo_gradient_F(game: GameSpec, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (game.N, game.n):
         raise ValueError(f"x has shape {x.shape}, expected ({game.N}, {game.n})")
-    return game.layout.grad_f(x) + game.C @ x.mean(axis=0)
+    return game.C @ x.mean(axis=0) - game.layout.descent(x)  # C avg(x) + grad_f, the same bits
 
 
 def initial_state(game: GameSpec) -> SystemState:

@@ -273,9 +273,12 @@ def gain_sweeps(draw):
 
 
 # the block edges, pinned: K = 1, a K of 4 that divides neither the 11 samples
-# of record_every = 1 nor the 5 of record_every = 3, and K >= samples; and a
-# non-symmetric 3-by-3 C, so the batched C sigma meets the per-copy C @ sigma
+# of record_every = 1 nor the 5 of record_every = 3, and K >= samples; K = 1
+# with record_every = 3, where a step that is not recorded overwrites the one
+# slot in place; and a non-symmetric 3-by-3 C, so the batched C sigma meets
+# the per-copy C @ sigma
 @example(random_population(9, 2, seed=1), 1)
+@example(random_population(9, 2, seed=7, record_every=3), 1)
 @example(random_population(9, 2, seed=2), 4)
 @example(random_population(9, 2, seed=3, record_every=3), 4)
 @example(random_population(9, 2, seed=4), 10**6)
@@ -316,14 +319,46 @@ def first_nonfinite(game: GameSpec, init: SystemState, gains, cfg: IntegratorCon
     raise AssertionError("the loop stayed finite")
 
 
+@pytest.mark.parametrize("every", [1, 3])
 @pytest.mark.parametrize("K", [1, 7, 10**6])
-def test_blowup_inside_a_block_raises_at_the_loop_step(monkeypatch: pytest.MonkeyPatch, K: int) -> None:
+def test_blowup_inside_a_block_raises_at_the_loop_step(monkeypatch: pytest.MonkeyPatch, K: int, every: int) -> None:
     # h * k = 5 makes the signal update diverge for k = 10 only, about 500 steps in
     game, gains = single_agent_game(), (0.5, 10.0)
-    init, cfg = initial_state(game), IntegratorConfig(h=0.5, T=400.0)
+    init, cfg = initial_state(game), IntegratorConfig(h=0.5, T=400.0, record_every=every)
     step_index, k = first_nonfinite(game, init, gains, cfg)
     monkeypatch.setattr(flow, "BLOCK_FLOATS", block_floats(K, gains, game))
     with pytest.raises(NonFiniteStateError) as excinfo:
         integrate_gains(game, gains, init, cfg)
     assert (excinfo.value.step_index, excinfo.value.k) == (step_index, k)
-    assert K == 1 or step_index % K, "the blow-up falls inside a block"
+    assert K == 1 or (step_index // every) % K, "the blow-up falls inside a block"
+    assert every == 1 or step_index % every, "the blow-up falls on a step that is not recorded"
+
+
+@pytest.mark.parametrize("K", [1, 10**6])
+def test_overflowing_agent_sum_of_a_finite_state_does_not_raise(monkeypatch: pytest.MonkeyPatch, K: int) -> None:
+    # in one step every agent goes from 0 to 1e308: the state stays finite, its agent sum does not
+    box, cost = Box(np.array([-1e308]), np.array([1e308])), QuadraticCost(1.0, np.array([1e308]), np.array([0.0]))
+    game = GameSpec.from_agents(np.zeros((1, 1)), 1.0, [(cost, box)] * 4)
+    init, gains = SystemState(np.zeros((4, 1)), np.zeros(1)), (1.0,)
+    monkeypatch.setattr(flow, "BLOCK_FLOATS", block_floats(K, gains, game))
+    (traj,) = integrate_gains(game, gains, init, IntegratorConfig(h=1.0, T=1.0))
+    assert np.all(traj.x == 1e308) and traj.sigma[0] == 0.0
+    assert traj.residual[-1] == np.inf  # k (avg(x) - sigma) overflowed with the sum
+    # the next step carries the overflowed average into sigma, and that is a blow-up
+    cfg = IntegratorConfig(h=1.0, T=2.0)
+    with pytest.raises(NonFiniteStateError) as excinfo:
+        integrate_gains(game, gains, init, cfg)
+    assert (excinfo.value.step_index, excinfo.value.k) == first_nonfinite(game, init, gains, cfg) == (2, 1.0)
+
+
+def test_step_and_rhs_are_one_iteration_of_the_loop() -> None:
+    game, init, gains, cfg = random_population(40, 2, seed=12)
+    assert 2 * game.layout.ball_rows.size > game.N, "ball-heavy"
+    start = project_state(game, init)
+    trajs = integrate_gains(game, gains, init, IntegratorConfig(h=cfg.h, T=cfg.h))
+    for k, traj in zip(gains, trajs):
+        game_k = dataclasses.replace(game, k=k)
+        nxt = flow.step(game_k, start, cfg.h)
+        assert traj.x.tobytes() == nxt.x.tobytes() and traj.sigma.tobytes() == nxt.sigma.tobytes()
+        # the recorded residual is the sup-norm of rhs, at the start and after the step
+        assert traj.residual.tolist() == [flow.stationarity_residual(game_k, s) for s in (start, nxt)]

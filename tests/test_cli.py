@@ -84,20 +84,38 @@ def test_check_malformed_scenario(tmp_path: Path, capsys: pytest.CaptureFixture[
     assert "error:" in capsys.readouterr().err
 
 
+def _listed(**fields) -> dict:
+    """wide_box_doc's agents block with its one agent's fields replaced."""
+    return {"agents": {"list": [{**wide_box_doc()["agents"]["list"][0], **fields}]}}
+
+
+def _generated(**fields) -> dict:
+    """An agents block of two generated agents, with fields replaced."""
+    block = {"count": 2, "ell": 1.5, "linear": [0.5], "set": {"box": {"lo": [0.0], "hi": [1.0]}},
+             "xstar": {"uniform": {"lo": 0.0, "hi": 1.0, "seed": 1}}}
+    return {"agents": {"generator": {**block, **fields}}}
+
+
 @pytest.mark.parametrize(
-    ("agents", "field"),
+    ("fields", "field"),
     [
-        ({"list": [5]}, "agents.list[0] must be an object"),
-        ("list", "agents must be an object"),
-        ({"generator": {"count": 2.9, "ell": 1.5, "linear": [0.5], "set": {"box": {"lo": [0.0], "hi": [1.0]}},
-                        "xstar": {"uniform": {"lo": 0.0, "hi": 1.0, "seed": 1}}}},
-         "agents.generator.count must be an integer"),
+        ({"agents": {"list": [5]}}, "agents.list[0] must be an object"),
+        ({"agents": "list"}, "agents must be an object"),
+        (_generated(count=2.9), "agents.generator.count must be an integer"),
+        # a list or an object where a number belongs, and a set body that is no object
+        (_listed(ell=[1.0]), "agents.list[0].ell must be a number, got [1.0]"),
+        ({"k": [1.0]}, "k must be a number, got [1.0]"),
+        (_listed(xstar={"a": 0.1}), "agents.list[0].xstar must be a list, got {'a': 0.1}"),
+        (_listed(set={"box": [0.0]}), "agents.list[0].set.box must be an object, got [0.0]"),
+        (_generated(ell=[1.5]), "agents.generator.ell must be a number, got [1.5]"),
+        (_listed(set={"ball": {"center": [0.0], "radius": [1]}}),
+         "agents.list[0].set.ball.radius must be a number, got [1]"),
     ],
 )
 def test_check_names_the_field_of_a_bad_type(
-    tmp_path: Path, capsys: pytest.CaptureFixture[str], agents, field: str
+    tmp_path: Path, capsys: pytest.CaptureFixture[str], fields: dict, field: str
 ) -> None:
-    doc = write_doc(tmp_path, "bad.json", {**wide_box_doc(), "agents": agents})
+    doc = write_doc(tmp_path, "bad.json", {**wide_box_doc(), **fields})
     assert cli.main(["check", "--scenario", doc]) == 1
     assert field in capsys.readouterr().err
 
