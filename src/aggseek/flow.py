@@ -203,10 +203,10 @@ def integrate_gains(
             if i:
                 _euler(lay, h, hk, *last, x, sigma, scratch)
             _derive(lay, C, x, sigma, mean, drive)
-            # a non-finite row of x makes its agent sum, and so the mean, non-finite
-            if i and not (np.isfinite(mean).all() and np.isfinite(sigma).all()):
+            # a non-finite entry of x (through its agent sum) or of sigma makes this sum non-finite
+            if i and not math.isfinite(np.add.reduce(mean + sigma, axis=None)):
                 finite = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(sigma).all(axis=1)
-                if not finite.all():  # else only a sum of finite decisions overflowed
+                if not finite.all():  # else only a sum of finite numbers overflowed
                     raise NonFiniteStateError(i, i * h, float(ks[np.argmin(finite)]))
             last = x, sigma, mean, drive
             if i % every == 0 or i == n_steps:

@@ -392,15 +392,18 @@ def test_console_entry_point() -> None:
     assert "cond5_holds = false" in proc.stdout
 
 
-def test_cli_import_leaves_out_the_network_stack() -> None:
+def test_cli_import_leaves_out_the_network_stack(tmp_path: Path) -> None:
     # xml.sax.saxutils would pull in urllib.request, http.client and email (30-40 ms),
-    # html and html.entities another 2-3 ms; urllib.parse itself comes with pathlib
-    code = "import sys, aggseek.cli; print(' '.join(sorted(sys.modules)))"
+    # html and html.entities another 2-3 ms; urllib.parse itself comes with pathlib.
+    # The run with --out covers what the writers import when called: np.unique, for
+    # one, imports numpy.ma (about 16 ms)
+    run = f"aggseek.cli.main(['run', '--scenario', {SINGLE!r}, '--T', '0.1', '--h', '0.01', '--out', {str(tmp_path / 'r')!r}])"
+    code = f"import sys, aggseek.cli; {run}; print(' '.join(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     loaded = proc.stdout.split()
-    assert "aggseek.cli" in loaded
+    assert "aggseek.cli" in loaded and (tmp_path / "r.svg").exists()
     heavy = [m for m in loaded if m.split(".")[0] in {"xml", "http", "email", "html"} or m == "urllib.request"]
-    assert heavy == []
+    assert heavy == [] and "numpy.ma" not in loaded
 
 
 def test_svg_escapes_markup_in_text(tmp_path: Path) -> None:
