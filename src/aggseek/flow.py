@@ -85,7 +85,8 @@ def energy(dx: np.ndarray, ds: np.ndarray) -> np.ndarray:
 
 def _derive(lay: GameLayout, C: np.ndarray, x: np.ndarray, sigma: np.ndarray, mean=None, drive=None):
     """The mean (..., n) and unprojected velocities (..., N, n) of states x (..., N, n), sigma (..., n)."""
-    mean, drive = np.add.reduce(x, axis=-2, out=mean), lay.descent(x, drive)  # and / N: ndarray.mean
+    # the sum over the agents, divided by N below: the reduction and division of ndarray.mean
+    mean, drive = np.add.reduce(x, axis=-2, out=mean), lay.descent(x, drive)
     # C sigma as one matmul of every copy's column rounds as C @ s does; sigma @ C.T need not
     drive = np.subtract(drive, np.matmul(C, sigma[..., None]).mT, out=drive)
     return np.divide(mean, x.shape[-2], out=mean), drive
@@ -102,8 +103,10 @@ def _sup(xdot: np.ndarray, sigmadot: np.ndarray) -> np.ndarray:
 
 
 def _euler(lay: GameLayout, h: float, hk, x, sigma, mean, drive, x_next=None, sigma_next=None, scratch=None):
-    """The projected-Euler successor of states x, sigma with their mean and drive; x_next, sigma_next,
-    if given, receive it and may be x and sigma, and scratch, if given, must be neither."""
+    """The projected-Euler successor of states x, sigma with their mean and drive.
+
+    It is written into x_next and sigma_next if given, which may be x and sigma; scratch must be neither.
+    """
     y = np.multiply(h, drive, out=scratch)
     x_next = project_rows(lay, np.add(x, y, out=y), out=x_next)
     return x_next, np.add(sigma, hk * (mean - sigma), out=sigma_next)

@@ -23,9 +23,8 @@ _MASK = (1 << 64) - 1
 
 # each value's kind for _require_finite: float, int, [kind] a list, {key: kind} an object; a key
 # not listed, like kind None, takes numbers in lists and objects to any depth
-_VECTOR = [float]
-_SET = {"box": {"lo": _VECTOR, "hi": _VECTOR}, "ball": {"center": _VECTOR, "radius": float}}
-_AGENT = {"ell": float, "xstar": _VECTOR, "linear": _VECTOR, "set": _SET}
+_SET = {"box": {"lo": [float], "hi": [float]}, "ball": {"center": [float], "radius": float}}
+_AGENT = {"ell": float, "xstar": [float], "linear": [float], "set": _SET}
 _GENERATOR = {**_AGENT, "count": int, "xstar": {"uniform": {"lo": float, "hi": float, "seed": int}}}
 
 
@@ -264,7 +263,7 @@ def load_scenario(document: str) -> GameSpec:
     try:
         n = _typed(doc["n"], int, "n")
         agents_block = _typed(doc["agents"], dict, "agents")
-        _require_finite({"C": doc["C"], "k": doc["k"]}, "", {"C": [_VECTOR], "k": float})
+        _require_finite({"C": doc["C"], "k": doc["k"]}, "", {"C": [[float]], "k": float})
         C = np.asarray(doc["C"], dtype=float)
         k = float(doc["k"])
     except KeyError as e:
