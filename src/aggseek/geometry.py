@@ -184,7 +184,7 @@ def stack_sets(sets: Sequence[ConvexSet]) -> dict[str, np.ndarray]:
 def project_rows(sets: SetRows, y: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Project along the agent axis of an (..., N, n) array, with any leading axes, into out if given.
 
-    y[..., i, :] goes onto set_i and equals project(set_i, y[..., i, :]) bit for bit.
+    y[..., i, :] goes onto set_i and equals project(set_i, y[..., i, :]); a zero may differ in sign.
     """
     out = y.clip(sets.lo, sets.hi, out=out)  # np.clip's ufunc, without its dispatch wrapper
     b = sets.ball_rows
@@ -242,24 +242,3 @@ def vi_min_rows(sets: SetRows, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         out[..., b] = np.vecdot(sets.ball_center - np.take(x, b, axis=-2), gb) - sets.ball_radius * norm_g
     return out
 
-
-def set_from_document(fragment: dict) -> ConvexSet:
-    """Build a set from its scenario-file fragment.
-
-    Accepts {"box": {"lo": [...], "hi": [...]}} or
-    {"ball": {"center": [...], "radius": r}}.
-    """
-    if not isinstance(fragment, dict) or len(fragment) != 1:
-        raise ValueError(f"set fragment must have exactly one of 'box'/'ball': {fragment!r}")
-    kind, body = next(iter(fragment.items()))
-    if kind == "box":
-        try:
-            return Box(np.asarray(body["lo"], dtype=float), np.asarray(body["hi"], dtype=float))
-        except KeyError as e:
-            raise ValueError(f"box fragment missing field {e}") from None
-    if kind == "ball":
-        try:
-            return Ball(np.asarray(body["center"], dtype=float), float(body["radius"]))
-        except KeyError as e:
-            raise ValueError(f"ball fragment missing field {e}") from None
-    raise ValueError(f"unknown set kind {kind!r}")

@@ -11,21 +11,28 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .geometry import ConvexSet, SetRows, contains, project_rows, set_from_document, stack_sets
+from .geometry import Ball, Box, ConvexSet, SetRows, contains, project_rows, stack_sets
 
 _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's state increment
 _MASK = (1 << 64) - 1
 
-# each value's kind for _require_finite: float, int, [kind] a list, {key: kind} an object; a key
-# not listed, like kind None, takes numbers in lists and objects to any depth
-_SET = {"box": {"lo": [float], "hi": [float]}, "ball": {"center": [float], "radius": float}}
+
+class _OneOf(dict):
+    """The kind of an object that holds exactly one of its keys."""
+
+
+# the scenario format that _require_finite enforces: a kind is float, int, [kind] a list, {key: kind}
+# an object holding every key, or _OneOf; a key not listed, like kind None, takes numbers to any depth
+_SET = _OneOf(box={"lo": [float], "hi": [float]}, ball={"center": [float], "radius": float})
 _AGENT = {"ell": float, "xstar": [float], "linear": [float], "set": _SET}
 _GENERATOR = {**_AGENT, "count": int, "xstar": {"uniform": {"lo": float, "hi": float, "seed": int}}}
+_SCENARIO = {"n": int, "C": [[float]], "k": float, "agents": _OneOf(list=[_AGENT], generator=_GENERATOR)}
+_NAMES = {dict: "an object", list: "a list", int: "an integer", float: "a number"}
 
 
 class ScenarioError(ValueError):
@@ -198,97 +205,76 @@ def splitmix64(seed: int, count: Optional[int] = None) -> np.ndarray | Iterator[
     return z.astype(np.float64) / 2.0**64
 
 
-def _typed(node, kind: type, path: str):
-    """Return node when it is a JSON value of kind; a fraction or a boolean is no integer."""
-    if isinstance(node, bool) or not isinstance(node, kind):
-        kind_name = {dict: "an object", list: "a list", int: "an integer"}[kind]
-        raise ScenarioError(f"{path} must be {kind_name}, got {node!r}")
-    return node
-
-
-def _generated_game(C: np.ndarray, k: float, block, n: int) -> GameSpec:
-    """The game of a generator-style agent block: count agents sharing one cost and one set."""
-    _require_finite(block, "agents.generator", _GENERATOR)
-    try:
-        count, uni = block["count"], block["xstar"]["uniform"]
-        agent = QuadraticCost(block["ell"], np.zeros(n), block["linear"]), set_from_document(block["set"])
-        lo, hi, seed = float(uni["lo"]), float(uni["hi"]), uni["seed"]
-    except KeyError as e:
-        raise ScenarioError(f"generator block missing field {e}") from None
+def _generated_game(one: GameSpec, block: dict) -> GameSpec:
+    """A checked generator block's game: the game of its one agent with that row repeated count times."""
+    count, n, uni = block["count"], one.n, block["xstar"]["uniform"]
+    lo, hi = float(uni["lo"]), float(uni["hi"])
     if count < 1:
-        raise ScenarioError("generator count must be positive")
+        raise ScenarioError(f"agents.generator.count must be positive, got {count}")
     if not hi >= lo:
-        raise ScenarioError("uniform range must satisfy hi >= lo")
-    one = GameSpec.from_agents(C, k, [agent]).layout  # validated once, then repeated
-    rows = {f.name: np.repeat(getattr(one, f.name), count, axis=0) for f in fields(GameLayout) if f.init}
-    # one draw per coordinate, agents in index order
-    rows["xstar"] = lo + (hi - lo) * splitmix64(seed, count * n).reshape(count, n)
-    return GameSpec(C=C, k=k, layout=GameLayout(**rows), seed=seed)
+        raise ScenarioError(f"agents.generator.xstar.uniform must have hi >= lo, got lo {lo}, hi {hi}")
+    rows = {f.name: np.repeat(getattr(one.layout, f.name), count, axis=0) for f in fields(GameLayout) if f.init}
+    rows["xstar"] = lo + (hi - lo) * splitmix64(uni["seed"], count * n).reshape(count, n)  # agents in index order
+    return replace(one, layout=GameLayout(**rows), seed=uni["seed"])
 
 
 def _require_finite(node, path: str, kind=None) -> None:
-    """Reject NaN, +-Infinity, overflowing literals and values not of their kind, naming their JSON path."""
-    if type(node) is float and (kind is None or kind is float):  # the common case, first
-        if not math.isfinite(node):
-            raise ScenarioError(f"{path} is not finite ({node!r})")
-    elif isinstance(kind, dict) or kind is None and isinstance(node, dict):
-        for key, value in _typed(node, dict, path).items():
-            _require_finite(value, f"{path}.{key}" if path else key, kind and kind.get(key))
-    elif isinstance(kind, list) or kind is None and isinstance(node, list):
-        for idx, value in enumerate(_typed(node, list, path)):
-            _require_finite(value, f"{path}[{idx}]", kind and kind[0])
-    elif kind is int:
-        _typed(node, int, path)
-    elif isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise ScenarioError(f"{path} must be a number, got {node!r}")
+    """Reject a value not of its kind, a missing key, NaN and +-Infinity, naming the JSON path."""
+    want = dict if isinstance(kind, dict) else list if isinstance(kind, list) else kind
+    if want is None:  # a key not listed: a number, or a list or object of them
+        want = type(node) if type(node) in (dict, list) else float
+    if isinstance(node, bool) or not isinstance(node, (int, float) if want is float else want):
+        raise ScenarioError(f"{path or 'scenario root'} must be {_NAMES[want]}, got {node!r}")
+    if want is dict:
+        keys = node.keys()
+        if isinstance(kind, _OneOf) and len(keys & kind.keys()) != 1:
+            raise ScenarioError(f"{path} must hold exactly one of {', '.join(kind)}")
+        if type(kind) is dict and not keys >= kind.keys():
+            raise ScenarioError(f"{path}.{min(kind.keys() - keys)} is missing".lstrip("."))  # a root key: no dot
+        for key, value in node.items():  # a finite float where a number belongs needs no call
+            sub = kind and kind.get(key)
+            if type(value) is not float or sub is not float and sub is not None or not math.isfinite(value):
+                _require_finite(value, f"{path}.{key}" if path else key, sub)
+    elif want is list:
+        sub = kind and kind[0]
+        for idx, value in enumerate(node):
+            if type(value) is not float or sub is not float and sub is not None or not math.isfinite(value):
+                _require_finite(value, f"{path}[{idx}]", sub)
+    elif want is float and not math.isfinite(node):
+        raise ScenarioError(f"{path} is not finite ({node!r})")
 
 
 def load_scenario(document: str) -> GameSpec:
-    """Parse a scenario document (JSON text) into a validated GameSpec.
+    """Parse a scenario document (JSON text) of the format _SCENARIO into a validated GameSpec.
 
-    Agent blocks come in two styles: an explicit "list" of agents, or a
-    "generator" that synthesizes count identical-cost agents whose xstar
-    coordinates are drawn from the documented splitmix64 stream. The same
-    document always materializes the same game.
-
-    Raises ScenarioError, naming the field where it can, on malformed text, a
-    number that is not finite or not a number, a fractional or boolean n/count/seed,
-    a list or object where a number belongs, a non-object block or set body,
-    dimension mismatches, nonpositive ell/k/radius, or empty boxes.
+    The same document always materializes the same game: a generator draws xstar from the
+    documented splitmix64 stream. Raises ScenarioError, naming the field where it has one, on
+    malformed text, a missing field, a value not of its kind or not finite, not exactly one
+    set kind or agents style, mismatched dimensions, or a value outside its range.
     """
-    try:
-        doc = _typed(json.loads(document), dict, "scenario root")
+    try:  # an integer literal of 300 digits or more parses as a float, +-inf past the float range
+        doc = json.loads(document, parse_int=lambda s: int(s) if len(s) < 300 else float(s))
     except json.JSONDecodeError as e:
         raise ScenarioError(f"scenario is not valid JSON: {e}") from None
+    _require_finite(doc, "", _SCENARIO)
+    n, C, k, agents = doc["n"], doc["C"], doc["k"], doc["agents"]
+    if len(C) != n or any(len(row) != n for row in C):
+        raise ScenarioError(f"C must hold n = {n} rows of n numbers, got rows of {[len(row) for row in C]}")
+    block = agents.get("generator")  # None when the agents come as a list
+    entries = agents["list"] if block is None else [{**block, "xstar": np.zeros(n)}]  # one row, repeated below
     try:
-        n = _typed(doc["n"], int, "n")
-        agents_block = _typed(doc["agents"], dict, "agents")
-        _require_finite({"C": doc["C"], "k": doc["k"]}, "", {"C": [[float]], "k": float})
-        C = np.asarray(doc["C"], dtype=float)
-        k = float(doc["k"])
-    except KeyError as e:
-        raise ScenarioError(f"scenario missing field {e}") from None
-    if C.shape != (n, n):
-        raise ScenarioError(f"C has shape {C.shape}, expected ({n}, {n})")
-
-    try:
-        if "list" in agents_block:
-            entries = _typed(agents_block["list"], list, "agents.list")
-            return GameSpec.from_agents(C, k, [_agent(entry, idx) for idx, entry in enumerate(entries)])
-        if "generator" in agents_block:
-            return _generated_game(C, k, agents_block["generator"], n)
+        game = GameSpec.from_agents(C, k, [_agent(entry, idx) for idx, entry in enumerate(entries)])
+        return game if block is None else _generated_game(game, block)
     except ValueError as e:
         raise ScenarioError(str(e)) from None
-    raise ScenarioError("agents block must contain 'list' or 'generator'")
 
 
-def _agent(entry, idx: int) -> tuple[QuadraticCost, ConvexSet]:
-    """One explicit agent list entry as its (cost, constraint set) pair."""
-    _require_finite(entry, f"agents.list[{idx}]", _AGENT)
+def _agent(entry: dict, idx: int) -> tuple[QuadraticCost, ConvexSet]:
+    """One agent entry of a checked document as its (cost, constraint set) pair."""
+    s = entry["set"]
     try:
-        return QuadraticCost(entry["ell"], entry["xstar"], entry["linear"]), set_from_document(entry["set"])
-    except KeyError as e:
-        raise ScenarioError(f"agent {idx} missing field {e}") from None
+        return QuadraticCost(entry["ell"], entry["xstar"], entry["linear"]), (
+            Box(s["box"]["lo"], s["box"]["hi"]) if "box" in s else Ball(s["ball"]["center"], s["ball"]["radius"]))
     except ValueError as e:
         raise ScenarioError(f"agent {idx}: {e}") from None
 

@@ -120,6 +120,30 @@ def test_check_names_the_field_of_a_bad_type(
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("good", "bad", "field"),
+    [
+        ('"ell": 1.5', '"ell": 1' + "0" * 400, "agents.list[0].ell is not finite"),
+        ('"C": [[1.0]]', '"C": [[-1' + "0" * 400 + "]]", "C[0][0] is not finite"),
+        ('"k": 0.6', '"k": 1' + "0" * 4999, "k is not finite"),
+        ('"n": 1', '"n": 1' + "0" * 400, "n must be an integer"),
+        ('"n": 1, "C": [[1.0]]', '"n": 2, "C": [[1.0, 0.0], [0.0]]', "C must hold n = 2 rows"),
+        ('"xstar": [0.6], ', "", "agents.list[0].xstar is missing"),
+    ],
+    ids=["ell-400-digits", "C-400-digits", "k-5000-digits", "n-400-digits", "ragged-C", "missing-xstar"],
+)
+def test_check_exits_1_on_a_bad_literal_or_shape(
+    tmp_path: Path, capsys: pytest.CaptureFixture[str], good: str, bad: str, field: str
+) -> None:
+    text = json.dumps(wide_box_doc())
+    assert good in text
+    doc = tmp_path / "bad.json"
+    doc.write_text(text.replace(good, bad))
+    assert cli.main(["check", "--scenario", str(doc)]) == 1
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+
+
 def test_solve_single_scenario(capsys: pytest.CaptureFixture[str]) -> None:
     assert cli.main(["solve", "--scenario", SINGLE]) == 0
     kv = parse_kv(capsys.readouterr().out)

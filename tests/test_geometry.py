@@ -11,7 +11,6 @@ from aggseek.geometry import (
     normal_project,
     project,
     set_center,
-    set_from_document,
     tangent_project,
 )
 
@@ -150,13 +149,3 @@ def test_contains_distance_center() -> None:
     assert set_center(b) == pytest.approx([0.5])
     assert set_center(Ball(np.array([1.0, 2.0]), 0.5)) == pytest.approx([1.0, 2.0])
 
-
-def test_set_from_document_fragments() -> None:
-    b = set_from_document({"box": {"lo": [0.0], "hi": [1.0]}})
-    assert isinstance(b, Box)
-    s = set_from_document({"ball": {"center": [0.0, 0.0], "radius": 2.0}})
-    assert isinstance(s, Ball)
-    with pytest.raises(ValueError):
-        set_from_document({"pyramid": {}})
-    with pytest.raises(ValueError):
-        set_from_document({"box": {"lo": [0.0]}})

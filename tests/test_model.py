@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
+import functools
 import json
 import math
+import operator
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aggseek.geometry import Ball, Box
 from aggseek.model import (
@@ -240,6 +245,20 @@ def test_load_explicit_agent_list() -> None:
     assert game.C == pytest.approx(np.array([[0.0]]))
 
 
+# a box agent and a ball agent in 2-D
+_SETS_DOC = {"n": 2, "C": [[1.0, 0.5], [0.0, 1.0]], "k": 0.6, "agents": {"list": [
+    {"ell": 1.5, "xstar": [0.1, 0.2], "linear": [0.5, 0.0], "set": {"box": {"lo": [0.0, -1.0], "hi": [1.0, 1.0]}}},
+    {"ell": 2.0, "xstar": [0.3, 0.4], "linear": [0.0, 0.1], "set": {"ball": {"center": [0.0, 0.0], "radius": 2.0}}},
+]}}
+
+
+def test_load_builds_the_set_of_each_kind() -> None:
+    game = load_scenario(json.dumps(_SETS_DOC))
+    box, ball = game.constraint(0), game.constraint(1)
+    assert isinstance(box, Box) and box.lo.tolist() == [0.0, -1.0] and box.hi.tolist() == [1.0, 1.0]
+    assert isinstance(ball, Ball) and ball.center.tolist() == [0.0, 0.0] and ball.radius == 2.0
+
+
 # documents whose error must name the offending field
 _BAD_FIELD_DOCUMENTS = {
     '{"n": 1.7, "C": [[1.0]], "k": 1.0, "agents": {"list": [{"ell": 1.0, "xstar": [0.1], "linear": [0.0], "set": {"box": {"lo": [0.0], "hi": [1.0]}}}]}}': "n must be an integer",
@@ -260,6 +279,17 @@ _BAD_FIELD_DOCUMENTS = {
     '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"generator": {"count": 2, "ell": null, "linear": [0.0], "xstar": {"uniform": {"lo": 0.0, "hi": 1.0, "seed": 1}}, "set": {"box": {"lo": [0.0], "hi": [1.0]}}}}}': "agents.generator.ell must be a number, got None",
     '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"generator": {"count": 2, "ell": 1.0, "linear": [0.0], "xstar": {"uniform": {"lo": "0", "hi": 1.0, "seed": 1}}, "set": {"box": {"lo": [0.0], "hi": [1.0]}}}}}': "agents.generator.xstar.uniform.lo must be a number, got '0'",
     '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"generator": {"count": 2, "ell": 1.0, "linear": [0.0], "xstar": {"uniform": {"lo": 0.0, "hi": 1.0, "seed": true}}, "set": {"box": {"lo": [0.0], "hi": [1.0]}}}}}': "agents.generator.xstar.uniform.seed must be an integer",
+    # every field of the format is required, and a set or an agents block holds exactly one kind
+    '{"C": [[1.0]], "k": 1.0, "agents": {"list": [{"ell": 1.0, "xstar": [0.1], "linear": [0.0], "set": {"box": {"lo": [0.0], "hi": [1.0]}}}]}}': "n is missing",
+    '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"list": [{"ell": 1.0, "linear": [0.0], "set": {"box": {"lo": [0.0], "hi": [1.0]}}}]}}': "agents.list[0].xstar is missing",
+    '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"list": [{"ell": 1.0, "xstar": [0.1], "linear": [0.0], "set": {"box": {"lo": [0.0]}}}]}}': "agents.list[0].set.box.hi is missing",
+    '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"generator": {"count": 2, "ell": 1.0, "linear": [0.0], "xstar": {"uniform": {"lo": 0.0, "hi": 1.0}}, "set": {"box": {"lo": [0.0], "hi": [1.0]}}}}}': "agents.generator.xstar.uniform.seed is missing",
+    '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"list": [{"ell": 1.0, "xstar": [0.1], "linear": [0.0], "set": {"pyramid": {}}}]}}': "agents.list[0].set must hold exactly one of box, ball",
+    '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"list": [{"ell": 1.0, "xstar": [0.1], "linear": [0.0], "set": {"box": {"lo": [0.0], "hi": [1.0]}, "ball": {"center": [0.0], "radius": 1.0}}}]}}': "agents.list[0].set must hold exactly one of box, ball",
+    '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"list": [{"ell": 1.0, "xstar": [0.1], "linear": [0.0], "set": {"box": {"lo": [0.0], "hi": [1.0]}}}], "generator": {"count": 2, "ell": 1.0, "linear": [0.0], "xstar": {"uniform": {"lo": 0.0, "hi": 1.0, "seed": 1}}, "set": {"box": {"lo": [0.0], "hi": [1.0]}}}}}': "agents must hold exactly one of list, generator",
+    '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"generator": {"count": 0, "ell": 1.0, "linear": [0.0], "xstar": {"uniform": {"lo": 0.0, "hi": 1.0, "seed": 1}}, "set": {"box": {"lo": [0.0], "hi": [1.0]}}}}}': "agents.generator.count must be positive, got 0",
+    '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"generator": {"count": 2, "ell": 1.0, "linear": [0.0], "xstar": {"uniform": {"lo": 1.0, "hi": 0.0, "seed": 1}}, "set": {"box": {"lo": [0.0], "hi": [1.0]}}}}}': "agents.generator.xstar.uniform must have hi >= lo",
+    '{"n": 2, "C": [[1.0, 2.0], [3.0]], "k": 1.0, "agents": {"list": [{"ell": 1.0, "xstar": [0.1, 0.1], "linear": [0.0, 0.0], "set": {"box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}}}]}}': "C must hold n = 2 rows of n numbers, got rows of [2, 1]",
 }
 
 
@@ -290,6 +320,14 @@ def test_load_scenario_rejects_bad_documents(mutation: str) -> None:
         ('"lo": [0.0]', '"lo": [-Infinity]', "agents.list[0].set.box.lo[0]"),
         ('"k": 1.0', '"k": 1e999', "k"),
         ('"radius": 1.0', '"radius": Infinity', "agents.list[1].set.ball.radius"),
+        # integer literals beyond the float range, and past the interpreter's 4300-digit limit
+        pytest.param('"ell": 1.0', '"ell": 1' + "0" * 400, "agents.list[0].ell", id="ell-400-digits"),
+        pytest.param('"C": [[1.0]]', '"C": [[1' + "0" * 400 + "]]", "C[0][0]", id="C-400-digits"),
+        pytest.param('"k": 1.0', '"k": 1' + "0" * 400, "k", id="k-400-digits"),
+        pytest.param('"k": 1.0', '"k": 1' + "0" * 4999, "k", id="k-5000-digits"),
+        pytest.param('"lo": [0.0]', '"lo": [-1' + "0" * 400 + "]", "agents.list[0].set.box.lo[0]", id="lo-400-digits"),
+        pytest.param('"uniform": {"lo": 0.0', '"uniform": {"lo": 1' + "0" * 400,
+                     "agents.generator.xstar.uniform.lo", id="uniform-lo-400-digits"),
     ],
 )
 def test_load_scenario_rejects_nonfinite_numbers(good: str, bad: str, path: str) -> None:
@@ -298,9 +336,45 @@ def test_load_scenario_rejects_nonfinite_numbers(good: str, bad: str, path: str)
         '{"ell": 1.0, "xstar": [0.1], "linear": [0.0], "set": {"box": {"lo": [0.0], "hi": [1.0]}}}, '
         '{"ell": 1.0, "xstar": [0.2], "linear": [0.0], "set": {"ball": {"center": [0.0], "radius": 1.0}}}]}}'
     )
+    if good not in doc:  # a generator field
+        doc = demand_response_doc(count=3)
     load_scenario(doc)
     with pytest.raises(ScenarioError, match=re.escape(f"{path} is not finite")):
         load_scenario(doc.replace(good, bad, 1))
+
+
+_DELETE = object()
+# the mutations: the key deleted, or the value replaced by one that is not of its kind or not finite
+_MUTATIONS = [_DELETE, "x", True, None, math.nan, 10**400, ["x"], {"x": "x"}]
+
+
+def _paths(node, path: tuple = ()):
+    """Every path into a JSON value, as a tuple of object keys and list indices."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in children:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+def _json_path(path: tuple) -> str:
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip(".")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([_SETS_DOC, json.loads(demand_response_doc(count=3))]), st.data())
+def test_malformed_documents_name_their_field(doc: dict, data: st.DataObject) -> None:
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    mutation = data.draw(st.sampled_from(_MUTATIONS if isinstance(path[-1], str) else _MUTATIONS[1:]))
+    mutated = copy.deepcopy(doc)
+    parent = functools.reduce(operator.getitem, path[:-1], mutated)
+    if mutation is _DELETE:
+        del parent[path[-1]]
+        path = path[:-1]  # a missing key is named under its parent's path
+    else:
+        parent[path[-1]] = mutation
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(json.dumps(mutated))
+    assert _json_path(path) in str(info.value)
 
 
 def test_generator_requires_uniform_block() -> None:
