@@ -213,8 +213,11 @@ def _generated_game(one: GameSpec, block: dict) -> GameSpec:
         raise ScenarioError(f"agents.generator.count must be positive, got {count}")
     if not hi >= lo:
         raise ScenarioError(f"agents.generator.xstar.uniform must have hi >= lo, got lo {lo}, hi {hi}")
-    rows = {f.name: np.repeat(getattr(one.layout, f.name), count, axis=0) for f in fields(GameLayout) if f.init}
-    rows["xstar"] = lo + (hi - lo) * splitmix64(uni["seed"], count * n).reshape(count, n)  # agents in index order
+    try:  # a count past the C long overflows, one past memory or the array size limit cannot be allocated
+        rows = {f.name: np.repeat(getattr(one.layout, f.name), count, axis=0) for f in fields(GameLayout) if f.init}
+        rows["xstar"] = lo + (hi - lo) * splitmix64(uni["seed"], count * n).reshape(count, n)  # in index order
+    except (OverflowError, MemoryError, ValueError):
+        raise ScenarioError(f"agents.generator.count is too large, got {count}") from None
     return replace(one, layout=GameLayout(**rows), seed=uni["seed"])
 
 
@@ -254,9 +257,11 @@ def load_scenario(document: str) -> GameSpec:
     """
     try:  # an integer literal of 300 digits or more parses as a float, +-inf past the float range
         doc = json.loads(document, parse_int=lambda s: int(s) if len(s) < 300 else float(s))
+        _require_finite(doc, "", _SCENARIO)
     except json.JSONDecodeError as e:
         raise ScenarioError(f"scenario is not valid JSON: {e}") from None
-    _require_finite(doc, "", _SCENARIO)
+    except RecursionError:  # the decoder and the walk each take one stack frame per level
+        raise ScenarioError("scenario nests too deeply") from None
     n, C, k, agents = doc["n"], doc["C"], doc["k"], doc["agents"]
     if len(C) != n or any(len(row) != n for row in C):
         raise ScenarioError(f"C must hold n = {n} rows of n numbers, got rows of {[len(row) for row in C]}")

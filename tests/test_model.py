@@ -7,6 +7,8 @@ import json
 import math
 import operator
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -375,6 +377,14 @@ def test_malformed_documents_name_their_field(doc: dict, data: st.DataObject) ->
     with pytest.raises(ScenarioError) as info:
         load_scenario(json.dumps(mutated))
     assert _json_path(path) in str(info.value)
+
+
+def test_nesting_just_under_the_decoders_limit_loads() -> None:
+    # in a fresh interpreter, whose stack holds no test runner's frames; 100,000 levels are an error line
+    doc = demand_response_doc(count=3)[:-1] + ', "note": ' + "[" * 990 + "]" * 990 + "}"
+    code = "import sys, aggseek; print(aggseek.load_scenario(sys.stdin.read()).N)"
+    proc = subprocess.run([sys.executable, "-c", code], input=doc, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "3\n", "")
 
 
 def test_generator_requires_uniform_block() -> None:
