@@ -10,6 +10,7 @@ exactly and agrees with the tangent-cone flow to first order.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -22,7 +23,7 @@ from .model import GameLayout, GameSpec, SystemState, project_state, state_array
 if TYPE_CHECKING:
     from .equilibrium import EquilibriumResult
 
-# floats of x per block of recorded samples; with the drive's block beside it, 256 kB
+# floats of x per block of recorded samples; with the drive's beside it, about 256 kB
 BLOCK_FLOATS = 1 << 14
 
 
@@ -45,8 +46,8 @@ class IntegratorConfig:
     def __post_init__(self) -> None:
         if not (self.h > 0 and math.isfinite(self.h)):
             raise ValueError(f"step size h must be positive and finite, got {self.h}")
-        if not (self.T >= self.h and math.isfinite(self.T)):
-            raise ValueError(f"horizon T must be finite and at least h, got T={self.T}, h={self.h}")
+        if not (self.T >= self.h and math.isfinite(self.T / self.h)):
+            raise ValueError(f"horizon T must be at least h and T / h finite, got T={self.T}, h={self.h}")
         every = self.record_every
         if isinstance(every, bool) or not isinstance(every, (int, np.integer)) or every < 1:
             raise ValueError(f"record_every must be a positive integer, got {every}")
@@ -83,33 +84,51 @@ def energy(dx: np.ndarray, ds: np.ndarray) -> np.ndarray:
     return 0.5 * np.sum(dx * dx, axis=(-2, -1)) + 0.5 * np.vecdot(ds, ds)
 
 
-def _derive(lay: GameLayout, C: np.ndarray, x: np.ndarray, sigma: np.ndarray, mean=None, drive=None):
-    """The mean (..., n) and unprojected velocities (..., N, n) of states x (..., N, n), sigma (..., n)."""
-    # the sum over the agents, divided by N below: the reduction and division of ndarray.mean
-    mean, drive = np.add.reduce(x, axis=-2, out=mean), lay.descent(x, drive)
+def _loop(game: GameSpec, ks: np.ndarray, h: float, K: int, state: SystemState):
+    """The time loop's constants for B = ks.size copies, its K slots stacked, and each slot's views.
+
+    A slot is two contiguous rows, the state [x (B, N, n) | sigma (B, n)] and the velocity
+    [drive | gap = mean - sigma], beside its mean (B, n) and C sigma; the first slot holds state.
+    The step row m holds h on every x entry and h * k_b on copy b's sigma entries. The layout's
+    bounds and cost rows are repeated for every copy: numpy runs a ufunc faster on operands of one shape.
+    """
+    B, N, n = ks.size, game.N, game.n
+    lay, size = copy.copy(game.layout), B * N * n
+    for name in ("lo", "hi", "xstar", "neg_ell", "linear"):
+        object.__setattr__(lay, name, np.repeat(getattr(game.layout, name)[None], B, axis=0))
+    m = np.concatenate((np.full(size, h), np.repeat(h * ks, n)))
+    rows, means, csigma = np.empty((2, K, m.size)), np.empty((K, B, n)), np.empty((K, B, n, 1))
+    (xs, drives), (sigmas, gaps) = rows[..., :size].reshape(2, K, B, N, n), rows[..., size:].reshape(2, K, B, n)
+    xs[0], sigmas[0] = state_arrays(game, state)
+    slots = list(zip(*rows, xs, sigmas, means, drives, gaps, sigmas[..., None], csigma, csigma.mT))
+    consts = lay, game.C, np.full((B, n), float(N)), m, np.empty_like(m)  # Ns: N as a full-shape divisor
+    return consts, (xs, sigmas, means, drives, gaps), slots
+
+
+def _derive(consts, slot) -> None:
+    """Fill a slot's mean, drive and gap from its x and sigma."""
+    (lay, C, Ns, _, _), (_, _, x, sigma, mean, drive, gap, sigma_col, csigma, csigma_row) = consts, slot
+    # the reduction and division of ndarray.mean, the sum kept in gap: numpy runs a ufunc in place
+    # on a one-entry array slowly
+    np.divide(np.add.reduce(x, -2, None, gap), Ns, mean)
+    np.subtract(mean, sigma, gap)
+    lay.descent(x, drive)
     # C sigma as one matmul of every copy's column rounds as C @ s does; sigma @ C.T need not
-    drive = np.subtract(drive, np.matmul(C, sigma[..., None]).mT, out=drive)
-    return np.divide(mean, x.shape[-2], out=mean), drive
+    np.matmul(C, sigma_col, csigma)
+    np.subtract(drive, csigma_row, drive)
 
 
-def _velocities(lay: GameLayout, k, x, sigma, mean, drive) -> tuple[np.ndarray, np.ndarray]:
-    """(xdot, sigmadot) of the states x, sigma with their mean and drive, at gain k."""
-    return tangent_rows(lay, x, drive), k * (mean - sigma)
+def _euler(consts, src, dst) -> None:
+    """Write the projected-Euler successor of slot src into slot dst, which may be src: one multiply-add
+    gives x + h drive and sigma + h k (mean - sigma) of every copy, then x alone is projected in place."""
+    lay, _, _, m, scratch = consts
+    np.add(src[0], np.multiply(m, src[1], scratch), dst[0])
+    project_rows(lay, dst[2], dst[2])
 
 
 def _sup(xdot: np.ndarray, sigmadot: np.ndarray) -> np.ndarray:
     """The residual of every state: the sup-norm of its velocities."""
     return np.maximum(np.abs(xdot).max(axis=(-2, -1)), np.abs(sigmadot).max(axis=-1))
-
-
-def _euler(lay: GameLayout, h: float, hk, x, sigma, mean, drive, x_next=None, sigma_next=None, scratch=None):
-    """The projected-Euler successor of states x, sigma with their mean and drive.
-
-    It is written into x_next and sigma_next if given, which may be x and sigma; scratch must be neither.
-    """
-    y = np.multiply(h, drive, out=scratch)
-    x_next = project_rows(lay, np.add(x, y, out=y), out=x_next)
-    return x_next, np.add(sigma, hk * (mean - sigma), out=sigma_next)
 
 
 def rhs(game: GameSpec, state: SystemState) -> tuple[np.ndarray, np.ndarray]:
@@ -119,15 +138,18 @@ def rhs(game: GameSpec, state: SystemState) -> tuple[np.ndarray, np.ndarray]:
     sigmadot is k * (avg(x) - sigma). Raises ValueError when some x_i lies
     outside its set beyond tolerance.
     """
-    x, sigma = state_arrays(game, state)
-    require_members(game.layout, x)
-    return _velocities(game.layout, game.k, x, sigma, *_derive(game.layout, game.C, x, sigma))
+    require_members(game.layout, state_arrays(game, state)[0])
+    consts, (xs, _, _, drives, gaps), slots = _loop(game, np.array([game.k]), 0.0, 1, state)
+    _derive(consts, slots[0])
+    return tangent_rows(game.layout, xs[0, 0], drives[0, 0]), game.k * gaps[0, 0]
 
 
 def step(game: GameSpec, state: SystemState, h: float) -> SystemState:
     """One projected forward-Euler step of length h (h = 0 returns the state unchanged)."""
-    x, sigma = state_arrays(game, state)
-    return SystemState(*_euler(game.layout, h, h * game.k, x, sigma, *_derive(game.layout, game.C, x, sigma)))
+    consts, (xs, sigmas, *_), slots = _loop(game, np.array([game.k]), h, 2, state)
+    _derive(consts, slots[0])
+    _euler(consts, *slots)
+    return SystemState(xs[1, 0], sigmas[1, 0])
 
 
 def stationarity_residual(game: GameSpec, state: SystemState) -> float:
@@ -169,30 +191,29 @@ def integrate_gains(
     Trajectory b equals, bit for bit, integrate on the game with k = gains[b]:
     the state x has shape (B, N, n) and sigma (B, n), the row kernels act on
     the agent axis of every copy alike, and C sigma of every copy is one matmul.
-    Every step is advanced in place, with preallocated arrays, straight into
-    a block of up to BLOCK_FLOATS // (B*N*n) samples whose diagnostics take one
-    call of each kernel.
+    Every step is advanced with preallocated arrays straight into a block of
+    up to BLOCK_FLOATS // (B*N*n) samples whose diagnostics take one call of
+    each kernel; x and sigma of every copy share one state row (see _loop).
 
     Raises NonFiniteStateError at the first step at which some copy stops
-    being finite, naming the first such gain.
+    being finite, naming the first such gain; ValueError when the samples
+    of ceil(T / h) steps cannot be allocated.
     """
     ks = np.asarray(gains, dtype=float)
     if not (ks.ndim == 1 and ks.size and np.all((ks > 0) & np.isfinite(ks))):
         raise ValueError(f"gains must be a non-empty list of positive numbers, all finite, got {gains!r}")
-    B, N, n, every = ks.size, game.N, game.n, cfg.record_every
-    lay, C, h, kcol = game.layout, game.C, cfg.h, ks[:, None]
-    hk = h * kcol
-    n_steps = math.ceil(cfg.T / cfg.h)
+    B, N, n, every, h = ks.size, game.N, game.n, cfg.record_every, cfg.h
+    n_steps = math.ceil(cfg.T / h)
     n_samples = -(-n_steps // every) + 1  # steps 0, every, 2*every, ... and n_steps
 
-    times = np.minimum(np.arange(n_samples) * every, n_steps) * h
-    residual = np.empty((B, n_samples))
-    W, dist_avg, dist_sigma = (np.full((B, n_samples), np.nan) for _ in range(3))
-    K = max(1, min(n_samples, BLOCK_FLOATS // (B * N * n)))
+    try:  # a horizon of too many samples fails here, before the first step
+        times = np.minimum(np.arange(n_samples) * every, n_steps) * h
+        residual, W, dist_avg, dist_sigma = np.empty((B, n_samples)), *np.full((3, B, n_samples), np.nan)
+    except (MemoryError, OverflowError, ValueError):
+        raise ValueError(f"horizon T={cfg.T} at step h={h} takes {n_samples} samples, too many to store") from None
     # step i's state lives in slot j, written from slot j - 1 after a recorded step, else in place
-    (xs, drives), (sigmas, means) = np.empty((2, K, B, N, n)), np.empty((2, K, B, n))
-    slots, scratch = list(zip(xs, sigmas, means, drives)), np.empty((B, N, n))
-    xs[0], sigmas[0] = state_arrays(game, project_state(game, init))
+    K = max(1, min(n_samples, BLOCK_FLOATS // (B * N * n)))
+    consts, views, slots = _loop(game, ks, h, K, project_state(game, init))
 
     if reference is not None:
         xbar = np.asarray(reference.xbar, dtype=float).reshape(N, n)
@@ -202,27 +223,27 @@ def integrate_gains(
     # blowup is detected explicitly, so numpy's own overflow warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps + 1):
-            x, sigma, mean, drive = slots[j]
+            now = slots[j]
             if i:
-                _euler(lay, h, hk, *last, x, sigma, scratch)
-            _derive(lay, C, x, sigma, mean, drive)
-            # a non-finite entry of x (through its agent sum) or of sigma makes this sum non-finite
-            if i and not math.isfinite(np.add.reduce(mean + sigma, axis=None)):
-                finite = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(sigma).all(axis=1)
+                _euler(consts, last, now)
+            _derive(consts, now)
+            # a non-finite entry of x or of sigma makes the sum of the state row non-finite
+            if i and not math.isfinite(np.add.reduce(now[0])):
+                finite = np.isfinite(now[2]).all(axis=(1, 2)) & np.isfinite(now[3]).all(axis=1)
                 if not finite.all():  # else only a sum of finite numbers overflowed
                     raise NonFiniteStateError(i, i * h, float(ks[np.argmin(finite)]))
-            last = x, sigma, mean, drive
+            last = now
             if i % every == 0 or i == n_steps:
                 slot += 1
                 if j == K - 1 or i == n_steps:  # a full block, or the last one
-                    block, sk, mk = slice(slot - j - 1, slot), sigmas[: j + 1], means[: j + 1]
-                    residual[:, block] = _sup(*_velocities(lay, kcol, xs[: j + 1], sk, mk, drives[: j + 1])).T
+                    block, (xk, sk, mk, dk, gk) = slice(slot - j - 1, slot), (v[: j + 1] for v in views)
+                    residual[:, block] = _sup(tangent_rows(consts[0], xk, dk), ks[:, None] * gk).T
                     if reference is not None:
                         ds, da = sk - sigmabar, mk - sigmabar
-                        W[:, block] = energy(xs[: j + 1] - xbar, ds).T
+                        W[:, block] = energy(xk - xbar, ds).T
                         dist_avg[:, block] = np.sqrt(np.vecdot(da, da)).T
                         dist_sigma[:, block] = np.sqrt(np.vecdot(ds, ds)).T
                 j = slot % K
 
-    fields_b = zip(last[0].copy(), last[1].copy(), W, residual, dist_avg, dist_sigma)
+    fields_b = zip(last[2].copy(), last[3].copy(), W, residual, dist_avg, dist_sigma)
     return [Trajectory(times, *arrays, has_reference=reference is not None) for arrays in fields_b]

@@ -79,9 +79,9 @@ class GameLayout(SetRows):
 
     def descent(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """-grad_f of the rows of x (..., N, n) as (-ell_i)(x_i - xstar_i) - linear_i (same bits), into out."""
-        out = np.subtract(x, self.xstar, out=out)
-        np.multiply(self.neg_ell, out, out=out)
-        return np.subtract(out, self.linear, out=out)
+        out = np.subtract(x, self.xstar, out)
+        np.multiply(self.neg_ell, out, out)
+        return np.subtract(out, self.linear, out)
 
 
 @dataclass(frozen=True)

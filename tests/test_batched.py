@@ -47,7 +47,7 @@ from aggseek.model import (
     pseudo_gradient_F,
 )
 
-from helpers import random_game, single_agent_game
+from helpers import demand_response_game, random_game, single_agent_game
 
 COORD = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 # where a point sits relative to its set: 0 is the center, 1 the boundary
@@ -262,6 +262,13 @@ def random_population(N: int, n: int, seed: int, record_every: int = 1, T: float
     return game, init, (0.7, 3.0), IntegratorConfig(h=0.05, T=T, record_every=record_every)
 
 
+def box_population(N: int, seed: int, T: float = 0.1):
+    """N generated box agents in 1-D, a start off the boxes, two gains and h = 4e-3 (25 steps at T = 0.1)."""
+    rng = np.random.default_rng(seed)
+    init = SystemState(rng.uniform(0.0, 1.0, (N, 1)), rng.uniform(0.0, 1.0, 1))
+    return demand_response_game(count=N, seed=seed), init, (0.5, 2.0), IntegratorConfig(h=4e-3, T=T)
+
+
 @st.composite
 def gain_sweeps(draw):
     game, x, sigma = draw(games_with_points(max_agents=20))  # N >= 8 reaches numpy's unrolled sums
@@ -275,8 +282,9 @@ def gain_sweeps(draw):
 # the block edges, pinned: K = 1, a K of 4 that divides neither the 11 samples
 # of record_every = 1 nor the 5 of record_every = 3, and K >= samples; K = 1
 # with record_every = 3, where a step that is not recorded overwrites the one
-# slot in place; and a non-symmetric 3-by-3 C, so the batched C sigma meets
-# the per-copy C @ sigma
+# slot in place; a non-symmetric 3-by-3 C, so the batched C sigma meets the
+# per-copy C @ sigma; and a box-only 1-D population of 150 agents, whose agent
+# sum spans more than one of numpy's 128-element pairwise blocks
 @example(random_population(9, 2, seed=1), 1)
 @example(random_population(9, 2, seed=7, record_every=3), 1)
 @example(random_population(9, 2, seed=2), 4)
@@ -284,6 +292,7 @@ def gain_sweeps(draw):
 @example(random_population(9, 2, seed=4), 10**6)
 @example(random_population(9, 2, seed=5, record_every=3), 10**6)
 @example(random_population(9, 3, seed=6), 3)
+@example(box_population(150, seed=1), 10**6)
 @settings(max_examples=150, deadline=None)
 @given(gain_sweeps(), st.sampled_from([1, 2, 3, 5, 10**6]))
 def test_integrate_gains_matches_single_gain_loop(case, K: int) -> None:

@@ -317,6 +317,23 @@ def test_nonfinite_numbers_are_input_errors(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--k", "0.5,2"]])
+@pytest.mark.parametrize(
+    "horizon",
+    [
+        ["--T", "1e300", "--h", "1e-300"],  # T / h overflows to infinity: rejected with the configuration
+        ["--T", "1e13", "--h", "1e-3"],  # 10^16 steps: their samples cannot be allocated, and fail at once
+    ],
+)
+def test_oversized_horizons_exit_1(
+    command: list, horizon: list, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    assert cli.main([*command, "--scenario", SINGLE, *horizon, "--out", str(tmp_path / "out" / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "T" in err and "Traceback" not in err
+    assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
+
+
 def test_run_rejects_multiple_gains(capsys: pytest.CaptureFixture[str]) -> None:
     assert cli.main(["run", "--scenario", SINGLE, "--k", "0.2,0.4"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -346,13 +347,37 @@ def test_bundled_scenarios_solve_to_pinned_bits(name: str, iterations: int, sigm
 def test_bundled_scenarios_run_to_pinned_csv_bytes(
     name: str, sha256: dict, tmp_path: Path, capsys: pytest.CaptureFixture[str]
 ) -> None:
-    out = tmp_path / name
-    args = ["--scenario", str(SCENARIOS / f"{name}.json"), "--T", "5", "--h", "1e-2", "--out", str(out)]
+    assert run_and_sweep_sha256(SCENARIOS / f"{name}.json", "5", "1e-2", tmp_path / name, sha256) == sha256
+    capsys.readouterr()
+
+
+def run_and_sweep_sha256(scenario: Path, T: str, h: str, out: Path, suffixes) -> dict:
+    """The sha256 of every file out + suffix after run and sweep --k 0.5,2 on the scenario."""
+    args = ["--scenario", str(scenario), "--T", T, "--h", h, "--out", str(out)]
     assert cli.main(["run", *args]) == 0
     assert cli.main(["sweep", "--k", "0.5,2", *args]) == 0
+    return {suffix: hashlib.sha256(Path(f"{out}{suffix}").read_bytes()).hexdigest() for suffix in suffixes}
+
+
+def test_box_population_runs_to_pinned_bytes(tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
+    # the benchmark's flow-bound shape: 100 generated box agents in 1-D, 1,500
+    # steps, every one recorded; recorded before x and sigma shared one state row
+    doc = {"n": 1, "C": [[1.0]], "k": 0.6, "agents": {"generator": {
+        "count": 100, "ell": 1.5, "linear": [0.5], "xstar": {"uniform": {"lo": 0.0, "hi": 1.0, "seed": 1}},
+        "set": {"box": {"lo": [0.25], "hi": [0.75]}}}}}
+    scenario = tmp_path / "population.json"
+    scenario.write_text(json.dumps(doc))
+    sha256 = {
+        ".csv": "980acfb2d880a11fcb26f3ea383a244372afb96f868557d075890958b1c7bdfa",
+        ".svg": "cf1d0f77430974a42b0b5f1280dc0f277a0103383b4b4a0b8ef8462c758a0863",
+        "_k0.5.csv": "3b735f45f0c7fc43afff89fde10cfa77729afd9904f5ab0d8bdea126ffda7e6f",
+        "_k0.5.svg": "3b3746b6856dff534d8661f3adddb987cf0c81fae35a1c063867fb5c3d1c77ea",
+        "_k2.csv": "5ba8e2232a67eecd6711730777d2b95bb0159c04cb5c9f90f043e8fff8690632",
+        "_k2.svg": "9dd00aa612537f18057b4cb083697e0ef45b050232d3a8b7fb3d9b459e8f80cc",
+        "_compare.svg": "3de58848a29b991fdff0f93c7e0ec843bdf816de1af38fe02a150e715450487d",
+    }
+    assert run_and_sweep_sha256(scenario, "6", "4e-3", tmp_path / "population", sha256) == sha256
     capsys.readouterr()
-    written = {suffix: hashlib.sha256(Path(f"{out}{suffix}").read_bytes()).hexdigest() for suffix in sha256}
-    assert written == sha256
 
 
 def test_solve_stops_at_first_nonfinite_update() -> None:

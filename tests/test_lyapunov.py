@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from aggseek.lyapunov import (
     reduced_lambda_min,
     storage_inequality_check,
 )
-from aggseek.model import GameSpec, QuadraticCost, SystemState, grad_f, initial_state
+from aggseek.model import GameSpec, QuadraticCost, SystemState, grad_f, initial_state, load_scenario
 
 from helpers import (
     demand_response_game,
@@ -204,6 +205,27 @@ def test_compare_conditions_flags_nonmonotone_coupling() -> None:
     loose = GameSpec.from_agents(C=np.array([[-2.0]]), k=game.k, agents=game.agents)
     report = compare_conditions(loose)
     assert not report.strictly_monotone
+
+
+def test_condition_5_holds_where_the_flow_diverges() -> None:
+    # condition 5 is not sufficient: here it holds (margin 0.041), the game is
+    # strictly monotone, and the mean dynamics are unstable all the same
+    n, ell, k, C = 2, 0.92, 2.5, np.array([[-0.82, -0.92], [0.93, -0.73]])
+    game = load_scenario(json.dumps({"n": n, "C": C.tolist(), "k": k, "agents": {"generator": {
+        "count": 137, "ell": ell, "linear": [0.0, 0.0], "xstar": {"uniform": {"lo": -1.0, "hi": 1.0, "seed": 1}},
+        "set": {"box": {"lo": [-10.0, -10.0], "hi": [10.0, 10.0]}}}}}))
+    report = compare_conditions(game)
+    assert report.cond5_holds and report.strictly_monotone
+    mean_dynamics = np.block([[-ell * np.eye(n), -C], [k * np.eye(n), -k * np.eye(n)]])
+    assert np.linalg.eigvals(mean_dynamics).real.max() > 0  # +0.0236
+    # the interior fixed point, solved directly: solve_equilibrium does not converge on this game
+    sigmabar = np.linalg.solve(np.eye(n) + C / ell, game.layout.xstar.mean(axis=0))
+    xbar = game.layout.xstar - (C @ sigmabar) / ell
+    assert np.all(np.abs(xbar) < 10)
+    ref = EquilibriumResult(xbar, sigmabar, 0, 0.0, 0.0)
+    cfg = IntegratorConfig(h=1e-2, T=100.0, record_every=100)
+    traj = integrate(game, SystemState(xbar + 0.01, sigmabar + 0.01), cfg, reference=ref)
+    assert traj.dist_sigma[-1] >= 10 * traj.dist_sigma[0]  # 0.0141 -> 0.178
 
 
 def test_lyapunov_value_examples(single_ref: EquilibriumResult) -> None:
