@@ -14,14 +14,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
 from .equilibrium import ConvergenceError, EquilibriumResult, solve_equilibrium
 from .flow import IntegratorConfig, NonFiniteStateError, Trajectory, integrate, integrate_gains
-from .lyapunov import CertificateReport, DecayReport, compare_conditions, decay_report
+from .lyapunov import compare_conditions, decay_report
 from .model import GameSpec, ScenarioError, initial_state, load_scenario
 
 THRESHOLD = 1e-2  # dist_avg level used for time-to-threshold reporting
@@ -46,71 +45,25 @@ def _emit(lines: Sequence[tuple[str, object]]) -> None:
         print(f"{key} = {_fmt(value)}")
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """Everything one `run` invocation learned, ready for printing or JSON dump."""
+def _create(path: str) -> TextIO:
+    """Open path for writing text, making its directory first, so a command that
+    fails before its first file leaves nothing on disk."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="\n")
 
-    seed: Optional[int]
-    N: int
-    n: int
-    k: float
-    sigmabar: np.ndarray
-    vi_gap: float
-    iterations: int
-    certificate: CertificateReport
-    decay: Optional[DecayReport]
-    final_dist_avg: float
-    final_dist_sigma: float
-    final_residual: float
-    time_to_threshold: float
-    csv_path: Optional[str]
-    svg_path: Optional[str]
 
-    def lines(self, prefix: str = "") -> list[tuple[str, object]]:
-        out: list[tuple[str, object]] = [
-            (prefix + "seed", self.seed),
-            (prefix + "N", self.N),
-            (prefix + "n", self.n),
-            (prefix + "k", float(self.k)),
-            (prefix + "sigmabar", self.sigmabar),
-            (prefix + "vi_gap", self.vi_gap),
-            (prefix + "iterations", self.iterations),
-            (prefix + "cond5_holds", self.certificate.cond5_holds),
-            (prefix + "cond5_margin", self.certificate.cond5_margin),
-            (prefix + "lambda_min_paper", self.certificate.lambda_min_paper),
-            (prefix + "lambda_min_symmetrized", self.certificate.lambda_min_symmetrized),
-            (prefix + "final_dist_avg", self.final_dist_avg),
-            (prefix + "final_dist_sigma", self.final_dist_sigma),
-            (prefix + "final_residual", self.final_residual),
-            (prefix + "time_to_threshold", self.time_to_threshold),
-        ]
-        if self.decay is not None:
-            out += [
-                (prefix + "W0", self.decay.W0),
-                (prefix + "monotone", self.decay.monotone),
-                (prefix + "fitted_rate", self.decay.fitted_rate),
-                (prefix + "certificate_rate", self.decay.certificate_rate),
-                (prefix + "certified", self.decay.certified),
-            ]
-        if self.csv_path:
-            out.append((prefix + "csv", self.csv_path))
-        if self.svg_path:
-            out.append((prefix + "svg", self.svg_path))
-        return out
-
-    def to_json(self) -> dict:
-        raw = dataclasses.asdict(self)
-        raw["sigmabar"] = [float(v) for v in np.ravel(self.sigmabar)]
-        return raw
+def _write_rows(path: str, header: Sequence[str], rows: np.ndarray) -> None:
+    """One CSV: the header, then each row of the 2-D array at 17 significant digits."""
+    with _create(path) as fh:
+        fh.write(",".join(header) + "\n")
+        line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        fh.write(line * rows.shape[0] % tuple(rows.ravel().tolist()))
 
 
 def write_csv(path: str, traj: Trajectory) -> None:
     """Emit the sampled diagnostics, 17 significant digits, fixed header."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,dist_avg,dist_sigma,W,residual\n")
-        rows = np.column_stack((traj.times, traj.dist_avg, traj.dist_sigma, traj.W, traj.residual))
-        line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-        fh.write(line * rows.shape[0] % tuple(rows.ravel().tolist()))
+    rows = np.column_stack((traj.times, traj.dist_avg, traj.dist_sigma, traj.W, traj.residual))
+    _write_rows(path, ("t", "dist_avg", "dist_sigma", "W", "residual"), rows)
 
 
 def _finite_range(values: np.ndarray, fallback: tuple[float, float]) -> tuple[float, float]:
@@ -198,7 +151,7 @@ def write_svg(
             f'font-size="12">{esc(label)}</text>',
         ]
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(path) as fh:
         fh.write("\n".join(parts) + "\n")
 
 
@@ -223,44 +176,29 @@ def _time_to_threshold(traj: Trajectory, level: float = THRESHOLD) -> float:
 
 
 def _run_one(
-    game: GameSpec,
-    traj: Trajectory,
-    ref: EquilibriumResult,
-    out_prefix: Optional[str],
-    suffix: str = "",
-) -> RunReport:
+    game: GameSpec, traj: Trajectory, ref: EquilibriumResult, out_prefix: Optional[str], suffix: str = ""
+) -> tuple[list[tuple[str, object]], dict]:
+    """One trajectory's report, as `key = value` lines and as a JSON dict built from the same fields."""
     cert = compare_conditions(game)
     can_judge = len(traj) >= 10 and ref.vi_gap_value <= 1e-6
-    decay = decay_report(traj, ref, cert) if can_judge else None
-    csv_path = svg_path = None
+    decay = dataclasses.asdict(decay_report(traj, ref, cert)) if can_judge else None
+    paths = {}
     if out_prefix:
-        csv_path = f"{out_prefix}{suffix}.csv"
-        svg_path = f"{out_prefix}{suffix}.svg"
-        write_csv(csv_path, traj)
-        write_svg(
-            svg_path,
-            [("dist_avg", traj.times, traj.dist_avg), ("dist_sigma", traj.times, traj.dist_sigma)],
-            title=f"distance to equilibrium (k = {game.k:g})",
-            xlabel="t",
-            ylabel="distance",
-        )
-    return RunReport(
-        seed=game.seed,
-        N=game.N,
-        n=game.n,
-        k=game.k,
-        sigmabar=ref.sigmabar,
-        vi_gap=ref.vi_gap_value,
-        iterations=ref.iterations,
-        certificate=cert,
-        decay=decay,
-        final_dist_avg=float(traj.dist_avg[-1]),
-        final_dist_sigma=float(traj.dist_sigma[-1]),
-        final_residual=float(traj.residual[-1]),
-        time_to_threshold=_time_to_threshold(traj),
-        csv_path=csv_path,
-        svg_path=svg_path,
-    )
+        paths = {"csv": f"{out_prefix}{suffix}.csv", "svg": f"{out_prefix}{suffix}.svg"}
+        write_csv(paths["csv"], traj)
+        series = [("dist_avg", traj.times, traj.dist_avg), ("dist_sigma", traj.times, traj.dist_sigma)]
+        write_svg(paths["svg"], series, f"distance to equilibrium (k = {game.k:g})", "t", "distance")
+    head = {"seed": game.seed, "N": game.N, "n": game.n, "k": float(game.k), "sigmabar": ref.sigmabar,
+            "vi_gap": ref.vi_gap_value, "iterations": ref.iterations}
+    tail = {"final_dist_avg": float(traj.dist_avg[-1]), "final_dist_sigma": float(traj.dist_sigma[-1]),
+            "final_residual": float(traj.residual[-1]), "time_to_threshold": _time_to_threshold(traj)}
+    certificate = dataclasses.asdict(cert)
+    shown = ("cond5_holds", "cond5_margin", "lambda_min_paper", "lambda_min_symmetrized")
+    lines = [*head.items(), *((key, certificate[key]) for key in shown), *tail.items(),
+             *(decay or {}).items(), *paths.items()]
+    report = {**head, "sigmabar": [float(v) for v in np.ravel(ref.sigmabar)], "certificate": certificate,
+              "decay": decay, **tail, "csv_path": paths.get("csv"), "svg_path": paths.get("svg")}
+    return lines, report
 
 
 def cmd_check(scenario: str) -> int:
@@ -281,18 +219,10 @@ def cmd_solve(scenario: str, lam: float, tol: float, out: Optional[str]) -> int:
         ]
     )
     if out:
-        _ensure_dir(out)
         path = f"{out}.xbar.csv"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(f"x{j}" for j in range(game.n)) + "\n")
-            for row in np.asarray(res.xbar).reshape(game.N, game.n):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        _write_rows(path, [f"x{j}" for j in range(game.n)], np.asarray(res.xbar).reshape(game.N, game.n))
         print(f"xbar = {path}")
     return 0
-
-
-def _ensure_dir(prefix: str) -> None:
-    os.makedirs(os.path.dirname(prefix) or ".", exist_ok=True)
 
 
 def cmd_run(scenario: str, k: Optional[float], h: float, T: float, out: Optional[str]) -> int:
@@ -300,14 +230,12 @@ def cmd_run(scenario: str, k: Optional[float], h: float, T: float, out: Optional
     if k is not None:
         game = dataclasses.replace(game, k=float(k))
     cfg = IntegratorConfig(h=h, T=T)
-    if out:
-        _ensure_dir(out)
     ref = solve_equilibrium(game)
-    report = _run_one(game, integrate(game, initial_state(game), cfg, reference=ref), ref, out)
-    _emit(report.lines())
+    lines, report = _run_one(game, integrate(game, initial_state(game), cfg, reference=ref), ref, out)
+    _emit(lines)
     if out:
-        with open(f"{out}.report.json", "w", encoding="utf-8") as fh:
-            json.dump(report.to_json(), fh, indent=2, sort_keys=True)
+        with _create(f"{out}.report.json") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
     return 0
 
 
@@ -322,24 +250,21 @@ def cmd_sweep(scenario: str, ks: Sequence[float], h: float, T: float, out: Optio
             raise ScenarioError(f"gains {labels[label]!r} and {k!r} share the label {label}")
         labels[label] = k
     cfg = IntegratorConfig(h=h, T=T)
-    if out:
-        _ensure_dir(out)
     ref = solve_equilibrium(game)  # the fixed point does not depend on k
     trajs = integrate_gains(game, ks, initial_state(game), cfg, reference=ref)
-    reports = [
-        _run_one(dataclasses.replace(game, k=float(k)), traj, ref, out, f"_k{k:g}")
-        for k, traj in zip(ks, trajs)
-    ]
-    for k, report in zip(ks, reports):
-        _emit(report.lines(prefix=f"k{k:g}."))
+    reports = {
+        label: _run_one(dataclasses.replace(game, k=float(k)), traj, ref, out, f"_{label}")
+        for (label, k), traj in zip(labels.items(), trajs)
+    }
+    for label, (lines, _) in reports.items():
+        _emit([(f"{label}.{key}", value) for key, value in lines])
     if out:
         overlay = [(f"k = {k:g}", traj.times, traj.dist_avg) for k, traj in zip(ks, trajs)]
         compare_path = f"{out}_compare.svg"
         write_svg(compare_path, overlay, title="dist_avg for each gain k", xlabel="t", ylabel="dist_avg")
         print(f"compare_svg = {compare_path}")
-        dump = {f"k{k:g}": report.to_json() for k, report in zip(ks, reports)}
-        with open(f"{out}.report.json", "w", encoding="utf-8") as fh:
-            json.dump(dump, fh, indent=2, sort_keys=True)
+        with _create(f"{out}.report.json") as fh:
+            json.dump({label: report for label, (_, report) in reports.items()}, fh, indent=2, sort_keys=True)
     return 0
 
 
@@ -362,24 +287,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="aggseek", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_k: bool, with_run: bool, with_solve: bool) -> None:
+    check = sub.add_parser("check", help="evaluate certificate conditions")
+    solve = sub.add_parser("solve", help="compute the equilibrium by fixed point")
+    run = sub.add_parser("run", help="integrate the dynamics and emit CSV/SVG")
+    sweep = sub.add_parser("sweep", help="run several gains k and compare")
+    for p in (check, solve, run, sweep):
         p.add_argument("--scenario", required=True, help="path to a scenario JSON document")
-        if with_k:
-            p.add_argument("--k", type=_parse_k_list, default=None, help="gain override, comma list for sweep")
-        if with_run:
-            p.add_argument("--h", type=float, default=1e-3, help="integrator step size")
-            p.add_argument("--T", type=float, default=60.0, help="integration horizon")
-            p.add_argument("--out", default=None, help="output file prefix for CSV/SVG/JSON")
-        if with_solve:
-            p.add_argument("--lambda", dest="lam", type=float, default=0.5, help="relaxation in (0, 1]")
-            p.add_argument("--tol", type=float, default=1e-10, help="fixed-point stop tolerance")
-            if not with_run:
-                p.add_argument("--out", default=None, help="output file prefix")
-
-    common(sub.add_parser("check", help="evaluate certificate conditions"), False, False, False)
-    common(sub.add_parser("solve", help="compute the equilibrium by fixed point"), False, False, True)
-    common(sub.add_parser("run", help="integrate the dynamics and emit CSV/SVG"), True, True, False)
-    common(sub.add_parser("sweep", help="run several gains k and compare"), True, True, False)
+    solve.add_argument("--lambda", dest="lam", type=float, default=0.5, help="relaxation in (0, 1]")
+    solve.add_argument("--tol", type=float, default=1e-10, help="fixed-point stop tolerance")
+    solve.add_argument("--out", default=None, help="output file prefix")
+    for p in (run, sweep):
+        p.add_argument("--k", type=_parse_k_list, default=None, help="gain override, comma list for sweep")
+        p.add_argument("--h", type=float, default=1e-3, help="integrator step size")
+        p.add_argument("--T", type=float, default=60.0, help="integration horizon")
+        p.add_argument("--out", default=None, help="output file prefix for CSV/SVG/JSON")
     return parser
 
 

@@ -282,8 +282,10 @@ def test_run_blowup_exits_two(tmp_path: Path, capsys: pytest.CaptureFixture[str]
     doc = wide_box_doc()
     doc["k"] = 1e8
     scenario = write_doc(tmp_path, "hot.json", doc)
-    assert cli.main(["run", "--scenario", scenario, "--h", "1.0", "--T", "100"]) == 2
+    out = tmp_path / "sub" / "hot"
+    assert cli.main(["run", "--scenario", scenario, "--h", "1.0", "--T", "100", "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "sub").exists()
 
 
 def test_run_oscillatory_discretization_is_flagged(capsys: pytest.CaptureFixture[str]) -> None:
@@ -331,7 +333,7 @@ def test_oversized_horizons_exit_1(
     assert cli.main([*command, "--scenario", SINGLE, *horizon, "--out", str(tmp_path / "out" / "x")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "T" in err and "Traceback" not in err
-    assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
+    assert list(tmp_path.iterdir()) == []  # no file, and no --out directory either
 
 
 def test_run_rejects_multiple_gains(capsys: pytest.CaptureFixture[str]) -> None:
@@ -382,12 +384,12 @@ def test_sweep_csvs_match_single_gain_runs(
 
 def test_sweep_blowup_in_one_gain_exits_two(tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
     # h * k = 5 makes the signal update diverge for k = 10 only
-    out = tmp_path / "hot"
+    out = tmp_path / "sub" / "hot"
     args = ["sweep", "--scenario", SINGLE, "--k", "0.5,10", "--h", "0.5", "--T", "400", "--out", str(out)]
     assert cli.main(args) == 2
     err = capsys.readouterr().err
     assert re.search(r"non-finite state at step \d+ \(t = [0-9.e+]+\) for k = 10$", err.strip())
-    assert list(tmp_path.iterdir()) == []
+    assert not (tmp_path / "sub").exists()
 
 
 def test_sweep_requires_gain_list(capsys: pytest.CaptureFixture[str]) -> None:

@@ -314,70 +314,105 @@ def test_bundled_scenarios_solve_to_pinned_bits(name: str, iterations: int, sigm
         # the run's CSV was recorded before the flow moved onto geometry's row
         # kernels and is unchanged by it; mixed_sets' after that move (its ball
         # norm is np.sqrt(np.vecdot(d, d))); every SVG and every sweep file was
-        # recorded before the writers formatted whole arrays
+        # recorded before the writers formatted whole arrays; the stdout, both
+        # reports and the xbar CSV before the CLI built each report once and
+        # wrote every CSV through one row writer
         ("single_box", {
-            ".csv": "748cd6713d272687da324c6667a82cad9f8f80978d958d8a31880c1200fe41c8",
-            ".svg": "b915313b4357e70af449e4560a97b69cfb7bf8a3ee81e1eeca5d3d7fe4dee7f5",
-            "_k0.5.csv": "f76cc846c51d34db82e3acfa3f0013b4a166d61499cf20b6d97acd477e93a8a6",
-            "_k0.5.svg": "b50171792417fe70f51a0245aca4df3e2e4caebdfd239a55dd5f7fa2181254d4",
-            "_k2.csv": "19e9286c62ac146c721695fe73fdbd74dcfc0d10f14c7e3140d7520ada6ea368",
-            "_k2.svg": "2a3272ea956a4413fe8e701a723d9973db14a2fe532dbbb0c010bb8c5f322448",
-            "_compare.svg": "e0b8a45f424667553a650cbfa8e97dbd709156783712706af4eec5322156bc12",
+            "run.csv": "748cd6713d272687da324c6667a82cad9f8f80978d958d8a31880c1200fe41c8",
+            "run.svg": "b915313b4357e70af449e4560a97b69cfb7bf8a3ee81e1eeca5d3d7fe4dee7f5",
+            "sweep_k0.5.csv": "f76cc846c51d34db82e3acfa3f0013b4a166d61499cf20b6d97acd477e93a8a6",
+            "sweep_k0.5.svg": "b50171792417fe70f51a0245aca4df3e2e4caebdfd239a55dd5f7fa2181254d4",
+            "sweep_k2.csv": "19e9286c62ac146c721695fe73fdbd74dcfc0d10f14c7e3140d7520ada6ea368",
+            "sweep_k2.svg": "2a3272ea956a4413fe8e701a723d9973db14a2fe532dbbb0c010bb8c5f322448",
+            "sweep_compare.svg": "e0b8a45f424667553a650cbfa8e97dbd709156783712706af4eec5322156bc12",
+            "solve stdout": "97f241f3ac389679b94a5c7f1b2228c82c54a81351667d3af407b19c2999ac7d",
+            "run stdout": "55b0d86c6ddb024d1700d72547ee983dc6f12c8596b17b1568dcac4c73d3a656",
+            "sweep stdout": "44d20ca24a0364c0308944d1ee2665b137aa3c1ed9edd0cf7bd084caa5b50573",
+            "solve.xbar.csv": "e1354a344dcd70a02b873fe481cb829c64430005999b3f2fcbeaef738ecd49f2",
+            "run.report.json": "008461c91638a3de5f262cb0294917d5482aeb8032a6bd4d1b3e29e47fa6b802",
+            "sweep.report.json": "971f9202c03954072cb423761046438e4e7e8bb6b861b8c9e390ec04dac118bf",
         }),
         ("demand_response", {
-            ".csv": "9d5b87930023196f3729dcd5be42f2512482833c5ae502ea5eda467e6d3bdfce",
-            ".svg": "7e0ad73c17b8fcf1e183214e9ee9b45ce0a68f009c757522098e08f67dda346c",
-            "_k0.5.csv": "8d207eb974041129bc48de821cf578b2f9f0d4141b0fb32a657be03c5b241427",
-            "_k0.5.svg": "50b384d77429f2ed409ad3c3c8319b474caffba67607cd1037e30fdcf36ad361",
-            "_k2.csv": "0fa2e133750b4cf54e1ba62253c40ae480188444e41b8062f768cd0fedae9bbe",
-            "_k2.svg": "59a2a235cdfb4fa8fce98875e717d2f2ef31f7719bbf97591b6b926a03353134",
-            "_compare.svg": "11c5e004e8048502e5c7c3fce56ac171462c56296dac42e7b78b13a70a48deb8",
+            "run.csv": "9d5b87930023196f3729dcd5be42f2512482833c5ae502ea5eda467e6d3bdfce",
+            "run.svg": "7e0ad73c17b8fcf1e183214e9ee9b45ce0a68f009c757522098e08f67dda346c",
+            "sweep_k0.5.csv": "8d207eb974041129bc48de821cf578b2f9f0d4141b0fb32a657be03c5b241427",
+            "sweep_k0.5.svg": "50b384d77429f2ed409ad3c3c8319b474caffba67607cd1037e30fdcf36ad361",
+            "sweep_k2.csv": "0fa2e133750b4cf54e1ba62253c40ae480188444e41b8062f768cd0fedae9bbe",
+            "sweep_k2.svg": "59a2a235cdfb4fa8fce98875e717d2f2ef31f7719bbf97591b6b926a03353134",
+            "sweep_compare.svg": "11c5e004e8048502e5c7c3fce56ac171462c56296dac42e7b78b13a70a48deb8",
+            "solve stdout": "e6e0d44eaf6642442e3aa1aea5680f168711b10440c260d65dd1dd01ae7f8c42",
+            "run stdout": "9fd46b0162c300d2ae06e9530c5b2488ea9cad0ea1b8139e322a1559cd1c67a5",
+            "sweep stdout": "2f29c91a7ab111e677ce0a847dd9b11520c117c3fba71343938f82fde14a3f7d",
+            "solve.xbar.csv": "84151366e413917a7896a9769e9dd1619c529e0c30a6f136041b9bfc2fc1b641",
+            "run.report.json": "7794f6e6a9003f03b36fbc7360bd57b9cc82be5c1bc6db1ca0c61442ac8d1ee1",
+            "sweep.report.json": "c00b6c622f12ea2966a6d738e449b7f077fdea9119dd2edf361863da4a8adde2",
         }),
         ("mixed_sets", {
-            ".csv": "7b3e30421c7c887b44472df0c9ab08af63c6cd5a835ba5c4c71162e4a30c4343",
-            ".svg": "fb93df0f3a9bbc7e19bda0893a166c64560218ea7ade10fdcda2dc31a302ad60",
-            "_k0.5.csv": "2acc2e2043ecf34722b8401dced44ded5b69a1f88cce27ebbb35981d226c9686",
-            "_k0.5.svg": "a2cd9f4ae853a56bdff30ade4a0d8bc99284cc2adec750a61c851262bf07cb94",
-            "_k2.csv": "cf8e8c3dc6c34690e5e81ee1c098b7b370c10a4872486fd138a28bf4035c28a2",
-            "_k2.svg": "96acc400b97950bfdd75f77bdb430764e377a6948441caf9ae9956d04407f5ff",
-            "_compare.svg": "a2a0d81d924d6f65119adf49d887b25a957a2089d5ccc1dfa91987a6b2389df7",
+            "run.csv": "7b3e30421c7c887b44472df0c9ab08af63c6cd5a835ba5c4c71162e4a30c4343",
+            "run.svg": "fb93df0f3a9bbc7e19bda0893a166c64560218ea7ade10fdcda2dc31a302ad60",
+            "sweep_k0.5.csv": "2acc2e2043ecf34722b8401dced44ded5b69a1f88cce27ebbb35981d226c9686",
+            "sweep_k0.5.svg": "a2cd9f4ae853a56bdff30ade4a0d8bc99284cc2adec750a61c851262bf07cb94",
+            "sweep_k2.csv": "cf8e8c3dc6c34690e5e81ee1c098b7b370c10a4872486fd138a28bf4035c28a2",
+            "sweep_k2.svg": "96acc400b97950bfdd75f77bdb430764e377a6948441caf9ae9956d04407f5ff",
+            "sweep_compare.svg": "a2a0d81d924d6f65119adf49d887b25a957a2089d5ccc1dfa91987a6b2389df7",
+            "solve stdout": "0607499e4a2128c83e41a9b1768348577475caaf7d36196ffb4dca2b105fa55c",
+            "run stdout": "15e60efedc6a66e43933e7a08823896d4f28b18122610f09deede73c4356ccf5",
+            "sweep stdout": "1852dadaca1bf010710c04f47d2d065eb0f2c61998d5b136b91f1dac74217ca0",
+            "solve.xbar.csv": "43a8ab789a17dbebfa0f1c0c4ecd8b35e46c334ef70682def080c37f10e299d7",
+            "run.report.json": "22467b63253059f769160a9756d8e14efc1e5baf59ef63b58216ca234b6479e9",
+            "sweep.report.json": "63f003803a1b667e2f1f86f775e05a94b239c8d508fbf74dca5caaf042b05337",
         }),
     ],
 )
 def test_bundled_scenarios_run_to_pinned_csv_bytes(
-    name: str, sha256: dict, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+    name: str, sha256: dict, tmp_path: Path, monkeypatch: pytest.MonkeyPatch,
+    capsys: pytest.CaptureFixture[str],
 ) -> None:
-    assert run_and_sweep_sha256(SCENARIOS / f"{name}.json", "5", "1e-2", tmp_path / name, sha256) == sha256
-    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    assert run_and_sweep_sha256(SCENARIOS / f"{name}.json", "5", "1e-2", capsys) == sha256
 
 
-def run_and_sweep_sha256(scenario: Path, T: str, h: str, out: Path, suffixes) -> dict:
-    """The sha256 of every file out + suffix after run and sweep --k 0.5,2 on the scenario."""
-    args = ["--scenario", str(scenario), "--T", T, "--h", h, "--out", str(out)]
-    assert cli.main(["run", *args]) == 0
-    assert cli.main(["sweep", "--k", "0.5,2", *args]) == 0
-    return {suffix: hashlib.sha256(Path(f"{out}{suffix}").read_bytes()).hexdigest() for suffix in suffixes}
+def run_and_sweep_sha256(scenario: Path, T: str, h: str, capsys: pytest.CaptureFixture[str]) -> dict:
+    """The sha256 of the stdout of solve, run and sweep --k 0.5,2 on the scenario, and of every
+    file they write under out/. The prefixes are relative, so the paths they print and store do
+    not depend on the working directory."""
+    digests = {}
+    for command in (["solve"], ["run", "--T", T, "--h", h], ["sweep", "--k", "0.5,2", "--T", T, "--h", h]):
+        assert cli.main([*command, "--scenario", str(scenario), "--out", f"out/{command[0]}"]) == 0
+        digests[f"{command[0]} stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    for path in sorted(Path("out").iterdir()):
+        digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
 
 
-def test_box_population_runs_to_pinned_bytes(tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
+def test_box_population_runs_to_pinned_bytes(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]
+) -> None:
     # the benchmark's flow-bound shape: 100 generated box agents in 1-D, 1,500
-    # steps, every one recorded; recorded before x and sigma shared one state row
+    # steps, every one recorded; the files recorded before x and sigma shared one
+    # state row, the stdout, the reports and the xbar CSV before the CLI's one row writer
     doc = {"n": 1, "C": [[1.0]], "k": 0.6, "agents": {"generator": {
         "count": 100, "ell": 1.5, "linear": [0.5], "xstar": {"uniform": {"lo": 0.0, "hi": 1.0, "seed": 1}},
         "set": {"box": {"lo": [0.25], "hi": [0.75]}}}}}
     scenario = tmp_path / "population.json"
     scenario.write_text(json.dumps(doc))
     sha256 = {
-        ".csv": "980acfb2d880a11fcb26f3ea383a244372afb96f868557d075890958b1c7bdfa",
-        ".svg": "cf1d0f77430974a42b0b5f1280dc0f277a0103383b4b4a0b8ef8462c758a0863",
-        "_k0.5.csv": "3b735f45f0c7fc43afff89fde10cfa77729afd9904f5ab0d8bdea126ffda7e6f",
-        "_k0.5.svg": "3b3746b6856dff534d8661f3adddb987cf0c81fae35a1c063867fb5c3d1c77ea",
-        "_k2.csv": "5ba8e2232a67eecd6711730777d2b95bb0159c04cb5c9f90f043e8fff8690632",
-        "_k2.svg": "9dd00aa612537f18057b4cb083697e0ef45b050232d3a8b7fb3d9b459e8f80cc",
-        "_compare.svg": "3de58848a29b991fdff0f93c7e0ec843bdf816de1af38fe02a150e715450487d",
+        "run.csv": "980acfb2d880a11fcb26f3ea383a244372afb96f868557d075890958b1c7bdfa",
+        "run.svg": "cf1d0f77430974a42b0b5f1280dc0f277a0103383b4b4a0b8ef8462c758a0863",
+        "sweep_k0.5.csv": "3b735f45f0c7fc43afff89fde10cfa77729afd9904f5ab0d8bdea126ffda7e6f",
+        "sweep_k0.5.svg": "3b3746b6856dff534d8661f3adddb987cf0c81fae35a1c063867fb5c3d1c77ea",
+        "sweep_k2.csv": "5ba8e2232a67eecd6711730777d2b95bb0159c04cb5c9f90f043e8fff8690632",
+        "sweep_k2.svg": "9dd00aa612537f18057b4cb083697e0ef45b050232d3a8b7fb3d9b459e8f80cc",
+        "sweep_compare.svg": "3de58848a29b991fdff0f93c7e0ec843bdf816de1af38fe02a150e715450487d",
+        "solve stdout": "215b34dbe0bd0f445ccde08cf5fced65b2558e39199a03aa303c8bc08f037011",
+        "run stdout": "27c9ea2e80a2c6579108a260b7d6703c47f4f5f814a7423985c031432a5ac911",
+        "sweep stdout": "82bfc5950fad9668f822c86d96ab8efa05221f96e81b0284d7c9fdc5396a8bcb",
+        "solve.xbar.csv": "a57fe3bac784bd89ec5ad486040fc81fb908f2a72a4982544fe72cbad1920e5e",
+        "run.report.json": "fc46c8eef19f6439513192cad9a9c505ccc786aade28e989559ac4141ac3a5f3",
+        "sweep.report.json": "e6bcfd65eceb2a28f6f0a3fcddf92ea0572a600a521118ea3c3a2eb0498d97a8",
     }
-    assert run_and_sweep_sha256(scenario, "6", "4e-3", tmp_path / "population", sha256) == sha256
-    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    assert run_and_sweep_sha256(scenario, "6", "4e-3", capsys) == sha256
 
 
 def test_solve_stops_at_first_nonfinite_update() -> None:
