@@ -220,7 +220,7 @@ def cmd_solve(scenario: str, lam: float, tol: float, out: Optional[str]) -> int:
     )
     if out:
         path = f"{out}.xbar.csv"
-        _write_rows(path, [f"x{j}" for j in range(game.n)], np.asarray(res.xbar).reshape(game.N, game.n))
+        _write_rows(path, [f"x{j}" for j in range(game.n)], res.xbar)
         print(f"xbar = {path}")
     return 0
 

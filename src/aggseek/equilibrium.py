@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import project_rows, require_members, vi_min_rows
-from .model import GameLayout, GameSpec, pseudo_gradient_F, signal_array
+from .geometry import project_rows, require_members, shaped, vi_min_rows
+from .model import GameLayout, GameSpec, pseudo_gradient_F
 
 
 class ConvergenceError(RuntimeError):
@@ -61,7 +61,7 @@ def best_response(game: GameSpec, i: int, sigma: np.ndarray) -> np.ndarray:
     the projection of the unconstrained one, xstar - (C sigma + linear) / ell,
     for boxes and balls alike.
     """
-    return _best_responses(game.layout, game.C @ signal_array(game, sigma))[i]
+    return _best_responses(game.layout, game.C @ shaped(sigma, (game.n,), "sigma"))[i]
 
 
 def _best_responses(lay: GameLayout, csig: np.ndarray) -> np.ndarray:
@@ -71,7 +71,7 @@ def _best_responses(lay: GameLayout, csig: np.ndarray) -> np.ndarray:
 
 def aggregation_map(game: GameSpec, sigma: np.ndarray) -> np.ndarray:
     """T(sigma): average of all agents' best responses to sigma."""
-    return _best_responses(game.layout, game.C @ signal_array(game, sigma)).mean(axis=0)
+    return _best_responses(game.layout, game.C @ shaped(sigma, (game.n,), "sigma")).mean(axis=0)
 
 
 def strictly_monotone(game: GameSpec) -> bool:
@@ -145,7 +145,9 @@ def solve_equilibrium(
 
 
 def _agent_gaps(game: GameSpec, x: np.ndarray) -> np.ndarray:
-    """Per-agent violation max(0, -min_{z in X_i} (z - x_i)' g_i) of the VI."""
+    """Per-agent violation max(0, -min_{z in X_i} (z - x_i)' g_i) of the VI, each x_i inside X_i."""
+    x = shaped(x, (game.N, game.n), "x")
+    require_members(game.layout, x)
     worst = -vi_min_rows(game.layout, x, pseudo_gradient_F(game, x))
     return np.where(worst > 0.0, worst, 0.0)
 
@@ -156,15 +158,14 @@ def vi_gap(game: GameSpec, x: np.ndarray) -> float:
     For each agent, g_i = grad_f(i, x_i) + C avg(x) and the feasible-direction
     infimum min_{z in X_i} (z - x_i)' g_i is evaluated in closed form. The gap
     is max_i max(0, -min_i): zero exactly when every agent's inequality holds.
+    Raises ValueError, naming the agent, when some x_i lies outside its set.
     """
-    x = np.asarray(x, dtype=float).reshape(game.N, game.n)
-    require_members(game.layout, x)
     return float(_agent_gaps(game, x).max())
 
 
 def verify_equilibrium(game: GameSpec, x: np.ndarray, tol: float) -> VerificationReport:
-    """VI check at tolerance tol, reporting the worst-violating agent."""
-    gaps = _agent_gaps(game, np.asarray(x, dtype=float).reshape(game.N, game.n))
+    """VI check at tolerance tol, reporting the worst-violating agent; x must be feasible, as for vi_gap."""
+    gaps = _agent_gaps(game, x)
     worst = int(np.argmax(gaps))
     gap = float(gaps[worst])
     return VerificationReport(ok=gap <= tol, gap=gap, worst_agent=worst, tol=tol)

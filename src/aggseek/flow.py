@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .geometry import project_rows, require_members, tangent_rows
+from .geometry import project_rows, require_members, shaped, tangent_rows
 from .model import GameLayout, GameSpec, SystemState, project_state, state_arrays
 
 if TYPE_CHECKING:
@@ -138,8 +138,8 @@ def rhs(game: GameSpec, state: SystemState) -> tuple[np.ndarray, np.ndarray]:
     sigmadot is k * (avg(x) - sigma). Raises ValueError when some x_i lies
     outside its set beyond tolerance.
     """
-    require_members(game.layout, state_arrays(game, state)[0])
     consts, (xs, _, _, drives, gaps), slots = _loop(game, np.array([game.k]), 0.0, 1, state)
+    require_members(game.layout, xs[0, 0])
     _derive(consts, slots[0])
     return tangent_rows(game.layout, xs[0, 0], drives[0, 0]), game.k * gaps[0, 0]
 
@@ -205,6 +205,9 @@ def integrate_gains(
     B, N, n, every, h = ks.size, game.N, game.n, cfg.record_every, cfg.h
     n_steps = math.ceil(cfg.T / h)
     n_samples = -(-n_steps // every) + 1  # steps 0, every, 2*every, ... and n_steps
+    if reference is not None:
+        xbar = shaped(reference.xbar, (N, n), "reference.xbar")
+        sigmabar = shaped(reference.sigmabar, (n,), "reference.sigmabar")
 
     try:  # a horizon of too many samples fails here, before the first step
         times = np.minimum(np.arange(n_samples) * every, n_steps) * h
@@ -214,10 +217,6 @@ def integrate_gains(
     # step i's state lives in slot j, written from slot j - 1 after a recorded step, else in place
     K = max(1, min(n_samples, BLOCK_FLOATS // (B * N * n)))
     consts, views, slots = _loop(game, ks, h, K, project_state(game, init))
-
-    if reference is not None:
-        xbar = np.asarray(reference.xbar, dtype=float).reshape(N, n)
-        sigmabar = np.asarray(reference.sigmabar, dtype=float)
 
     j = slot = 0
     # blowup is detected explicitly, so numpy's own overflow warnings are noise

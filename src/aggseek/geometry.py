@@ -9,6 +9,7 @@ uses as the internal consistency law.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -32,6 +33,8 @@ class Box:
         hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("box bounds must be 1-D arrays of equal length")
+        if not all(map(math.isfinite, lo.tolist() + hi.tolist())):  # per agent: faster than np.isfinite
+            raise ValueError("box bounds must be finite")
         if np.any(lo > hi):
             raise ValueError("empty box: lo > hi componentwise")
         object.__setattr__(self, "lo", lo)
@@ -57,6 +60,8 @@ class Ball:
         c = np.atleast_1d(np.asarray(self.center, dtype=float))
         if c.ndim != 1:
             raise ValueError("ball center must be a 1-D array")
+        if not all(map(math.isfinite, c.tolist())):
+            raise ValueError("ball center must be finite")
         r = float(self.radius)
         if not 0 < r < np.inf:
             raise ValueError("ball radius must be positive and finite")
@@ -71,11 +76,12 @@ class Ball:
 ConvexSet = Union[Box, Ball]
 
 
-def _check_dim(s: ConvexSet, y: np.ndarray, name: str) -> np.ndarray:
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape != (s.dim,):
-        raise ValueError(f"{name} has dimension {y.shape}, set has dimension {s.dim}")
-    return y
+def shaped(a, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """a, of any layout with prod(shape) entries, as a float array of that shape; else ValueError naming it."""
+    a = np.asarray(a, dtype=float)
+    if a.size != math.prod(shape):
+        raise ValueError(f"{name} has {a.size} entries, expected shape {shape}")
+    return a.reshape(shape)
 
 
 def project(s: ConvexSet, y: np.ndarray) -> np.ndarray:
@@ -83,7 +89,7 @@ def project(s: ConvexSet, y: np.ndarray) -> np.ndarray:
 
     Box: componentwise clamp. Ball: radial shrink when outside, identity inside.
     """
-    y = _check_dim(s, y, "point")
+    y = shaped(y, (s.dim,), "y")
     if isinstance(s, Box):
         return np.clip(y, s.lo, s.hi)
     d = y - s.center
@@ -95,7 +101,7 @@ def project(s: ConvexSet, y: np.ndarray) -> np.ndarray:
 
 def distance(s: ConvexSet, y: np.ndarray) -> float:
     """Euclidean distance from y to the set (zero for members)."""
-    y = _check_dim(s, y, "point")
+    y = shaped(y, (s.dim,), "y")
     return float(np.linalg.norm(y - project(s, y)))
 
 
@@ -104,10 +110,11 @@ def contains(s: ConvexSet, y: np.ndarray, tol: float = MEMBERSHIP_TOL) -> bool:
 
 
 def _require_member(s: ConvexSet, x: np.ndarray) -> np.ndarray:
+    x = shaped(x, (s.dim,), "x")
     d = distance(s, x)
-    if d > MEMBERSHIP_TOL:
+    if not d <= MEMBERSHIP_TOL:  # a non-finite point is outside too
         raise ValueError(f"point lies outside the set (distance {d:.3e})")
-    return _check_dim(s, x, "point")
+    return x
 
 
 def tangent_project(s: ConvexSet, x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -125,13 +132,13 @@ def tangent_project(s: ConvexSet, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     Raises ValueError when x lies outside the set beyond tolerance.
     """
     x = _require_member(s, x)
-    v = _check_dim(s, v, "vector")
+    v = shaped(v, (s.dim,), "v")
     return tangent_rows(SetRows(**stack_sets([s])), x[None], v[None])[0]
 
 
 def normal_project(s: ConvexSet, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Project v onto the normal cone at x: the Moreau complement of tangent_project."""
-    v = _check_dim(s, v, "vector")
+    v = shaped(v, (s.dim,), "v")
     return v - tangent_project(s, x, v)
 
 
@@ -220,9 +227,9 @@ def tangent_rows(sets: SetRows, x: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def require_members(sets: SetRows, x: np.ndarray) -> None:
-    """Raise ValueError naming the first agent whose row x[i] lies outside set_i."""
+    """Raise ValueError naming the first agent whose row x[i] lies outside set_i or is not finite."""
     d = x - project_rows(sets, x)
-    outside = np.flatnonzero(np.sqrt(np.vecdot(d, d)) > MEMBERSHIP_TOL)
+    outside = np.flatnonzero(~(np.sqrt(np.vecdot(d, d)) <= MEMBERSHIP_TOL))
     if outside.size:
         raise ValueError(f"agent {outside[0]} decision lies outside its set")
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .equilibrium import EquilibriumResult, strictly_monotone
 from .flow import Trajectory, energy
-from .geometry import require_members, tangent_rows
+from .geometry import require_members, shaped, tangent_rows
 from .model import GameSpec, SystemState, state_arrays
 
 VARIANTS = ("paper", "symmetrized")
@@ -144,10 +144,11 @@ def compare_conditions(game: GameSpec) -> CertificateReport:
 
 def lyapunov_W(state: SystemState, ref: EquilibriumResult) -> float:
     """Half the squared distance to the equilibrium pair: flow.energy, as in traj.W."""
-    xbar = np.asarray(ref.xbar, dtype=float)
-    dx = np.asarray(state.x, dtype=float).reshape(xbar.shape) - xbar
-    ds = np.atleast_1d(np.asarray(state.sigma, dtype=float)) - np.asarray(ref.sigmabar, dtype=float)
-    return float(energy(dx.reshape(-1, ds.size), ds))
+    n = np.size(ref.sigmabar)  # ref fixes n, and N as the size of ref.xbar over n
+    shape = (np.size(ref.xbar) // n, n)
+    dx = shaped(state.x, shape, "state.x") - shaped(ref.xbar, shape, "ref.xbar")
+    ds = shaped(state.sigma, (n,), "state.sigma") - shaped(ref.sigmabar, (n,), "ref.sigmabar")
+    return float(energy(dx, ds))
 
 
 def storage_inequality_check(
@@ -167,9 +168,9 @@ def storage_inequality_check(
     x, _ = state_arrays(game, state)
     lay = game.layout
     require_members(lay, x)
-    u = np.asarray(u, dtype=float).reshape(game.N, game.n)
-    xbar = np.asarray(ref.xbar, dtype=float).reshape(game.N, game.n)
-    ubar_row = -(game.C @ np.asarray(ref.sigmabar, dtype=float))
+    u = shaped(u, (game.N, game.n), "u")
+    xbar = shaped(ref.xbar, (game.N, game.n), "ref.xbar")
+    ubar_row = -(game.C @ shaped(ref.sigmabar, (game.n,), "ref.sigmabar"))
     gx, gxbar = -lay.descent(np.stack((x, xbar)))
     dx = x - xbar
     lhs = float(np.sum(dx * tangent_rows(lay, x, -gx + u)))

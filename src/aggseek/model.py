@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .geometry import Ball, Box, ConvexSet, SetRows, contains, project_rows, stack_sets
+from .geometry import Ball, Box, ConvexSet, SetRows, contains, project_rows, shaped, stack_sets
 
 _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's state increment
 _MASK = (1 << 64) - 1
@@ -49,12 +49,14 @@ class QuadraticCost:
 
     def __post_init__(self) -> None:
         ell = float(self.ell)
-        if not ell > 0:
-            raise ValueError(f"ell must be positive, got {ell}")
+        if not (ell > 0 and math.isfinite(ell)):
+            raise ValueError(f"ell must be positive and finite, got {ell}")
         xstar = np.atleast_1d(np.asarray(self.xstar, dtype=float))
         linear = np.atleast_1d(np.asarray(self.linear, dtype=float))
         if xstar.shape != linear.shape or xstar.ndim != 1:
             raise ValueError("xstar and linear must be 1-D arrays of equal length")
+        if not all(map(math.isfinite, xstar.tolist() + linear.tolist())):
+            raise ValueError("xstar and linear must be finite")
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "xstar", xstar)
         object.__setattr__(self, "linear", linear)
@@ -106,6 +108,8 @@ class GameSpec:
         C = np.asarray(self.C, dtype=float)
         if C.shape != (n, n):
             raise ValueError(f"C has shape {C.shape}, expected ({n}, {n})")
+        if not np.isfinite(C).all():
+            raise ValueError("C must be finite")
         k = float(self.k)
         if not (k > 0 and math.isfinite(k)):
             raise ValueError(f"k must be positive and finite, got {k}")
@@ -173,20 +177,9 @@ class SystemState:
         return SystemState(self.x.copy(), self.sigma.copy())
 
 
-def signal_array(game: GameSpec, sigma: np.ndarray) -> np.ndarray:
-    """Return sigma as an (n,) float array, validating its shape."""
-    sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
-    if sigma.shape != (game.n,):
-        raise ValueError(f"sigma has shape {sigma.shape}, expected ({game.n},)")
-    return sigma
-
-
 def state_arrays(game: GameSpec, state: SystemState) -> tuple[np.ndarray, np.ndarray]:
     """Return (x, sigma) as ((N, n), (n,)) float arrays, validating shapes."""
-    x = np.asarray(state.x, dtype=float)
-    if x.size != game.N * game.n:
-        raise ValueError(f"state.x has {x.size} entries, game needs N*n = {game.N * game.n}")
-    return x.reshape(game.N, game.n), signal_array(game, state.sigma)
+    return shaped(state.x, (game.N, game.n), "state.x"), shaped(state.sigma, (game.n,), "state.sigma")
 
 
 def splitmix64(seed: int, count: Optional[int] = None) -> np.ndarray | Iterator[float]:
@@ -286,15 +279,13 @@ def _agent(entry: dict, idx: int) -> tuple[QuadraticCost, ConvexSet]:
 
 def grad_f(cost: QuadraticCost, x: np.ndarray) -> np.ndarray:
     """Gradient of the local cost: ell * (x - xstar) + linear."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != cost.xstar.shape:
-        raise ValueError(f"x has shape {x.shape}, cost has dimension {cost.dim}")
+    x = shaped(x, (cost.dim,), "x")
     return cost.ell * (x - cost.xstar) + cost.linear
 
 
 def local_f(cost: QuadraticCost, x: np.ndarray) -> float:
     """The local cost value f(x) itself (no coupling, no indicator)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = shaped(x, (cost.dim,), "x")
     d = x - cost.xstar
     return 0.5 * cost.ell * float(d @ d) + float(cost.linear @ x)
 
@@ -305,8 +296,7 @@ def cost_J(game: GameSpec, i: int, x: np.ndarray, sigma: np.ndarray) -> float:
     Returns f_i(x) + (C sigma)' x for feasible x, and math.inf outside the
     agent's constraint set (the indicator term).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    sigma = signal_array(game, sigma)
+    x, sigma = shaped(x, (game.n,), "x"), shaped(sigma, (game.n,), "sigma")
     if not contains(game.constraint(i), x):
         return math.inf
     return local_f(game.cost(i), x) + float((game.C @ sigma) @ x)
@@ -314,9 +304,7 @@ def cost_J(game: GameSpec, i: int, x: np.ndarray, sigma: np.ndarray) -> float:
 
 def pseudo_gradient_F(game: GameSpec, x: np.ndarray) -> np.ndarray:
     """Stacked pseudo-gradient: component i is grad_f(i, x_i) + C * avg(x)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (game.N, game.n):
-        raise ValueError(f"x has shape {x.shape}, expected ({game.N}, {game.n})")
+    x = shaped(x, (game.N, game.n), "x")
     return game.C @ x.mean(axis=0) - game.layout.descent(x)  # C avg(x) + grad_f, the same bits
 
 

@@ -417,8 +417,8 @@ def test_box_population_runs_to_pinned_bytes(
 
 def test_solve_stops_at_first_nonfinite_update() -> None:
     game = single_agent_game()
-    cost, cset = game.agents[0]
-    poisoned = GameSpec.from_agents(game.C, game.k, ((replace(cost, xstar=np.array([np.nan])), cset),))
+    # QuadraticCost rejects a NaN xstar, so the poison goes straight into the stored layout
+    poisoned = replace(game, layout=replace(game.layout, xstar=np.array([[np.nan]])))
     with pytest.raises(ConvergenceError, match="non-finite") as excinfo:
         solve_equilibrium(poisoned)
     assert excinfo.value.iterations == 1
