@@ -11,13 +11,11 @@ Each public name is imported from its submodule on first use (PEP 562), so
 loading a scenario runs only `model` and `geometry`.
 """
 
-import importlib
-
 __version__ = "0.1.0"
 
 _EXPORTS = {
     "equilibrium": ("ConvergenceError", "EquilibriumResult", "VerificationReport", "aggregation_map",
-                    "best_response", "solve_equilibrium", "strictly_monotone", "verify_equilibrium", "vi_gap"),
+                    "best_response", "solve_equilibrium", "verify_equilibrium", "vi_gap"),
     "flow": ("IntegratorConfig", "NonFiniteStateError", "Trajectory", "integrate", "integrate_gains", "rhs",
              "stationarity_residual", "step"),
     "geometry": ("Ball", "Box", "ConvexSet", "contains", "distance", "normal_project", "project", "set_center",
@@ -25,7 +23,7 @@ _EXPORTS = {
     "lyapunov": ("CertificateReport", "DecayReport", "assemble_M", "check_condition_5", "compare_conditions",
                  "decay_report", "lyapunov_W", "norm_inf", "reduced_lambda_min", "storage_inequality_check"),
     "model": ("GameSpec", "QuadraticCost", "ScenarioError", "SystemState", "cost_J", "grad_f", "initial_state",
-              "load_scenario", "project_state", "pseudo_gradient_F", "splitmix64"),
+              "load_scenario", "project_state", "pseudo_gradient_F", "splitmix64", "strictly_monotone"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
@@ -35,7 +33,8 @@ __all__ = sorted(_HOME)
 def __getattr__(name: str):
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    # the import statement's machinery, unlike importlib.import_module, is logged by python -X importtime
+    value = globals()[name] = getattr(__import__(f"{__name__}.{_HOME[name]}", fromlist=[name]), name)
     return value
 
 

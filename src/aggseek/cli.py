@@ -14,14 +14,19 @@ import json
 import math
 import os
 import sys
-from typing import Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Optional, Sequence, TextIO
 
 import numpy as np
 
-from .equilibrium import ConvergenceError, EquilibriumResult, solve_equilibrium
-from .flow import IntegratorConfig, NonFiniteStateError, Trajectory, integrate, integrate_gains
-from .lyapunov import compare_conditions, decay_report
+from . import _HOME
 from .model import GameSpec, ScenarioError, initial_state, load_scenario
+
+if TYPE_CHECKING:
+    from .equilibrium import EquilibriumResult
+    from .flow import Trajectory
+
+# commands call the routes as _lib.name: each imports only what it calls, and a wrapper set here sees it
+_lib = sys.modules[__name__]
 
 THRESHOLD = 1e-2  # dist_avg level used for time-to-threshold reporting
 
@@ -179,9 +184,9 @@ def _run_one(
     game: GameSpec, traj: Trajectory, ref: EquilibriumResult, out_prefix: Optional[str], suffix: str = ""
 ) -> tuple[list[tuple[str, object]], dict]:
     """One trajectory's report, as `key = value` lines and as a JSON dict built from the same fields."""
-    cert = compare_conditions(game)
+    cert = _lib.compare_conditions(game)
     can_judge = len(traj) >= 10 and ref.vi_gap_value <= 1e-6
-    decay = dataclasses.asdict(decay_report(traj, ref, cert)) if can_judge else None
+    decay = dataclasses.asdict(_lib.decay_report(traj, ref, cert)) if can_judge else None
     paths = {}
     if out_prefix:
         paths = {"csv": f"{out_prefix}{suffix}.csv", "svg": f"{out_prefix}{suffix}.svg"}
@@ -202,22 +207,16 @@ def _run_one(
 
 
 def cmd_check(scenario: str) -> int:
-    cert = compare_conditions(_load(scenario))
+    cert = _lib.compare_conditions(_load(scenario))
     _emit([(f.name, getattr(cert, f.name)) for f in dataclasses.fields(cert)])
     return 0
 
 
 def cmd_solve(scenario: str, lam: float, tol: float, out: Optional[str]) -> int:
     game = _load(scenario)
-    res = solve_equilibrium(game, lam=lam, tol=tol)
-    _emit(
-        [
-            ("sigmabar", res.sigmabar),
-            ("vi_gap", res.vi_gap_value),
-            ("iterations", res.iterations),
-            ("final_update_norm", res.final_update_norm),
-        ]
-    )
+    res = _lib.solve_equilibrium(game, lam=lam, tol=tol)
+    _emit([("sigmabar", res.sigmabar), ("vi_gap", res.vi_gap_value), ("iterations", res.iterations),
+           ("final_update_norm", res.final_update_norm)])
     if out:
         path = f"{out}.xbar.csv"
         _write_rows(path, [f"x{j}" for j in range(game.n)], res.xbar)
@@ -229,9 +228,9 @@ def cmd_run(scenario: str, k: Optional[float], h: float, T: float, out: Optional
     game = _load(scenario)
     if k is not None:
         game = dataclasses.replace(game, k=float(k))
-    cfg = IntegratorConfig(h=h, T=T)
-    ref = solve_equilibrium(game)
-    lines, report = _run_one(game, integrate(game, initial_state(game), cfg, reference=ref), ref, out)
+    cfg = _lib.IntegratorConfig(h=h, T=T)
+    ref = _lib.solve_equilibrium(game)
+    lines, report = _run_one(game, _lib.integrate(game, initial_state(game), cfg, reference=ref), ref, out)
     _emit(lines)
     if out:
         with _create(f"{out}.report.json") as fh:
@@ -249,9 +248,9 @@ def cmd_sweep(scenario: str, ks: Sequence[float], h: float, T: float, out: Optio
         if label in labels:
             raise ScenarioError(f"gains {labels[label]!r} and {k!r} share the label {label}")
         labels[label] = k
-    cfg = IntegratorConfig(h=h, T=T)
-    ref = solve_equilibrium(game)  # the fixed point does not depend on k
-    trajs = integrate_gains(game, ks, initial_state(game), cfg, reference=ref)
+    cfg = _lib.IntegratorConfig(h=h, T=T)
+    ref = _lib.solve_equilibrium(game)  # the fixed point does not depend on k
+    trajs = _lib.integrate_gains(game, ks, initial_state(game), cfg, reference=ref)
     reports = {
         label: _run_one(dataclasses.replace(game, k=float(k)), traj, ref, out, f"_{label}")
         for (label, k), traj in zip(labels.items(), trajs)
@@ -308,10 +307,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (ConvergenceError, NonFiniteStateError, OSError, ValueError) as e:
-        # ScenarioError is a ValueError: input errors exit 1, numerical failures 2
+    except (OSError, RuntimeError, ValueError) as e:
+        # ScenarioError is a ValueError: input errors exit 1, numerical failures (two RuntimeErrors) 2
+        numerical = isinstance(e, RuntimeError)
+        if numerical and not isinstance(e, (_lib.ConvergenceError, _lib.NonFiniteStateError)):
+            raise
         print(f"error: {e}", file=sys.stderr)
-        return 2 if isinstance(e, (ConvergenceError, NonFiniteStateError)) else 1
+        return 2 if numerical else 1
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -328,6 +330,13 @@ def _dispatch(args: argparse.Namespace) -> int:
             raise ValueError("sweep needs --k with one or more values")
         return cmd_sweep(args.scenario, ks=args.k, h=args.h, T=args.T, out=args.out)
     raise AssertionError(f"unhandled command {args.command!r}")
+
+
+def __getattr__(name: str):
+    """A public name of the package, resolved on first use (PEP 562) through its lazy namespace."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(sys.modules[__package__], name)
 
 
 if __name__ == "__main__":

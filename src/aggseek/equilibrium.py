@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import project_rows, require_members, shaped, vi_min_rows
-from .model import GameLayout, GameSpec, pseudo_gradient_F
+from .model import GameLayout, GameSpec, pseudo_gradient_F, strictly_monotone
 
 
 class ConvergenceError(RuntimeError):
@@ -30,7 +30,7 @@ class ConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquilibriumResult:
     """Computed equilibrium: stacked decisions, their average, and solve diagnostics."""
 
@@ -72,12 +72,6 @@ def _best_responses(lay: GameLayout, csig: np.ndarray) -> np.ndarray:
 def aggregation_map(game: GameSpec, sigma: np.ndarray) -> np.ndarray:
     """T(sigma): average of all agents' best responses to sigma."""
     return _best_responses(game.layout, game.C @ shaped(sigma, (game.n,), "sigma")).mean(axis=0)
-
-
-def strictly_monotone(game: GameSpec) -> bool:
-    """Whether the stacked pseudo-gradient is strictly monotone, implying uniqueness."""
-    sym_min = float(np.linalg.eigvalsh(game.C + game.C.T)[0])
-    return game.ell_min + 0.5 * sym_min > 0
 
 
 def solve_equilibrium(

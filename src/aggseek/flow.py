@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from .geometry import project_rows, require_members, shaped, tangent_rows
-from .model import GameLayout, GameSpec, SystemState, project_state, state_arrays
+from .model import GameLayout, GameSpec, SystemState, energy, project_state, state_arrays
 
 if TYPE_CHECKING:
     from .equilibrium import EquilibriumResult
@@ -39,6 +39,8 @@ class NonFiniteStateError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """Step size h, horizon T and the recording interval of the fixed-step integrator."""
+
     h: float = 1e-3
     T: float = 60.0
     record_every: int = 1
@@ -54,7 +56,7 @@ class IntegratorConfig:
         object.__setattr__(self, "record_every", int(every))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Per-sample diagnostics of one run, and its final state x (N, n), sigma (n,).
 
@@ -77,11 +79,6 @@ class Trajectory:
     @property
     def final_state(self) -> SystemState:
         return SystemState(self.x.copy(), self.sigma.copy())
-
-
-def energy(dx: np.ndarray, ds: np.ndarray) -> np.ndarray:
-    """W = ½‖x − x̄‖² + ½‖σ − σ̄‖² from the offsets dx (..., N, n) and ds (..., n)."""
-    return 0.5 * np.sum(dx * dx, axis=(-2, -1)) + 0.5 * np.vecdot(ds, ds)
 
 
 def _loop(game: GameSpec, ks: np.ndarray, h: float, K: int, state: SystemState):

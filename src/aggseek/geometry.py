@@ -96,7 +96,8 @@ def project(s: ConvexSet, y: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(d))
     if norm <= s.radius:
         return y.copy()
-    return s.center + d * (s.radius / norm)
+    with np.errstate(invalid="ignore"):  # an infinite coordinate gives inf * 0: NaN, outside the set
+        return s.center + d * (s.radius / norm)
 
 
 def distance(s: ConvexSet, y: np.ndarray) -> float:
@@ -147,7 +148,7 @@ def set_center(s: ConvexSet) -> np.ndarray:
     return s.center.copy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SetRows:
     """N boxes and balls stacked row-wise for the batched kernels.
 

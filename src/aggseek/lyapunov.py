@@ -13,14 +13,16 @@ the symmetrized variant, the exact symmetrization of the cross terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .equilibrium import EquilibriumResult, strictly_monotone
-from .flow import Trajectory, energy
 from .geometry import require_members, shaped, tangent_rows
-from .model import GameSpec, SystemState, state_arrays
+from .model import GameSpec, SystemState, energy, state_arrays, strictly_monotone
+
+if TYPE_CHECKING:  # neither route is imported to certify it
+    from .equilibrium import EquilibriumResult
+    from .flow import Trajectory
 
 VARIANTS = ("paper", "symmetrized")
 
@@ -143,8 +145,11 @@ def compare_conditions(game: GameSpec) -> CertificateReport:
 
 
 def lyapunov_W(state: SystemState, ref: EquilibriumResult) -> float:
-    """Half the squared distance to the equilibrium pair: flow.energy, as in traj.W."""
+    """Half the squared distance to the equilibrium pair: model.energy, as in traj.W."""
     n = np.size(ref.sigmabar)  # ref fixes n, and N as the size of ref.xbar over n
+    if np.size(state.sigma) != n:  # either may be the mis-sized one
+        raise ValueError(f"state.sigma has {np.size(state.sigma)} entries, expected shape ({n},) "
+                         f"as ref.sigmabar has {n} entries")
     shape = (np.size(ref.xbar) // n, n)
     dx = shaped(state.x, shape, "state.x") - shaped(ref.xbar, shape, "ref.xbar")
     ds = shaped(state.sigma, (n,), "state.sigma") - shaped(ref.sigmabar, (n,), "ref.sigmabar")

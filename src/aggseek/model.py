@@ -66,7 +66,7 @@ class QuadraticCost:
         return self.xstar.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GameLayout(SetRows):
     """Every agent's cost and set stacked row-wise, row i for agent i."""
 
@@ -86,7 +86,7 @@ class GameLayout(SetRows):
         return np.subtract(out, self.linear, out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GameSpec:
     """Immutable description of one aggregative game.
 
@@ -162,7 +162,7 @@ class GameSpec:
         return self.layout.row(i)
 
 
-@dataclass
+@dataclass(eq=False)
 class SystemState:
     """The pair (x, sigma): N stacked agent decisions plus the broadcast signal."""
 
@@ -180,6 +180,17 @@ class SystemState:
 def state_arrays(game: GameSpec, state: SystemState) -> tuple[np.ndarray, np.ndarray]:
     """Return (x, sigma) as ((N, n), (n,)) float arrays, validating shapes."""
     return shaped(state.x, (game.N, game.n), "state.x"), shaped(state.sigma, (game.n,), "state.sigma")
+
+
+def energy(dx: np.ndarray, ds: np.ndarray) -> np.ndarray:
+    """W = ½‖x − x̄‖² + ½‖σ − σ̄‖² from the offsets dx (..., N, n) and ds (..., n)."""
+    return 0.5 * np.sum(dx * dx, axis=(-2, -1)) + 0.5 * np.vecdot(ds, ds)
+
+
+def strictly_monotone(game: GameSpec) -> bool:
+    """Whether the stacked pseudo-gradient is strictly monotone, implying uniqueness."""
+    sym_min = float(np.linalg.eigvalsh(game.C + game.C.T)[0])
+    return game.ell_min + 0.5 * sym_min > 0
 
 
 def splitmix64(seed: int, count: Optional[int] = None) -> np.ndarray | Iterator[float]:

@@ -17,7 +17,7 @@ import pytest
 
 from aggseek.equilibrium import aggregation_map, best_response, solve_equilibrium, verify_equilibrium, vi_gap
 from aggseek.flow import IntegratorConfig, integrate, integrate_gains, rhs, step
-from aggseek.geometry import Ball, Box, distance, normal_project, project, tangent_project
+from aggseek.geometry import Ball, Box, SetRows, distance, normal_project, project, stack_sets, tangent_project
 from aggseek.lyapunov import lyapunov_W, storage_inequality_check
 from aggseek.model import (
     GameSpec,
@@ -113,8 +113,23 @@ def test_one_entry_sigmabar_is_not_broadcast() -> None:
     assert traj.W[0] == lyapunov_W(init, REF) == pytest.approx(0.20501, abs=5e-6)
     with pytest.raises(ValueError, match=r"^reference\.sigmabar has 1 entries, expected shape \(2,\)$"):
         integrate(GAME, init, CFG, reference=dataclasses.replace(REF, sigmabar=REF.sigmabar[:1]))
-    with pytest.raises(ValueError, match=r"^state\.sigma has 1 entries, expected shape \(2,\)$"):
+
+    # handed no game, lyapunov_W cannot tell which of the two is mis-sized, so it names both
+    message = r"^state\.sigma has {} entries, expected shape \({},\) as ref\.sigmabar has {} entries$"
+    with pytest.raises(ValueError, match=message.format(1, 2, 2)):
         lyapunov_W(SystemState(init.x, init.sigma[:1]), REF)
+    with pytest.raises(ValueError, match=message.format(2, 1, 1)):
+        lyapunov_W(init, dataclasses.replace(REF, sigmabar=REF.sigmabar[:1]))
+
+
+def test_array_records_compare_by_identity() -> None:
+    # N = 3: a generated __eq__ would compare arrays of three rows and raise, a generated __hash__ too
+    rows = SetRows(**stack_sets([cset for _, cset in GAME.agents]))
+    traj = integrate(GAME, initial_state(GAME), CFG, reference=REF)
+    for record in (rows, GAME.layout, GAME, initial_state(GAME), REF, traj):
+        twin = dataclasses.replace(record)
+        assert hash(record) == hash(record) and record == record
+        assert (record == twin) is False and record != twin
 
 
 def test_vi_checks_share_one_membership_rule() -> None:
@@ -136,9 +151,11 @@ def test_non_finite_decision_lies_outside_its_set(value: float) -> None:
                 check(GAME, poisoned)
 
 
-def test_tangent_project_rejects_a_nan_point() -> None:
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_tangent_project_rejects_a_non_finite_point(value: float) -> None:
+    # an infinite coordinate projects to NaN without a warning, so the membership check names it
     with pytest.raises(ValueError, match="^point lies outside the set"):
-        tangent_project(BALL, np.array([np.nan, 0.5]), np.ones(2))
+        tangent_project(BALL, np.array([value, 0.5]), np.ones(2))
 
 
 @pytest.mark.parametrize(

@@ -9,12 +9,14 @@ import pytest
 
 import aggseek
 
-SINGLE = Path(__file__).resolve().parent.parent / "scenarios" / "single_box.json"
+ROOT = Path(__file__).resolve().parent.parent
+SINGLE = ROOT / "scenarios" / "single_box.json"
+LOADED = ["aggseek", "aggseek.cli", "aggseek.geometry", "aggseek.model"]  # by every command
 
 # each public name under the submodule that defines it
 HOMES = {
     "equilibrium": ["ConvergenceError", "EquilibriumResult", "VerificationReport", "aggregation_map", "best_response",
-                    "solve_equilibrium", "strictly_monotone", "verify_equilibrium", "vi_gap"],
+                    "solve_equilibrium", "verify_equilibrium", "vi_gap"],
     "flow": ["IntegratorConfig", "NonFiniteStateError", "Trajectory", "integrate", "integrate_gains", "rhs",
              "stationarity_residual", "step"],
     "geometry": ["Ball", "Box", "ConvexSet", "contains", "distance", "normal_project", "project", "set_center",
@@ -22,7 +24,7 @@ HOMES = {
     "lyapunov": ["CertificateReport", "DecayReport", "assemble_M", "check_condition_5", "compare_conditions",
                  "decay_report", "lyapunov_W", "norm_inf", "reduced_lambda_min", "storage_inequality_check"],
     "model": ["GameSpec", "QuadraticCost", "ScenarioError", "SystemState", "cost_J", "grad_f", "initial_state",
-              "load_scenario", "project_state", "pseudo_gradient_F", "splitmix64"],
+              "load_scenario", "project_state", "pseudo_gradient_F", "splitmix64", "strictly_monotone"],
 }
 PUBLIC = sorted(name for names in HOMES.values() for name in names)
 
@@ -34,6 +36,44 @@ def test_loading_a_scenario_imports_only_model_and_geometry() -> None:
     )
     proc = subprocess.run([sys.executable, "-c", code, str(SINGLE)], capture_output=True, text=True, check=True)
     assert proc.stdout.split() == ["aggseek", "aggseek.geometry", "aggseek.model"]
+
+
+@pytest.mark.parametrize(
+    "argv, routes",
+    [
+        (["check"], ["lyapunov"]),
+        (["solve"], ["equilibrium"]),
+        (["run", "--T", "0.1", "--h", "0.01"], ["equilibrium", "flow", "lyapunov"]),
+        (["sweep", "--k", "0.5,2", "--T", "0.1", "--h", "0.01"], ["equilibrium", "flow", "lyapunov"]),
+    ],
+)
+def test_each_command_imports_only_the_routes_it_calls(argv: list[str], routes: list[str]) -> None:
+    code = (
+        "import sys; from aggseek.cli import main; code = main(sys.argv[1:]); "
+        "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'aggseek'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *argv, "--scenario", str(SINGLE)],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1].split() == ["0", *sorted(LOADED + [f"aggseek.{r}" for r in routes])]
+
+
+def test_traced_cli_names_resolve_and_their_wrappers_run(monkeypatch: pytest.MonkeyPatch, tmp_path: Path) -> None:
+    # the benchmark's tracer swaps its wrappers in for these names as attributes of aggseek.cli
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from aggseek import cli
+    from spans import TARGETS
+
+    names = [attr for module, attr, *_ in TARGETS if module == "aggseek.cli"]
+    calls: list[str] = []
+    for name in names:
+        def counting(*args, _name=name, _original=getattr(cli, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+    # run with --out calls each of them once
+    assert cli.main(["run", "--scenario", str(SINGLE), "--T", "0.5", "--h", "0.01", "--out", str(tmp_path / "r")]) == 0
+    assert sorted(calls) == sorted(names) and len(names) == 7
 
 
 def test_all_lists_the_public_names_each_its_home_modules_object() -> None:
@@ -57,3 +97,5 @@ def test_submodules_import_and_unknown_names_raise() -> None:
     assert cli.__name__ == "aggseek.cli" and flow.__name__ == "aggseek.flow"
     with pytest.raises(AttributeError, match="module 'aggseek' has no attribute 'no_such_name'"):
         aggseek.no_such_name
+    with pytest.raises(AttributeError, match="module 'aggseek.cli' has no attribute 'no_such_name'"):
+        cli.no_such_name
