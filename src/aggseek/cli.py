@@ -277,9 +277,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_k_list(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
+        ks = [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad k list {text!r}") from None
+        ks = []
+    if not ks:
+        raise argparse.ArgumentTypeError(f"bad k list {text!r}")
+    return ks
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,13 +293,15 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="compute the equilibrium by fixed point")
     run = sub.add_parser("run", help="integrate the dynamics and emit CSV/SVG")
     sweep = sub.add_parser("sweep", help="run several gains k and compare")
-    for p in (check, solve, run, sweep):
+    for p, handler in ((check, cmd_check), (solve, cmd_solve), (run, cmd_run), (sweep, cmd_sweep)):
         p.add_argument("--scenario", required=True, help="path to a scenario JSON document")
+        p.set_defaults(handler=handler)
     solve.add_argument("--lambda", dest="lam", type=float, default=0.5, help="relaxation in (0, 1]")
     solve.add_argument("--tol", type=float, default=1e-10, help="fixed-point stop tolerance")
     solve.add_argument("--out", default=None, help="output file prefix")
+    run.add_argument("--k", type=float, default=None, help="gain override")
+    sweep.add_argument("--k", dest="ks", type=_parse_k_list, required=True, help="comma list of gains")
     for p in (run, sweep):
-        p.add_argument("--k", type=_parse_k_list, default=None, help="gain override, comma list for sweep")
         p.add_argument("--h", type=float, default=1e-3, help="integrator step size")
         p.add_argument("--T", type=float, default=60.0, help="integration horizon")
         p.add_argument("--out", default=None, help="output file prefix for CSV/SVG/JSON")
@@ -304,9 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    del args["command"]
     try:
-        return _dispatch(args)
+        return args.pop("handler")(**args)
     except (OSError, RuntimeError, ValueError) as e:
         # ScenarioError is a ValueError: input errors exit 1, numerical failures (two RuntimeErrors) 2
         numerical = isinstance(e, RuntimeError)
@@ -314,22 +320,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise
         print(f"error: {e}", file=sys.stderr)
         return 2 if numerical else 1
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "check":
-        return cmd_check(args.scenario)
-    if args.command == "solve":
-        return cmd_solve(args.scenario, lam=args.lam, tol=args.tol, out=args.out)
-    if args.command == "run":
-        if args.k is not None and len(args.k) != 1:
-            raise ValueError("run takes a single --k value")
-        return cmd_run(args.scenario, k=args.k[0] if args.k else None, h=args.h, T=args.T, out=args.out)
-    if args.command == "sweep":
-        if not args.k:
-            raise ValueError("sweep needs --k with one or more values")
-        return cmd_sweep(args.scenario, ks=args.k, h=args.h, T=args.T, out=args.out)
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 def __getattr__(name: str):

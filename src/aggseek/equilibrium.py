@@ -106,27 +106,28 @@ def solve_equilibrium(
     sigma = lay.center.mean(axis=0)
     update = np.inf
     iterations = 0
-    for _ in range(max_iter):
-        nxt = (1.0 - lam) * sigma + lam * _best_responses(lay, game.C @ sigma).mean(axis=0)
-        update = float(np.max(np.abs(nxt - sigma)))
-        if not math.isfinite(update):
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite update is detected below
+        for _ in range(max_iter):
+            nxt = (1.0 - lam) * sigma + lam * _best_responses(lay, game.C @ sigma).mean(axis=0)
+            update = float(np.max(np.abs(nxt - sigma)))
+            if not math.isfinite(update):
+                raise ConvergenceError(
+                    f"non-finite fixed-point update at iteration {iterations + 1}",
+                    sigma_last=sigma,
+                    update_norm=update,
+                    iterations=iterations + 1,
+                )
+            sigma = nxt
+            if update <= tol:
+                break
+            iterations += 1
+        else:
             raise ConvergenceError(
-                f"non-finite fixed-point update at iteration {iterations + 1}",
+                f"no fixed point within {max_iter} iterations (last update {update:.3e})",
                 sigma_last=sigma,
                 update_norm=update,
-                iterations=iterations + 1,
+                iterations=max_iter,
             )
-        sigma = nxt
-        if update <= tol:
-            break
-        iterations += 1
-    else:
-        raise ConvergenceError(
-            f"no fixed point within {max_iter} iterations (last update {update:.3e})",
-            sigma_last=sigma,
-            update_norm=update,
-            iterations=max_iter,
-        )
     xbar = _best_responses(lay, game.C @ sigma)
     sigmabar = xbar.mean(axis=0)
     return EquilibriumResult(

@@ -10,7 +10,6 @@ exactly and agrees with the tangent-cone flow to first order.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -18,7 +17,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from .geometry import project_rows, require_members, shaped, tangent_rows
-from .model import GameLayout, GameSpec, SystemState, energy, project_state, state_arrays
+from .model import GameSpec, SystemState, energy, project_state, state_arrays
 
 if TYPE_CHECKING:
     from .equilibrium import EquilibriumResult
@@ -86,30 +85,29 @@ def _loop(game: GameSpec, ks: np.ndarray, h: float, K: int, state: SystemState):
 
     A slot is two contiguous rows, the state [x (B, N, n) | sigma (B, n)] and the velocity
     [drive | gap = mean - sigma], beside its mean (B, n) and C sigma; the first slot holds state.
-    The step row m holds h on every x entry and h * k_b on copy b's sigma entries. The layout's
-    bounds and cost rows are repeated for every copy: numpy runs a ufunc faster on operands of one shape.
+    The row kernels read x and drive as their B*N rows, those of the layout tiled B times.
+    The step row m holds h on every x entry and h * k_b on copy b's sigma entries.
     """
     B, N, n = ks.size, game.N, game.n
-    lay, size = copy.copy(game.layout), B * N * n
-    for name in ("lo", "hi", "xstar", "neg_ell", "linear"):
-        object.__setattr__(lay, name, np.repeat(getattr(game.layout, name)[None], B, axis=0))
+    lay, size = game.layout.tile(B), B * N * n
     m = np.concatenate((np.full(size, h), np.repeat(h * ks, n)))
     rows, means, csigma = np.empty((2, K, m.size)), np.empty((K, B, n)), np.empty((K, B, n, 1))
     (xs, drives), (sigmas, gaps) = rows[..., :size].reshape(2, K, B, N, n), rows[..., size:].reshape(2, K, B, n)
+    flat = rows[..., :size].reshape(2, K, B * N, n)  # x and drive as the layout's rows
     xs[0], sigmas[0] = state_arrays(game, state)
-    slots = list(zip(*rows, xs, sigmas, means, drives, gaps, sigmas[..., None], csigma, csigma.mT))
+    slots = list(zip(*rows, *flat, xs, sigmas, means, drives, gaps, sigmas[..., None], csigma, csigma.mT))
     consts = lay, game.C, np.full((B, n), float(N)), m, np.empty_like(m)  # Ns: N as a full-shape divisor
-    return consts, (xs, sigmas, means, drives, gaps), slots
+    return consts, (*flat, xs, sigmas, means, gaps), slots
 
 
 def _derive(consts, slot) -> None:
     """Fill a slot's mean, drive and gap from its x and sigma."""
-    (lay, C, Ns, _, _), (_, _, x, sigma, mean, drive, gap, sigma_col, csigma, csigma_row) = consts, slot
+    (lay, C, Ns, _, _), (_, _, xr, dr, x, sigma, mean, drive, gap, sigma_col, csigma, csigma_row) = consts, slot
     # the reduction and division of ndarray.mean, the sum kept in gap: numpy runs a ufunc in place
     # on a one-entry array slowly
     np.divide(np.add.reduce(x, -2, None, gap), Ns, mean)
     np.subtract(mean, sigma, gap)
-    lay.descent(x, drive)
+    lay.descent(xr, dr)
     # C sigma as one matmul of every copy's column rounds as C @ s does; sigma @ C.T need not
     np.matmul(C, sigma_col, csigma)
     np.subtract(drive, csigma_row, drive)
@@ -135,18 +133,18 @@ def rhs(game: GameSpec, state: SystemState) -> tuple[np.ndarray, np.ndarray]:
     sigmadot is k * (avg(x) - sigma). Raises ValueError when some x_i lies
     outside its set beyond tolerance.
     """
-    consts, (xs, _, _, drives, gaps), slots = _loop(game, np.array([game.k]), 0.0, 1, state)
-    require_members(game.layout, xs[0, 0])
+    consts, (x_rows, drive_rows, *_, gaps), slots = _loop(game, np.array([game.k]), 0.0, 1, state)
+    require_members(game.layout, x_rows[0])
     _derive(consts, slots[0])
-    return tangent_rows(game.layout, xs[0, 0], drives[0, 0]), game.k * gaps[0, 0]
+    return tangent_rows(game.layout, x_rows[0], drive_rows[0]), game.k * gaps[0, 0]
 
 
 def step(game: GameSpec, state: SystemState, h: float) -> SystemState:
     """One projected forward-Euler step of length h (h = 0 returns the state unchanged)."""
-    consts, (xs, sigmas, *_), slots = _loop(game, np.array([game.k]), h, 2, state)
+    consts, (x_rows, _, _, sigmas, *_), slots = _loop(game, np.array([game.k]), h, 2, state)
     _derive(consts, slots[0])
     _euler(consts, *slots)
-    return SystemState(xs[1, 0], sigmas[1, 0])
+    return SystemState(x_rows[1], sigmas[1, 0])
 
 
 def stationarity_residual(game: GameSpec, state: SystemState) -> float:
@@ -186,8 +184,8 @@ def integrate_gains(
     """integrate for every gain k in gains, all copies advanced in one time loop.
 
     Trajectory b equals, bit for bit, integrate on the game with k = gains[b]:
-    the state x has shape (B, N, n) and sigma (B, n), the row kernels act on
-    the agent axis of every copy alike, and C sigma of every copy is one matmul.
+    the state x has shape (B, N, n) and sigma (B, n), the row kernels act on x as
+    the rows of the layout tiled B times, and C sigma of every copy is one matmul.
     Every step is advanced with preallocated arrays straight into a block of
     up to BLOCK_FLOATS // (B*N*n) samples whose diagnostics take one call of
     each kernel; x and sigma of every copy share one state row (see _loop).
@@ -225,15 +223,15 @@ def integrate_gains(
             _derive(consts, now)
             # a non-finite entry of x or of sigma makes the sum of the state row non-finite
             if i and not math.isfinite(np.add.reduce(now[0])):
-                finite = np.isfinite(now[2]).all(axis=(1, 2)) & np.isfinite(now[3]).all(axis=1)
+                finite = np.isfinite(now[4]).all(axis=(1, 2)) & np.isfinite(now[5]).all(axis=1)
                 if not finite.all():  # else only a sum of finite numbers overflowed
                     raise NonFiniteStateError(i, i * h, float(ks[np.argmin(finite)]))
             last = now
             if i % every == 0 or i == n_steps:
                 slot += 1
                 if j == K - 1 or i == n_steps:  # a full block, or the last one
-                    block, (xk, sk, mk, dk, gk) = slice(slot - j - 1, slot), (v[: j + 1] for v in views)
-                    residual[:, block] = _sup(tangent_rows(consts[0], xk, dk), ks[:, None] * gk).T
+                    block, (xr, dr, xk, sk, mk, gk) = slice(slot - j - 1, slot), (v[: j + 1] for v in views)
+                    residual[:, block] = _sup(tangent_rows(consts[0], xr, dr).reshape(xk.shape), ks[:, None] * gk).T
                     if reference is not None:
                         ds, da = sk - sigmabar, mk - sigmabar
                         W[:, block] = energy(xk - xbar, ds).T
@@ -241,5 +239,5 @@ def integrate_gains(
                         dist_sigma[:, block] = np.sqrt(np.vecdot(ds, ds)).T
                 j = slot % K
 
-    fields_b = zip(last[2].copy(), last[3].copy(), W, residual, dist_avg, dist_sigma)
+    fields_b = zip(last[4].copy(), last[5].copy(), W, residual, dist_avg, dist_sigma)
     return [Trajectory(times, *arrays, has_reference=reference is not None) for arrays in fields_b]

@@ -76,8 +76,30 @@ class GameLayout(SetRows):
     neg_ell: np.ndarray = field(init=False)  # (N, n): -ell_i in every column; an (N, 1) one broadcasts slowly
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "neg_ell", np.repeat(-self.ell[:, None], self.xstar.shape[1], axis=1))
+        N, n = (np.shape(self.xstar) + (0, 0))[:2]
+        got = {f.name: getattr(getattr(self, f.name), "shape", None) for f in fields(self) if f.init}
+        if not N * n or any(shape != ((N,) if name in ("ell", "radius") else (N, n)) for name, shape in got.items()):
+            raise ValueError(f"rows must be arrays of shape (N,) for ell and radius, else (N, n), N, n >= 1: {got}")
+        box, finite = self.radius == np.inf, lambda rows: np.isfinite(rows).all(axis=1)
+        faults = {  # each fault's mask of the rows: the first agent of the first fault found is named
+            "ell must be positive and finite, got {}": ~((self.ell > 0) & (self.ell < np.inf)),
+            "xstar and linear must be finite": ~(finite(self.xstar) & finite(self.linear)),
+            "set center must be finite": ~finite(self.center),
+            "box bounds must be finite": box & ~(finite(self.lo) & finite(self.hi)),
+            "empty box: lo > hi componentwise": box & (self.lo > self.hi).any(axis=1),
+            "ball radius must be positive and finite": ~box & ~(self.radius > 0),
+            "ball bounds must be infinite": ~box & ~((self.lo == -np.inf) & (self.hi == np.inf)).all(axis=1),
+        }
+        for message, rows in faults.items():
+            if rows.any():
+                raise ValueError(f"agent {rows.argmax()}: " + message.format(self.ell[rows.argmax()]))
+        object.__setattr__(self, "neg_ell", np.repeat(-self.ell[:, None], n, axis=1))
         super().__post_init__()
+
+    def tile(self, B: int) -> "GameLayout":
+        """B copies of these rows stacked: copy b's agent i is row b*N + i, in ball_rows too."""
+        rows = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        return self if B == 1 else GameLayout(**{name: np.tile(a, (B, 1)[: a.ndim]) for name, a in rows.items()})
 
     def descent(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """-grad_f of the rows of x (..., N, n) as (-ell_i)(x_i - xstar_i) - linear_i (same bits), into out."""
@@ -218,11 +240,11 @@ def _generated_game(one: GameSpec, block: dict) -> GameSpec:
     if not hi >= lo:
         raise ScenarioError(f"agents.generator.xstar.uniform must have hi >= lo, got lo {lo}, hi {hi}")
     try:  # a count past the C long overflows, one past memory or the array size limit cannot be allocated
-        rows = {f.name: np.repeat(getattr(one.layout, f.name), count, axis=0) for f in fields(GameLayout) if f.init}
-        rows["xstar"] = lo + (hi - lo) * splitmix64(uni["seed"], count * n).reshape(count, n)  # in index order
+        layout = one.layout.tile(count)
+        xstar = lo + (hi - lo) * splitmix64(uni["seed"], count * n).reshape(count, n)  # in index order
     except (OverflowError, MemoryError, ValueError):
         raise ScenarioError(f"agents.generator.count is too large, got {count}") from None
-    return replace(one, layout=GameLayout(**rows), seed=uni["seed"])
+    return replace(one, layout=replace(layout, xstar=xstar), seed=uni["seed"])
 
 
 def _require_finite(node, path: str, kind=None) -> None:

@@ -255,12 +255,12 @@ def block_floats(K: int, gains, game: GameSpec) -> int:
     return K * len(gains) * game.N * game.n
 
 
-def random_population(N: int, n: int, seed: int, record_every: int = 1, T: float = 0.48):
-    """A random box/ball game of N agents, a start off its sets, two gains and h = 0.05 (10 steps at T = 0.48)."""
+def random_population(N: int, n: int, seed: int, record_every: int = 1, T: float = 0.48, gains=(0.7, 3.0)):
+    """A random box/ball game of N agents, a start off its sets, the gains and h = 0.05 (10 steps at T = 0.48)."""
     rng = np.random.default_rng(seed)
     game = random_game(rng, n_choices=(n,), N=N)
     init = SystemState(rng.uniform(-2, 2, (N, n)), rng.uniform(-1, 1, n))
-    return game, init, (0.7, 3.0), IntegratorConfig(h=0.05, T=T, record_every=record_every)
+    return game, init, gains, IntegratorConfig(h=0.05, T=T, record_every=record_every)
 
 
 def box_population(N: int, seed: int, T: float = 0.1):
@@ -294,6 +294,9 @@ def gain_sweeps(draw):
 @example(random_population(9, 2, seed=5, record_every=3), 10**6)
 @example(random_population(9, 3, seed=6), 3)
 @example(box_population(150, seed=1), 10**6)
+# four copies of a ball-heavy game: every copy's ball rows sit at flat indices b*N + i of the
+# tiled layout, and K = 3 puts block edges inside the 11 samples
+@example(random_population(40, 2, seed=12, gains=(0.3, 0.7, 1.5, 3.0)), 3)
 @settings(max_examples=150, deadline=None)
 @given(gain_sweeps(), st.sampled_from([1, 2, 3, 5, 10**6]))
 def test_integrate_gains_matches_single_gain_loop(case, K: int) -> None:

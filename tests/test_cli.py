@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -336,9 +337,18 @@ def test_oversized_horizons_exit_1(
     assert list(tmp_path.iterdir()) == []  # no file, and no --out directory either
 
 
+def assert_usage_error(args: list, message: str, capsys: pytest.CaptureFixture[str]) -> None:
+    """argparse rejects the arguments: exit 1, the usage line and the error, no traceback."""
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(args)
+    err = capsys.readouterr().err
+    assert excinfo.value.code == 1
+    assert err.startswith("usage: aggseek ") and f"error: {message}" in err and "Traceback" not in err
+
+
 def test_run_rejects_multiple_gains(capsys: pytest.CaptureFixture[str]) -> None:
-    assert cli.main(["run", "--scenario", SINGLE, "--k", "0.2,0.4"]) == 1
-    assert "error:" in capsys.readouterr().err
+    args = ["run", "--scenario", SINGLE, "--k", "0.2,0.4"]
+    assert_usage_error(args, "argument --k: invalid float value: '0.2,0.4'", capsys)
 
 
 def test_sweep_full_outputs(tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
@@ -393,8 +403,11 @@ def test_sweep_blowup_in_one_gain_exits_two(tmp_path: Path, capsys: pytest.Captu
 
 
 def test_sweep_requires_gain_list(capsys: pytest.CaptureFixture[str]) -> None:
-    assert cli.main(["sweep", "--scenario", SINGLE]) == 1
-    assert "error:" in capsys.readouterr().err
+    assert_usage_error(["sweep", "--scenario", SINGLE], "the following arguments are required: --k", capsys)
+
+
+def test_sweep_rejects_empty_gain_list(capsys: pytest.CaptureFixture[str]) -> None:
+    assert_usage_error(["sweep", "--scenario", SINGLE, "--k", ",,"], "argument --k: bad k list ',,'", capsys)
 
 
 def test_sweep_rejects_nonpositive_gain(capsys: pytest.CaptureFixture[str]) -> None:
@@ -429,6 +442,20 @@ def test_usage_errors_exit_one() -> None:
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["run", "--scenario", SINGLE, "--k", "zebra"])
     assert excinfo.value.code == 1
+
+
+@pytest.mark.parametrize("warnings", ["", "error::RuntimeWarning"])
+def test_solve_overflow_exits_two_with_one_error_line(warnings: str, tmp_path: Path) -> None:
+    # C sigma / ell overflows to infinity in the first best response: the solver names the non-finite
+    # update, and numpy's overflow warning neither reaches stderr nor becomes an exception
+    doc = {"n": 1, "C": [[1e300]], "k": 1.0, "agents": {"list": [{"ell": 1e-300, "xstar": [1.0], "linear": [0.0],
+                                                                  "set": {"ball": {"center": [1.0], "radius": 0.5}}}]}}
+    proc = subprocess.run(
+        [sys.executable, "-m", "aggseek.cli", "solve", "--scenario", write_doc(tmp_path, "overflow.json", doc)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONWARNINGS": warnings},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: non-finite fixed-point update at iteration 1\n"
 
 
 def test_console_entry_point() -> None:

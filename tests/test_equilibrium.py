@@ -3,7 +3,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -416,10 +415,10 @@ def test_box_population_runs_to_pinned_bytes(
 
 
 def test_solve_stops_at_first_nonfinite_update() -> None:
-    game = single_agent_game()
-    # QuadraticCost rejects a NaN xstar, so the poison goes straight into the stored layout
-    poisoned = replace(game, layout=replace(game.layout, xstar=np.array([[np.nan]])))
+    # every entry is finite, but C sigma / ell overflows in the first best response
+    cost, ball = QuadraticCost(1e-300, np.array([1.0]), np.array([0.0])), Ball(np.array([1.0]), 0.5)
+    game = GameSpec.from_agents(C=np.array([[1e300]]), k=1.0, agents=((cost, ball),))
     with pytest.raises(ConvergenceError, match="non-finite") as excinfo:
-        solve_equilibrium(poisoned)
+        solve_equilibrium(game)
     assert excinfo.value.iterations == 1
     assert np.array_equal(excinfo.value.sigma_last, initial_state(game).sigma)

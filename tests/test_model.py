@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from aggseek.geometry import Ball, Box
 from aggseek.model import (
+    GameLayout,
     GameSpec,
     QuadraticCost,
     ScenarioError,
@@ -32,7 +33,7 @@ from aggseek.model import (
     state_arrays,
 )
 
-from helpers import demand_response_doc, single_agent_game
+from helpers import demand_response_doc, random_game, single_agent_game
 from oracles import central_difference, splitmix64_reference
 
 
@@ -200,6 +201,98 @@ def test_generated_layout_equals_its_explicit_list(set_doc: dict) -> None:
     for name, value in want.items():
         assert got[name].dtype == value.dtype and np.array_equal(got[name], value), name
     assert generated.seed == 2**64 - 3 and listed.seed is None
+
+
+def _init_rows(lay: GameLayout) -> dict:
+    return {f.name: getattr(lay, f.name) for f in dataclasses.fields(lay) if f.init}
+
+
+def test_tile_stacks_every_row_of_each_copy() -> None:
+    game = random_game(np.random.default_rng(5), n_choices=(2,), N=9)
+    lay, B, N = game.layout, 3, game.N
+    assert 0 < lay.ball_rows.size < N
+    tiled = lay.tile(B)
+    for name, rows in _init_rows(lay).items():
+        assert np.array_equal(getattr(tiled, name), np.concatenate([rows] * B)), name
+    # the derived rows are those of the stacked rows: ball_rows holds flat indices b*N + i
+    assert np.array_equal(tiled.ball_rows, np.concatenate([lay.ball_rows + b * N for b in range(B)]))
+    assert np.array_equal(tiled.ball_center, np.concatenate([lay.ball_center] * B))
+    assert np.array_equal(tiled.ball_radius, np.concatenate([lay.ball_radius] * B))
+    assert np.array_equal(tiled.neg_ell, np.concatenate([lay.neg_ell] * B))
+    assert all(not rows.flags.writeable for rows in vars(tiled).values())
+    assert lay.tile(1) is lay
+
+
+@pytest.mark.parametrize("set_doc", [{"box": {"lo": [0.25, -1.0], "hi": [0.75, 1.0]}},
+                                     {"ball": {"center": [0.5, 0.0], "radius": 0.3}}])
+def test_generated_rows_repeat_the_one_agent(set_doc: dict) -> None:
+    agent = {"ell": 1.5, "linear": [0.5, -0.25], "set": set_doc}
+    block = {**agent, "count": 6, "xstar": {"uniform": {"lo": -1.0, "hi": 2.0, "seed": 3}}}
+    head = {"n": 2, "C": np.eye(2).tolist(), "k": 0.6}
+    generated = load_scenario(json.dumps({**head, "agents": {"generator": block}})).layout
+    one = load_scenario(json.dumps({**head, "agents": {"list": [{**agent, "xstar": [0.0, 0.0]}]}})).layout
+    for name, rows in _init_rows(one).items():
+        if name != "xstar":
+            assert np.array_equal(getattr(generated, name), np.repeat(rows, 6, axis=0)), name
+
+
+def _three_rows() -> dict:
+    """The rows of three agents in 2-D: a box, a ball and a box."""
+    inf = np.inf
+    return dict(ell=np.array([1.0, 2.0, 3.0]), xstar=np.zeros((3, 2)), linear=np.zeros((3, 2)),
+                lo=np.array([[0.0, 0.0], [-inf, -inf], [-1.0, -1.0]]), hi=np.array([[1.0, 1.0], [inf, inf], [1.0, 1.0]]),
+                center=np.array([[0.5, 0.5], [0.0, 0.0], [0.0, 0.0]]), radius=np.array([inf, 1.0, inf]))
+
+
+def _poison(name: str, index, value) -> dict:
+    rows = _three_rows()
+    rows[name][index] = value
+    return rows
+
+
+@pytest.mark.parametrize(
+    ("rows", "message"),
+    [
+        (_poison("ell", 1, 0.0), "agent 1: ell must be positive and finite, got 0.0"),
+        (_poison("ell", 2, np.nan), "agent 2: ell must be positive and finite, got nan"),
+        (_poison("xstar", (2, 1), np.nan), "agent 2: xstar and linear must be finite"),
+        (_poison("linear", (0, 0), -np.inf), "agent 0: xstar and linear must be finite"),
+        (_poison("center", (1, 0), np.inf), "agent 1: set center must be finite"),
+        (_poison("lo", (2, 0), -np.inf), "agent 2: box bounds must be finite"),
+        (_poison("hi", (0, 1), np.nan), "agent 0: box bounds must be finite"),
+        (_poison("lo", (2, 1), 2.0), "agent 2: empty box: lo > hi componentwise"),
+        (_poison("radius", 1, 0.0), "agent 1: ball radius must be positive and finite"),
+        (_poison("radius", 1, np.nan), "agent 1: ball radius must be positive and finite"),
+        (_poison("radius", 2, -np.inf), "agent 2: ball radius must be positive and finite"),
+        (_poison("lo", (1, 0), 0.0), "agent 1: ball bounds must be infinite"),
+        # the first agent of the first fault found is named
+        ({**_poison("ell", 2, -1.0), "linear": np.array([[0.0, 0.0], [0.0, np.nan], [0.0, np.nan]])},
+         "agent 2: ell must be positive and finite, got -1.0"),
+        (_poison("radius", (slice(1, None)), 0.0), "agent 1: ball radius must be positive and finite"),
+        ({**_three_rows(), "ell": np.ones(2)}, "rows must be arrays of shape (N,) for ell and radius"),
+        ({**_three_rows(), "radius": np.full((3, 1), np.inf)}, "rows must be arrays of shape"),
+        ({**_three_rows(), "xstar": np.zeros(3)}, "rows must be arrays of shape"),
+        ({**_three_rows(), "center": [[0.5, 0.5], [0.0, 0.0], [0.0, 0.0]]}, "rows must be arrays of shape"),
+        ({name: rows[:0] for name, rows in _three_rows().items()}, "N, n >= 1"),
+    ],
+)
+def test_layout_rejects_bad_rows(rows: dict, message: str) -> None:
+    GameLayout(**_three_rows())
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GameLayout(**rows)
+
+
+def test_every_way_to_build_a_layout_checks_its_rows() -> None:
+    game = single_agent_game()
+    with pytest.raises(ValueError, match=re.escape("agent 0: xstar and linear must be finite")):
+        dataclasses.replace(game.layout, xstar=np.array([[np.nan]]))
+    with pytest.raises(ValueError, match=re.escape("agent 0: ell must be positive and finite, got -1.5")):
+        GameSpec(game.C, game.k, layout=GameLayout(**{**_init_rows(game.layout), "ell": np.array([-1.5])}))
+    # a generator whose hi - lo overflows draws infinite targets
+    doc = json.loads(demand_response_doc(count=3))
+    doc["agents"]["generator"]["xstar"]["uniform"].update(lo=-1e308, hi=1e308)
+    with pytest.raises(ScenarioError, match=re.escape("agent 0: xstar and linear must be finite")):
+        load_scenario(json.dumps(doc))
 
 
 def test_from_agents_views_return_the_agents_bit_for_bit() -> None:
