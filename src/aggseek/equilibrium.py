@@ -61,7 +61,8 @@ def best_response(game: GameSpec, i: int, sigma: np.ndarray) -> np.ndarray:
     the projection of the unconstrained one, xstar - (C sigma + linear) / ell,
     for boxes and balls alike.
     """
-    return _best_responses(game.layout, game.C @ shaped(sigma, (game.n,), "sigma"))[i]
+    with np.errstate(over="ignore", invalid="ignore"):  # a response past the float range is returned as it is
+        return _best_responses(game.layout, game.C @ shaped(sigma, (game.n,), "sigma"))[i]
 
 
 def _best_responses(lay: GameLayout, csig: np.ndarray) -> np.ndarray:
@@ -71,7 +72,8 @@ def _best_responses(lay: GameLayout, csig: np.ndarray) -> np.ndarray:
 
 def aggregation_map(game: GameSpec, sigma: np.ndarray) -> np.ndarray:
     """T(sigma): average of all agents' best responses to sigma."""
-    return _best_responses(game.layout, game.C @ shaped(sigma, (game.n,), "sigma")).mean(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in best_response
+        return _best_responses(game.layout, game.C @ shaped(sigma, (game.n,), "sigma")).mean(axis=0)
 
 
 def solve_equilibrium(
@@ -128,7 +130,7 @@ def solve_equilibrium(
                 update_norm=update,
                 iterations=max_iter,
             )
-    xbar = _best_responses(lay, game.C @ sigma)
+        xbar = _best_responses(lay, game.C @ sigma)
     sigmabar = xbar.mean(axis=0)
     return EquilibriumResult(
         xbar=xbar,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -134,7 +134,9 @@ def tangent_project(s: ConvexSet, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """
     x = _require_member(s, x)
     v = shaped(v, (s.dim,), "v")
-    return tangent_rows(SetRows(**stack_sets([s])), x[None], v[None])[0]
+    inf = np.full(s.dim, np.inf)  # a ball's bounds, as a box's radius, are infinite
+    row = (-inf, inf, s.center, s.radius) if isinstance(s, Ball) else (s.lo, s.hi, s.center, np.inf)
+    return tangent_rows(SetRows(*(np.array([a]) for a in row)), x[None], v[None])[0]
 
 
 def normal_project(s: ConvexSet, x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -175,18 +177,6 @@ class SetRows:
     def row(self, i: int) -> ConvexSet:
         """Row i's set, rebuilt as a Box or a Ball."""
         return Ball(self.center[i], self.radius[i]) if self.radius[i] < np.inf else Box(self.lo[i], self.hi[i])
-
-
-def stack_sets(sets: Sequence[ConvexSet]) -> dict[str, np.ndarray]:
-    """The SetRows fields of a sequence of sets of one dimension, one row per set."""
-    balls = [isinstance(s, Ball) for s in sets]
-    unbounded = np.full(sets[0].dim, np.inf)
-    return dict(
-        lo=np.stack([-unbounded if ball else s.lo for s, ball in zip(sets, balls)]),
-        hi=np.stack([unbounded if ball else s.hi for s, ball in zip(sets, balls)]),
-        center=np.stack([s.center for s in sets]),
-        radius=np.array([s.radius if ball else np.inf for s, ball in zip(sets, balls)]),
-    )
 
 
 def project_rows(sets: SetRows, y: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:

@@ -11,12 +11,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .geometry import Ball, Box, ConvexSet, SetRows, contains, project_rows, shaped, stack_sets
+from .geometry import Box, ConvexSet, SetRows, contains, project_rows, shaped
 
 _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's state increment
 _MASK = (1 << 64) - 1
@@ -141,23 +141,8 @@ class GameSpec:
     @classmethod
     def from_agents(cls, C: np.ndarray, k: float, agents) -> "GameSpec":
         """The game of (cost, constraint set) pairs, each of C's dimension n, stacked row-wise."""
-        agents = tuple(agents)
-        if not agents:
-            raise ValueError("a game needs at least one agent")
-        n = np.atleast_2d(C).shape[0]
-        for i, (cost, cset) in enumerate(agents):
-            if cost.dim != n:
-                raise ValueError(f"agent {i} cost has dimension {cost.dim}, expected {n}")
-            if cset.dim != n:
-                raise ValueError(f"agent {i} set has dimension {cset.dim}, expected {n}")
-        costs, sets = zip(*agents)
-        layout = GameLayout(
-            ell=np.array([cost.ell for cost in costs]),
-            xstar=np.stack([cost.xstar for cost in costs]),
-            linear=np.stack([cost.linear for cost in costs]),
-            **stack_sets(sets),
-        )
-        return cls(C=C, k=k, layout=layout)
+        entries = [{**vars(cost), "set": {"box" if isinstance(s, Box) else "ball": vars(s)}} for cost, s in agents]
+        return cls(C=C, k=k, layout=GameLayout(**_rows(entries, np.atleast_2d(C).shape[0], "agent {}: ")))
 
     @property
     def N(self) -> int:
@@ -231,20 +216,29 @@ def splitmix64(seed: int, count: Optional[int] = None) -> np.ndarray | Iterator[
     return z.astype(np.float64) / 2.0**64
 
 
-def _generated_game(one: GameSpec, block: dict) -> GameSpec:
-    """A checked generator block's game: the game of its one agent with that row repeated count times."""
-    count, n, uni = block["count"], one.n, block["xstar"]["uniform"]
-    lo, hi = float(uni["lo"]), float(uni["hi"])
-    if count < 1:
-        raise ScenarioError(f"agents.generator.count must be positive, got {count}")
-    if not hi >= lo:
-        raise ScenarioError(f"agents.generator.xstar.uniform must have hi >= lo, got lo {lo}, hi {hi}")
-    try:  # a count past the C long overflows, one past memory or the array size limit cannot be allocated
-        layout = one.layout.tile(count)
-        xstar = lo + (hi - lo) * splitmix64(uni["seed"], count * n).reshape(count, n)  # in index order
-    except (OverflowError, MemoryError, ValueError):
-        raise ScenarioError(f"agents.generator.count is too large, got {count}") from None
-    return replace(one, layout=replace(layout, xstar=xstar), seed=uni["seed"])
+def _rows(entries: list, n: int, name: str) -> dict[str, np.ndarray]:
+    """The GameLayout rows of entries {ell, xstar, linear, set: {box: {lo, hi}} or {ball: {center, radius}}}.
+
+    Other keys are ignored. A vector not of n numbers raises ValueError, named after name.format(i) for entry i.
+    """
+    if not entries:
+        raise ValueError("a game needs at least one agent")
+    sets, up, down = [entry["set"] for entry in entries], [math.inf] * n, [-math.inf] * n
+    for i, (entry, s) in enumerate(zip(entries, sets)):
+        kind = "box" if "box" in s else "ball"
+        vectors = {"xstar": entry["xstar"], "linear": entry["linear"],
+                   **{f"set.{kind}.{key}": s[kind][key] for key in (("lo", "hi") if kind == "box" else ("center",))}}
+        for path, vector in vectors.items():
+            if len(vector) != n:
+                raise ValueError(f"{name.format(i)}{path} must hold n = {n} numbers, got {len(vector)}")
+    rows = {key: np.array([entry[key] for entry in entries], dtype=float) for key in ("ell", "xstar", "linear")}
+    box = np.array(["box" in s for s in sets])
+    lo = np.array([s["box"]["lo"] if "box" in s else down for s in sets], dtype=float)
+    hi = np.array([s["box"]["hi"] if "box" in s else up for s in sets], dtype=float)
+    center = np.array([up if "box" in s else s["ball"]["center"] for s in sets], dtype=float)
+    center[box] = 0.5 * (lo[box] + hi[box])  # as Box.center
+    radius = np.array([math.inf if "box" in s else s["ball"]["radius"] for s in sets], dtype=float)
+    return dict(rows, lo=lo, hi=hi, center=center, radius=radius)
 
 
 def _require_finite(node, path: str, kind=None) -> None:
@@ -292,22 +286,26 @@ def load_scenario(document: str) -> GameSpec:
     if len(C) != n or any(len(row) != n for row in C):
         raise ScenarioError(f"C must hold n = {n} rows of n numbers, got rows of {[len(row) for row in C]}")
     block = agents.get("generator")  # None when the agents come as a list
-    entries = agents["list"] if block is None else [{**block, "xstar": np.zeros(n)}]  # one row, repeated below
     try:
-        game = GameSpec.from_agents(C, k, [_agent(entry, idx) for idx, entry in enumerate(entries)])
-        return game if block is None else _generated_game(game, block)
+        if block is None:
+            return GameSpec(C, k, GameLayout(**_rows(agents["list"], n, "agents.list[{}].")))
+        rows = _rows([{**block, "xstar": [0.0] * n}], n, "agents.generator.")  # one row, repeated below
+        GameLayout(**rows)  # a bad field is named before the count rows are allocated
+        count, uni = block["count"], block["xstar"]["uniform"]
+        lo, hi = float(uni["lo"]), float(uni["hi"])
+        if count < 1:
+            raise ScenarioError(f"agents.generator.count must be positive, got {count}")
+        if not 0 <= hi - lo < math.inf:  # lo and hi are finite
+            rule = "hi >= lo" if hi < lo else "a finite hi - lo"
+            raise ScenarioError(f"agents.generator.xstar.uniform must have {rule}, got lo {lo}, hi {hi}")
+        try:  # a count past the C long overflows, one past memory or the array size limit cannot be allocated
+            rows = {name: np.repeat(a, count, axis=0) for name, a in rows.items() if name != "xstar"}
+            rows["xstar"] = lo + (hi - lo) * splitmix64(uni["seed"], count * n).reshape(count, n)  # in index order
+        except (OverflowError, MemoryError, ValueError):
+            raise ScenarioError(f"agents.generator.count is too large, got {count}") from None
+        return GameSpec(C, k, GameLayout(**rows), seed=uni["seed"])
     except ValueError as e:
         raise ScenarioError(str(e)) from None
-
-
-def _agent(entry: dict, idx: int) -> tuple[QuadraticCost, ConvexSet]:
-    """One agent entry of a checked document as its (cost, constraint set) pair."""
-    s = entry["set"]
-    try:
-        return QuadraticCost(entry["ell"], entry["xstar"], entry["linear"]), (
-            Box(s["box"]["lo"], s["box"]["hi"]) if "box" in s else Ball(s["ball"]["center"], s["ball"]["radius"]))
-    except ValueError as e:
-        raise ScenarioError(f"agent {idx}: {e}") from None
 
 
 def grad_f(cost: QuadraticCost, x: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import pytest
 
 from aggseek.equilibrium import aggregation_map, best_response, solve_equilibrium, verify_equilibrium, vi_gap
 from aggseek.flow import IntegratorConfig, integrate, integrate_gains, rhs, step
-from aggseek.geometry import Ball, Box, SetRows, distance, normal_project, project, stack_sets, tangent_project
+from aggseek.geometry import Ball, Box, SetRows, distance, normal_project, project, tangent_project
 from aggseek.lyapunov import lyapunov_W, storage_inequality_check
 from aggseek.model import (
     GameSpec,
@@ -124,7 +124,8 @@ def test_one_entry_sigmabar_is_not_broadcast() -> None:
 
 def test_array_records_compare_by_identity() -> None:
     # N = 3: a generated __eq__ would compare arrays of three rows and raise, a generated __hash__ too
-    rows = SetRows(**stack_sets([cset for _, cset in GAME.agents]))
+    lay = GAME.layout
+    rows = SetRows(lay.lo, lay.hi, lay.center, lay.radius)
     traj = integrate(GAME, initial_state(GAME), CFG, reference=REF)
     for record in (rows, GAME.layout, GAME, initial_state(GAME), REF, traj):
         twin = dataclasses.replace(record)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -422,3 +423,13 @@ def test_solve_stops_at_first_nonfinite_update() -> None:
         solve_equilibrium(game)
     assert excinfo.value.iterations == 1
     assert np.array_equal(excinfo.value.sigma_last, initial_state(game).sigma)
+
+
+def test_best_responses_past_the_float_range_emit_no_warning() -> None:
+    # the overflow game above: the map and the response return their non-finite values quietly
+    cost, ball = QuadraticCost(1e-300, np.array([1.0]), np.array([0.0])), Ball(np.array([1.0]), 0.5)
+    game = GameSpec.from_agents(C=np.array([[1e300]]), k=1.0, agents=((cost, ball),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert not np.isfinite(aggregation_map(game, np.array([1.0]))).any()
+        assert not np.isfinite(best_response(game, 0, np.array([1.0]))).any()

@@ -231,9 +231,11 @@ def test_generated_rows_repeat_the_one_agent(set_doc: dict) -> None:
     head = {"n": 2, "C": np.eye(2).tolist(), "k": 0.6}
     generated = load_scenario(json.dumps({**head, "agents": {"generator": block}})).layout
     one = load_scenario(json.dumps({**head, "agents": {"list": [{**agent, "xstar": [0.0, 0.0]}]}})).layout
-    for name, rows in _init_rows(one).items():
-        if name != "xstar":
-            assert np.array_equal(getattr(generated, name), np.repeat(rows, 6, axis=0)), name
+    draws = -1.0 + 3.0 * np.array(splitmix64_reference(3, 12)).reshape(6, 2)  # in index order
+    want = {name: np.repeat(rows, 6, axis=0) for name, rows in _init_rows(one).items()} | {"xstar": draws}
+    for name, rows in want.items():
+        got = getattr(generated, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (rows.dtype, rows.shape, rows.tobytes()), name
 
 
 def _three_rows() -> dict:
@@ -288,10 +290,11 @@ def test_every_way_to_build_a_layout_checks_its_rows() -> None:
         dataclasses.replace(game.layout, xstar=np.array([[np.nan]]))
     with pytest.raises(ValueError, match=re.escape("agent 0: ell must be positive and finite, got -1.5")):
         GameSpec(game.C, game.k, layout=GameLayout(**{**_init_rows(game.layout), "ell": np.array([-1.5])}))
-    # a generator whose hi - lo overflows draws infinite targets
+    # a generator whose hi - lo overflows would draw infinite targets: the loader names the range
     doc = json.loads(demand_response_doc(count=3))
     doc["agents"]["generator"]["xstar"]["uniform"].update(lo=-1e308, hi=1e308)
-    with pytest.raises(ScenarioError, match=re.escape("agent 0: xstar and linear must be finite")):
+    message = "agents.generator.xstar.uniform must have a finite hi - lo, got lo -1e+308, hi 1e+308"
+    with pytest.raises(ScenarioError, match=re.escape(message)):
         load_scenario(json.dumps(doc))
 
 
@@ -319,6 +322,53 @@ def test_from_agents_views_return_the_agents_bit_for_bit() -> None:
                 assert np.array_equal(vs.lo, cset.lo) and np.array_equal(vs.hi, cset.hi)
             else:
                 assert np.array_equal(vs.center, cset.center) and vs.radius == cset.radius
+
+
+# integer literals, -0.0 and floats; an unlisted key holds a number or a list of numbers
+_LITERALS = st.one_of(st.integers(-3, 3), st.just(-0.0), st.floats(-2.0, 2.0))
+_UNLISTED = st.dictionaries(st.just("note"), st.one_of(_LITERALS, st.lists(_LITERALS, max_size=2)), max_size=1)
+
+
+@st.composite
+def _list_documents(draw) -> dict:
+    """A valid list document of random boxes and balls, with integer literals, -0.0 and unlisted keys."""
+    n = draw(st.integers(1, 3))
+    vector = st.lists(_LITERALS, min_size=n, max_size=n)
+    positive = st.one_of(st.integers(1, 4), st.floats(0.125, 4.0))
+    agents = []
+    for _ in range(draw(st.integers(1, 40))):
+        if draw(st.booleans()):
+            lo = draw(vector)
+            kind, body = "box", {"lo": lo, "hi": [a + w for a, w in zip(lo, draw(st.lists(
+                st.one_of(st.integers(0, 2), st.floats(0.0, 2.0)), min_size=n, max_size=n)))]}
+        else:
+            kind, body = "ball", {"center": draw(vector), "radius": draw(positive)}
+        agents.append({"ell": draw(positive), "xstar": draw(vector), "linear": draw(vector),
+                       "set": {kind: {**body, **draw(_UNLISTED)}, **draw(_UNLISTED)}, **draw(_UNLISTED)})
+    return {"n": n, "C": np.eye(n).tolist(), "k": 1, "agents": {"list": agents}}
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_list_documents())
+def test_loaded_rows_equal_the_rows_of_the_agents_as_objects(doc: dict) -> None:
+    agents = []
+    for a in doc["agents"]["list"]:
+        s = a["set"]
+        cset = Box(s["box"]["lo"], s["box"]["hi"]) if "box" in s else Ball(s["ball"]["center"], s["ball"]["radius"])
+        agents.append((QuadraticCost(a["ell"], a["xstar"], a["linear"]), cset))
+    loaded = load_scenario(json.dumps(doc))
+    built = GameSpec.from_agents(np.array(doc["C"]), 1.0, agents)
+    for f in dataclasses.fields(GameLayout):
+        got, want = getattr(loaded.layout, f.name), getattr(built.layout, f.name)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), f.name
+    for i, ((cost, cset), (vc, vs)) in enumerate(zip(agents, loaded.agents)):
+        assert [_bits(a) for a in vars(vc).values()] == [_bits(a) for a in vars(cost).values()]
+        assert type(vs) is type(cset) and _bits(loaded.layout.center[i]) == _bits(cset.center)
+        assert [_bits(a) for a in vars(vs).values()] == [_bits(a) for a in vars(cset).values()]
 
 
 def test_replace_gain_shares_the_read_only_layout() -> None:
@@ -385,6 +435,17 @@ _BAD_FIELD_DOCUMENTS = {
     '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"generator": {"count": 0, "ell": 1.0, "linear": [0.0], "xstar": {"uniform": {"lo": 0.0, "hi": 1.0, "seed": 1}}, "set": {"box": {"lo": [0.0], "hi": [1.0]}}}}}': "agents.generator.count must be positive, got 0",
     '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"generator": {"count": 2, "ell": 1.0, "linear": [0.0], "xstar": {"uniform": {"lo": 1.0, "hi": 0.0, "seed": 1}}, "set": {"box": {"lo": [0.0], "hi": [1.0]}}}}}': "agents.generator.xstar.uniform must have hi >= lo",
     '{"n": 2, "C": [[1.0, 2.0], [3.0]], "k": 1.0, "agents": {"list": [{"ell": 1.0, "xstar": [0.1, 0.1], "linear": [0.0, 0.0], "set": {"box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}}}]}}': "C must hold n = 2 rows of n numbers, got rows of [2, 1]",
+    '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"generator": {"count": 2, "ell": 1.0, "linear": [0.0], "xstar": {"uniform": {"lo": -1e308, "hi": 1e308, "seed": 1}}, "set": {"box": {"lo": [0.0], "hi": [1.0]}}}}}': "agents.generator.xstar.uniform must have a finite hi - lo",
+    # every vector holds n numbers
+    '{"n": 2, "C": [[1.0, 0.0], [0.0, 1.0]], "k": 1.0, "agents": {"list": [{"ell": 1.0, "xstar": [0.1, 0.1], "linear": [0.0, 0.0], "set": {"ball": {"center": [0.0, 0.0], "radius": 1.0}}}, {"ell": 1.0, "xstar": [0.1], "linear": [0.0, 0.0], "set": {"box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}}}]}}': "agents.list[1].xstar must hold n = 2 numbers, got 1",
+    '{"n": 2, "C": [[1.0, 0.0], [0.0, 1.0]], "k": 1.0, "agents": {"list": [{"ell": 1.0, "xstar": [0.1, 0.1], "linear": [0.0, 0.0, 0.0], "set": {"box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}}}]}}': "agents.list[0].linear must hold n = 2 numbers, got 3",
+    '{"n": 2, "C": [[1.0, 0.0], [0.0, 1.0]], "k": 1.0, "agents": {"list": [{"ell": 1.0, "xstar": [0.1, 0.1], "linear": [0.0, 0.0], "set": {"box": {"lo": [0.0], "hi": [1.0, 1.0]}}}]}}': "agents.list[0].set.box.lo must hold n = 2 numbers, got 1",
+    '{"n": 2, "C": [[1.0, 0.0], [0.0, 1.0]], "k": 1.0, "agents": {"list": [{"ell": 1.0, "xstar": [0.1, 0.1], "linear": [0.0, 0.0], "set": {"box": {"lo": [0.0, 0.0], "hi": []}}}]}}': "agents.list[0].set.box.hi must hold n = 2 numbers, got 0",
+    '{"n": 2, "C": [[1.0, 0.0], [0.0, 1.0]], "k": 1.0, "agents": {"list": [{"ell": 1.0, "xstar": [0.1, 0.1], "linear": [0.0, 0.0], "set": {"ball": {"center": [0.0], "radius": 1.0}}}]}}': "agents.list[0].set.ball.center must hold n = 2 numbers, got 1",
+    '{"n": 2, "C": [[1.0, 0.0], [0.0, 1.0]], "k": 1.0, "agents": {"generator": {"count": 2, "ell": 1.0, "linear": [0.0], "xstar": {"uniform": {"lo": 0.0, "hi": 1.0, "seed": 1}}, "set": {"box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}}}}}': "agents.generator.linear must hold n = 2 numbers, got 1",
+    '{"n": 2, "C": [[1.0, 0.0], [0.0, 1.0]], "k": 1.0, "agents": {"generator": {"count": 2, "ell": 1.0, "linear": [0.0, 0.0], "xstar": {"uniform": {"lo": 0.0, "hi": 1.0, "seed": 1}}, "set": {"box": {"lo": [0.0, 0.0, 0.0], "hi": [1.0, 1.0]}}}}}': "agents.generator.set.box.lo must hold n = 2 numbers, got 3",
+    '{"n": 2, "C": [[1.0, 0.0], [0.0, 1.0]], "k": 1.0, "agents": {"generator": {"count": 2, "ell": 1.0, "linear": [0.0, 0.0], "xstar": {"uniform": {"lo": 0.0, "hi": 1.0, "seed": 1}}, "set": {"box": {"lo": [0.0, 0.0], "hi": [1.0]}}}}}': "agents.generator.set.box.hi must hold n = 2 numbers, got 1",
+    '{"n": 2, "C": [[1.0, 0.0], [0.0, 1.0]], "k": 1.0, "agents": {"generator": {"count": 2, "ell": 1.0, "linear": [0.0, 0.0], "xstar": {"uniform": {"lo": 0.0, "hi": 1.0, "seed": 1}}, "set": {"ball": {"center": [0.0], "radius": 1.0}}}}}': "agents.generator.set.ball.center must hold n = 2 numbers, got 1",
 }
 
 
@@ -491,10 +552,12 @@ def test_gamespec_validation() -> None:
     box = Box(np.array([0.0]), np.array([1.0]))
     with pytest.raises(ValueError, match="at least one agent"):
         GameSpec.from_agents(C=np.array([[1.0]]), k=1.0, agents=())
-    with pytest.raises(ValueError, match="agent 0 cost has dimension 1, expected 2"):
+    with pytest.raises(ValueError, match=re.escape("agent 0: xstar must hold n = 2 numbers, got 1")):
         GameSpec.from_agents(C=np.eye(2), k=1.0, agents=((cost, box),))
-    with pytest.raises(ValueError, match="agent 1 set has dimension 2, expected 1"):
+    with pytest.raises(ValueError, match=re.escape("agent 1: set.box.lo must hold n = 1 numbers, got 2")):
         GameSpec.from_agents(C=np.array([[1.0]]), k=1.0, agents=((cost, box), (cost, Box(np.zeros(2), np.ones(2)))))
+    with pytest.raises(ValueError, match=re.escape("agent 1: set.ball.center must hold n = 1 numbers, got 2")):
+        GameSpec.from_agents(C=np.array([[1.0]]), k=1.0, agents=((cost, box), (cost, Ball(np.zeros(2), 1.0))))
     with pytest.raises(ValueError):
         GameSpec.from_agents(C=np.array([[1.0]]), k=0.0, agents=((cost, box),))
 
