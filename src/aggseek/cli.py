@@ -184,8 +184,10 @@ def _run_one(
     game: GameSpec, traj: Trajectory, ref: EquilibriumResult, out_prefix: Optional[str], suffix: str = ""
 ) -> tuple[list[tuple[str, object]], dict]:
     """One trajectory's report, as `key = value` lines and as a JSON dict built from the same fields."""
+    from .lyapunov import DECAY_MAX_VI_GAP, DECAY_MIN_SAMPLES  # compare_conditions loads this module anyway
+
     cert = _lib.compare_conditions(game)
-    can_judge = len(traj) >= 10 and ref.vi_gap_value <= 1e-6
+    can_judge = len(traj) >= DECAY_MIN_SAMPLES and ref.vi_gap_value <= DECAY_MAX_VI_GAP
     decay = dataclasses.asdict(_lib.decay_report(traj, ref, cert)) if can_judge else None
     paths = {}
     if out_prefix:

@@ -21,6 +21,36 @@ ACTIVITY_TOL = 1e-10
 MEMBERSHIP_TOL = 1e-9
 
 
+class RuleError(ValueError):
+    """Agent row breaks a rule on the value at field of its scenario entry (set.ball.radius, say)."""
+
+    def __init__(self, row: int, field: str, rule: str, subject: str) -> None:
+        super().__init__(f"agent {row}: {subject} {rule}")
+        self.row, self.field, self.rule = row, field, rule
+
+
+def enforce(faults, agent: bool = True) -> None:
+    """Raise for the first row of the first rule broken, of faults (field, rule, mask of the rows that break it).
+
+    The message is `subject rule`, the subject the field in words (set.ball.radius: ball radius), in a
+    RuleError after `agent i: `, or alone in a ValueError for a single set or cost (agent False).
+    """
+    for field, rule, rows in faults:
+        if rows.any():
+            subject = field.removeprefix("set.").replace(".", " ")
+            raise RuleError(int(rows.argmax()), field, rule, subject) if agent else ValueError(f"{subject} {rule}")
+
+
+def _set_faults(lo, hi, center, radius, box) -> tuple:
+    """Each set rule as (field, rule, mask of the rows that break it), on (N, n) rows: boxes where box, else balls."""
+    finite = lambda rows: np.isfinite(rows).all(axis=-1)
+    return (("set.box", "bounds must be finite", box & ~(finite(lo) & finite(hi))),
+            ("set.box", "is empty: lo > hi componentwise", box & (lo > hi).any(axis=-1)),
+            ("set", "center must be finite", ~finite(center)),
+            ("set.ball.radius", "must be positive and finite", ~box & ~((radius > 0) & (radius < np.inf))),
+            ("set.ball", "bounds must be infinite", ~box & ~((lo == -np.inf) & (hi == np.inf)).all(axis=-1)))
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box {y : lo <= y <= hi}, componentwise."""
@@ -33,12 +63,11 @@ class Box:
         hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("box bounds must be 1-D arrays of equal length")
-        if not all(map(math.isfinite, lo.tolist() + hi.tolist())):  # per agent: faster than np.isfinite
-            raise ValueError("box bounds must be finite")
-        if np.any(lo > hi):
-            raise ValueError("empty box: lo > hi componentwise")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+        with np.errstate(invalid="ignore", over="ignore"):  # the rules name such bounds, or a midpoint that overflows
+            center = self.center
+        enforce(_set_faults(lo[None], hi[None], center[None], np.full(1, np.inf), np.ones(1, bool)), agent=False)
 
     @property
     def dim(self) -> int:
@@ -60,11 +89,8 @@ class Ball:
         c = np.atleast_1d(np.asarray(self.center, dtype=float))
         if c.ndim != 1:
             raise ValueError("ball center must be a 1-D array")
-        if not all(map(math.isfinite, c.tolist())):
-            raise ValueError("ball center must be finite")
-        r = float(self.radius)
-        if not 0 < r < np.inf:
-            raise ValueError("ball radius must be positive and finite")
+        r, inf = float(self.radius), np.full((1, c.size), np.inf)
+        enforce(_set_faults(-inf, inf, c[None], np.array([r]), np.zeros(1, bool)), agent=False)
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", r)
 
@@ -110,14 +136,6 @@ def contains(s: ConvexSet, y: np.ndarray, tol: float = MEMBERSHIP_TOL) -> bool:
     return distance(s, y) <= tol
 
 
-def _require_member(s: ConvexSet, x: np.ndarray) -> np.ndarray:
-    x = shaped(x, (s.dim,), "x")
-    d = distance(s, x)
-    if not d <= MEMBERSHIP_TOL:  # a non-finite point is outside too
-        raise ValueError(f"point lies outside the set (distance {d:.3e})")
-    return x
-
-
 def tangent_project(s: ConvexSet, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Project the velocity v onto the tangent cone of the set at x.
 
@@ -132,11 +150,18 @@ def tangent_project(s: ConvexSet, x: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     Raises ValueError when x lies outside the set beyond tolerance.
     """
-    x = _require_member(s, x)
+    x = shaped(x, (s.dim,), "x")
+    if not (gap := distance(s, x)) <= MEMBERSHIP_TOL:  # a non-finite point is outside too
+        raise ValueError(f"point lies outside the set (distance {gap:.3e})")
     v = shaped(v, (s.dim,), "v")
-    inf = np.full(s.dim, np.inf)  # a ball's bounds, as a box's radius, are infinite
-    row = (-inf, inf, s.center, s.radius) if isinstance(s, Ball) else (s.lo, s.hi, s.center, np.inf)
-    return tangent_rows(SetRows(*(np.array([a]) for a in row)), x[None], v[None])[0]
+    if isinstance(s, Box):
+        return np.where(((x - s.lo <= ACTIVITY_TOL) & (v < 0)) | ((s.hi - x <= ACTIVITY_TOL) & (v > 0)), 0.0, v)
+    d = x - s.center
+    norm = np.sqrt(np.vecdot(d, d))  # tangent_rows' arithmetic, so the two agree bit for bit
+    if norm < s.radius - ACTIVITY_TOL:
+        return v.copy()
+    u = d / (norm if norm > 0 else 1.0)
+    return v - np.maximum(0.0, np.sum(u * v)) * u
 
 
 def normal_project(s: ConvexSet, x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -156,7 +181,7 @@ class SetRows:
 
     Row i is the intersection of a box [lo_i, hi_i] and a ball of radius_i
     around center_i: a box row has an infinite radius, a ball row infinite
-    bounds. center_i is set_center of row i's set on every row.
+    bounds. center_i is set_center of row i's set on every row; every row keeps the set rules.
     """
 
     lo: np.ndarray       # (N, n)
@@ -168,6 +193,7 @@ class SetRows:
     ball_radius: np.ndarray = field(init=False)  # radius[ball_rows], gathered once
 
     def __post_init__(self) -> None:
+        enforce(_set_faults(self.lo, self.hi, self.center, self.radius, self.radius == np.inf))
         b = np.flatnonzero(self.radius < np.inf)
         for name, rows in (("ball_rows", b), ("ball_center", self.center[b]), ("ball_radius", self.radius[b])):
             object.__setattr__(self, name, rows)

@@ -25,6 +25,9 @@ if TYPE_CHECKING:  # neither route is imported to certify it
     from .flow import Trajectory
 
 VARIANTS = ("paper", "symmetrized")
+# decay_report judges only a trajectory of this many samples or more, against a reference of vi_gap at most this
+DECAY_MIN_SAMPLES = 10
+DECAY_MAX_VI_GAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -197,10 +200,10 @@ def decay_report(traj: Trajectory, ref: EquilibriumResult, cert: CertificateRepo
     """
     if not traj.has_reference:
         raise ValueError("trajectory was integrated without a reference, so it has no W")
-    if not ref.vi_gap_value <= 1e-6:
-        raise ValueError(f"reference not verified: vi_gap {ref.vi_gap_value:.3e} > 1e-6")
-    if len(traj) < 10:
-        raise ValueError(f"trajectory has {len(traj)} samples, need at least 10")
+    if not ref.vi_gap_value <= DECAY_MAX_VI_GAP:
+        raise ValueError(f"reference not verified: vi_gap {ref.vi_gap_value:.3e} > {DECAY_MAX_VI_GAP}")
+    if len(traj) < DECAY_MIN_SAMPLES:
+        raise ValueError(f"trajectory has {len(traj)} samples, need at least {DECAY_MIN_SAMPLES}")
     W = traj.W
     W0 = float(W[0])
     monotone = bool(np.all(W[1:] <= W[:-1] * (1.0 + 1e-9)))

@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .geometry import Box, ConvexSet, SetRows, contains, project_rows, shaped
+from .geometry import Box, ConvexSet, RuleError, SetRows, contains, enforce, project_rows, shaped
 
 _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's state increment
 _MASK = (1 << 64) - 1
@@ -49,14 +49,11 @@ class QuadraticCost:
 
     def __post_init__(self) -> None:
         ell = float(self.ell)
-        if not (ell > 0 and math.isfinite(ell)):
-            raise ValueError(f"ell must be positive and finite, got {ell}")
         xstar = np.atleast_1d(np.asarray(self.xstar, dtype=float))
         linear = np.atleast_1d(np.asarray(self.linear, dtype=float))
         if xstar.shape != linear.shape or xstar.ndim != 1:
             raise ValueError("xstar and linear must be 1-D arrays of equal length")
-        if not all(map(math.isfinite, xstar.tolist() + linear.tolist())):
-            raise ValueError("xstar and linear must be finite")
+        enforce(_cost_faults(np.array([ell]), xstar[None], linear[None]), agent=False)
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "xstar", xstar)
         object.__setattr__(self, "linear", linear)
@@ -66,9 +63,17 @@ class QuadraticCost:
         return self.xstar.shape[0]
 
 
+def _cost_faults(ell: np.ndarray, xstar: np.ndarray, linear: np.ndarray) -> tuple:
+    """Each cost rule as (field, rule, mask of the rows that break it): ell positive and finite, the rest finite."""
+    bad_ell = ~((ell > 0) & (ell < np.inf))
+    return (("ell", f"must be positive and finite, got {ell[bad_ell.argmax()]}", bad_ell),
+            ("xstar", "must be finite", ~np.isfinite(xstar).all(axis=-1)),
+            ("linear", "must be finite", ~np.isfinite(linear).all(axis=-1)))
+
+
 @dataclass(frozen=True, eq=False)
 class GameLayout(SetRows):
-    """Every agent's cost and set stacked row-wise, row i for agent i."""
+    """Every agent's cost and set stacked row-wise, row i for agent i, checked against the cost and set rules."""
 
     ell: np.ndarray     # (N,)
     xstar: np.ndarray   # (N, n)
@@ -80,19 +85,7 @@ class GameLayout(SetRows):
         got = {f.name: getattr(getattr(self, f.name), "shape", None) for f in fields(self) if f.init}
         if not N * n or any(shape != ((N,) if name in ("ell", "radius") else (N, n)) for name, shape in got.items()):
             raise ValueError(f"rows must be arrays of shape (N,) for ell and radius, else (N, n), N, n >= 1: {got}")
-        box, finite = self.radius == np.inf, lambda rows: np.isfinite(rows).all(axis=1)
-        faults = {  # each fault's mask of the rows: the first agent of the first fault found is named
-            "ell must be positive and finite, got {}": ~((self.ell > 0) & (self.ell < np.inf)),
-            "xstar and linear must be finite": ~(finite(self.xstar) & finite(self.linear)),
-            "set center must be finite": ~finite(self.center),
-            "box bounds must be finite": box & ~(finite(self.lo) & finite(self.hi)),
-            "empty box: lo > hi componentwise": box & (self.lo > self.hi).any(axis=1),
-            "ball radius must be positive and finite": ~box & ~(self.radius > 0),
-            "ball bounds must be infinite": ~box & ~((self.lo == -np.inf) & (self.hi == np.inf)).all(axis=1),
-        }
-        for message, rows in faults.items():
-            if rows.any():
-                raise ValueError(f"agent {rows.argmax()}: " + message.format(self.ell[rows.argmax()]))
+        enforce(_cost_faults(self.ell, self.xstar, self.linear))
         object.__setattr__(self, "neg_ell", np.repeat(-self.ell[:, None], n, axis=1))
         super().__post_init__()
 
@@ -142,7 +135,7 @@ class GameSpec:
     def from_agents(cls, C: np.ndarray, k: float, agents) -> "GameSpec":
         """The game of (cost, constraint set) pairs, each of C's dimension n, stacked row-wise."""
         entries = [{**vars(cost), "set": {"box" if isinstance(s, Box) else "ball": vars(s)}} for cost, s in agents]
-        return cls(C=C, k=k, layout=GameLayout(**_rows(entries, np.atleast_2d(C).shape[0], "agent {}: ")))
+        return cls(C=C, k=k, layout=GameLayout(**_rows(entries, np.atleast_2d(C).shape[0], "agents")))
 
     @property
     def N(self) -> int:
@@ -219,10 +212,11 @@ def splitmix64(seed: int, count: Optional[int] = None) -> np.ndarray | Iterator[
 def _rows(entries: list, n: int, name: str) -> dict[str, np.ndarray]:
     """The GameLayout rows of entries {ell, xstar, linear, set: {box: {lo, hi}} or {ball: {center, radius}}}.
 
-    Other keys are ignored. A vector not of n numbers raises ValueError, named after name.format(i) for entry i.
+    Other keys are ignored. An empty list raises ValueError calling it name; a vector not of n numbers
+    raises RuleError for its entry and path.
     """
     if not entries:
-        raise ValueError("a game needs at least one agent")
+        raise ValueError(f"{name} must hold at least one agent")
     sets, up, down = [entry["set"] for entry in entries], [math.inf] * n, [-math.inf] * n
     for i, (entry, s) in enumerate(zip(entries, sets)):
         kind = "box" if "box" in s else "ball"
@@ -230,13 +224,14 @@ def _rows(entries: list, n: int, name: str) -> dict[str, np.ndarray]:
                    **{f"set.{kind}.{key}": s[kind][key] for key in (("lo", "hi") if kind == "box" else ("center",))}}
         for path, vector in vectors.items():
             if len(vector) != n:
-                raise ValueError(f"{name.format(i)}{path} must hold n = {n} numbers, got {len(vector)}")
+                raise RuleError(i, path, f"must hold n = {n} numbers, got {len(vector)}", path)
     rows = {key: np.array([entry[key] for entry in entries], dtype=float) for key in ("ell", "xstar", "linear")}
     box = np.array(["box" in s for s in sets])
     lo = np.array([s["box"]["lo"] if "box" in s else down for s in sets], dtype=float)
     hi = np.array([s["box"]["hi"] if "box" in s else up for s in sets], dtype=float)
     center = np.array([up if "box" in s else s["ball"]["center"] for s in sets], dtype=float)
-    center[box] = 0.5 * (lo[box] + hi[box])  # as Box.center
+    with np.errstate(over="ignore"):  # a midpoint that overflows is named by the set rules
+        center[box] = 0.5 * (lo[box] + hi[box])  # as Box.center
     radius = np.array([math.inf if "box" in s else s["ball"]["radius"] for s in sets], dtype=float)
     return dict(rows, lo=lo, hi=hi, center=center, radius=radius)
 
@@ -283,13 +278,15 @@ def load_scenario(document: str) -> GameSpec:
     except RecursionError:  # the decoder and the walk each take one stack frame per level
         raise ScenarioError("scenario nests too deeply") from None
     n, C, k, agents = doc["n"], doc["C"], doc["k"], doc["agents"]
+    if n < 1:
+        raise ScenarioError(f"n must be positive, got {n}")
     if len(C) != n or any(len(row) != n for row in C):
         raise ScenarioError(f"C must hold n = {n} rows of n numbers, got rows of {[len(row) for row in C]}")
     block = agents.get("generator")  # None when the agents come as a list
     try:
         if block is None:
-            return GameSpec(C, k, GameLayout(**_rows(agents["list"], n, "agents.list[{}].")))
-        rows = _rows([{**block, "xstar": [0.0] * n}], n, "agents.generator.")  # one row, repeated below
+            return GameSpec(C, k, GameLayout(**_rows(agents["list"], n, "agents.list")))
+        rows = _rows([{**block, "xstar": [0.0] * n}], n, "agents.generator")  # one row, repeated below
         GameLayout(**rows)  # a bad field is named before the count rows are allocated
         count, uni = block["count"], block["xstar"]["uniform"]
         lo, hi = float(uni["lo"]), float(uni["hi"])
@@ -304,6 +301,9 @@ def load_scenario(document: str) -> GameSpec:
         except (OverflowError, MemoryError, ValueError):
             raise ScenarioError(f"agents.generator.count is too large, got {count}") from None
         return GameSpec(C, k, GameLayout(**rows), seed=uni["seed"])
+    except RuleError as e:  # an agent's fault, named by the JSON path of its field
+        at = f"agents.list[{e.row}]" if block is None else "agents.generator"
+        raise ScenarioError(f"{at}.{e.field} {e.rule}") from None
     except ValueError as e:
         raise ScenarioError(str(e)) from None
 

@@ -28,13 +28,13 @@ from aggseek.equilibrium import (
 from aggseek import flow
 from aggseek.flow import IntegratorConfig, NonFiniteStateError, integrate_gains
 from aggseek.geometry import (
-    ACTIVITY_TOL,
     Ball,
     Box,
     ConvexSet,
     project,
     project_rows,
     set_center,
+    tangent_project,
     tangent_rows,
     vi_min_rows,
 )
@@ -158,6 +158,9 @@ def test_projection_and_pseudo_gradient_match_scalar(case, data) -> None:
     per_slice = [[tangent_rows(lay, p, w) for p, w in zip(pb, wb)] for pb, wb in zip(stacked, v)]
     assert np.array_equal(tangent, np.array(per_slice))
     assert np.array_equal(tangent, np.array([tangent_rows(lay, *pwb) for pwb in zip(stacked, v)]))
+    sets, slices = [s for _, s in game.agents], (-1, *x.shape)
+    per_agent = [_ref_tangent_rows(sets, p, w) for p, w in zip(stacked.reshape(slices), v.reshape(slices))]
+    assert np.array_equal(tangent, np.array(per_agent).reshape(tangent.shape))
     vi_min = vi_min_rows(lay, stacked, v)
     per_slice = [[vi_min_rows(lay, p, w) for p, w in zip(pb, wb)] for pb, wb in zip(stacked, v)]
     assert np.array_equal(vi_min, np.array(per_slice))
@@ -188,27 +191,16 @@ def _ref_drive(lay, C, x, sigma):
     return -(lay.ell[:, None] * (x - lay.xstar) + lay.linear) - (C @ sigma)
 
 
-def _ref_project_rows(game, x):
-    return np.array([project(s, x[i]) for i, (_, s) in enumerate(game.agents)])
+def _ref_project_rows(sets, x):
+    return np.array([project(s, x[i]) for i, s in enumerate(sets)])
 
 
-def _ref_tangent_rows(lay, x, v):
-    blocked = ((x - lay.lo <= ACTIVITY_TOL) & (v < 0)) | ((lay.hi - x <= ACTIVITY_TOL) & (v > 0))
-    out = np.where(blocked, 0.0, v)
-    b = lay.ball_rows
-    if b.size:
-        d = x[b] - lay.center[b]
-        norm = np.sqrt(np.vecdot(d, d))[:, None]
-        on_boundary = norm >= lay.radius[b, None] - ACTIVITY_TOL
-        u = d / np.where(norm > 0, norm, 1.0)
-        vb = v[b]
-        outward = np.maximum(0.0, np.sum(u * vb, axis=1, keepdims=True))
-        out[b] = np.where(on_boundary, vb - outward * u, vb)
-    return out
+def _ref_tangent_rows(sets, x, v):
+    return np.array([tangent_project(s, x[i], v[i]) for i, s in enumerate(sets)])
 
 
 def reference_integrate(game: GameSpec, init: SystemState, cfg: IntegratorConfig, ref) -> dict:
-    lay, C, k, h = game.layout, game.C, game.k, cfg.h
+    lay, C, k, h, sets = game.layout, game.C, game.k, cfg.h, [s for _, s in game.agents]
     x, sigma = project_state(game, init).x.copy(), init.sigma.copy()
     n_steps = math.ceil(cfg.T / h)
     sample_steps = list(range(0, n_steps, cfg.record_every))
@@ -218,7 +210,7 @@ def reference_integrate(game: GameSpec, init: SystemState, cfg: IntegratorConfig
     out = {name: [] for name in ("times", "W", "residual", "dist_avg", "dist_sigma")}
 
     def record(step_index: int) -> None:
-        xdot = _ref_tangent_rows(lay, x, _ref_drive(lay, C, x, sigma))
+        xdot = _ref_tangent_rows(sets, x, _ref_drive(lay, C, x, sigma))
         sigmadot = k * (x.mean(axis=0) - sigma)
         dx, ds = x - xbar, sigma - sigmabar
         out["times"].append(step_index * h)
@@ -230,7 +222,7 @@ def reference_integrate(game: GameSpec, init: SystemState, cfg: IntegratorConfig
     record(0)
     for i in range(1, n_steps + 1):
         x, sigma = (
-            _ref_project_rows(game, x + h * _ref_drive(lay, C, x, sigma)),
+            _ref_project_rows(sets, x + h * _ref_drive(lay, C, x, sigma)),
             sigma + h * k * (x.mean(axis=0) - sigma),
         )
         if i in sample_steps:
@@ -317,12 +309,12 @@ def test_many_agents_match_single_gain_loop() -> None:
 
 def first_nonfinite(game: GameSpec, init: SystemState, gains, cfg: IntegratorConfig) -> tuple[int, float]:
     """The first step at which some gain's single-gain loop stops being finite, and that gain."""
-    lay, h = game.layout, cfg.h
+    lay, h, sets = game.layout, cfg.h, [s for _, s in game.agents]
     states = [(project_state(game, init).x, init.sigma) for _ in gains]
     for i in range(1, math.ceil(cfg.T / h) + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             states = [
-                (_ref_project_rows(game, x + h * _ref_drive(lay, game.C, x, s)),
+                (_ref_project_rows(sets, x + h * _ref_drive(lay, game.C, x, s)),
                  s + h * k * (x.mean(axis=0) - s))
                 for k, (x, s) in zip(gains, states)
             ]

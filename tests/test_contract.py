@@ -164,10 +164,10 @@ def test_tangent_project_rejects_a_non_finite_point(value: float) -> None:
     [
         (lambda v: Box([v, 0.0], [1.0, 1.0]), "box bounds must be finite"),
         (lambda v: Box([0.0, 0.0], [1.0, -v]), "box bounds must be finite"),
-        (lambda v: Ball([0.0, v], 1.0), "ball center must be finite"),
+        (lambda v: Ball([0.0, v], 1.0), "set center must be finite"),
         (lambda v: QuadraticCost(v, [0.0], [0.0]), "ell must be positive and finite"),
-        (lambda v: QuadraticCost(1.0, [v], [0.0]), "xstar and linear must be finite"),
-        (lambda v: QuadraticCost(1.0, [0.0], [-v]), "xstar and linear must be finite"),
+        (lambda v: QuadraticCost(1.0, [v], [0.0]), "xstar must be finite"),
+        (lambda v: QuadraticCost(1.0, [0.0], [-v]), "linear must be finite"),
         (lambda v: dataclasses.replace(GAME, C=np.array([[0.2, v], [0.0, 0.15]])), "C must be finite"),
     ],
 )

@@ -257,12 +257,12 @@ def _poison(name: str, index, value) -> dict:
     [
         (_poison("ell", 1, 0.0), "agent 1: ell must be positive and finite, got 0.0"),
         (_poison("ell", 2, np.nan), "agent 2: ell must be positive and finite, got nan"),
-        (_poison("xstar", (2, 1), np.nan), "agent 2: xstar and linear must be finite"),
-        (_poison("linear", (0, 0), -np.inf), "agent 0: xstar and linear must be finite"),
+        (_poison("xstar", (2, 1), np.nan), "agent 2: xstar must be finite"),
+        (_poison("linear", (0, 0), -np.inf), "agent 0: linear must be finite"),
         (_poison("center", (1, 0), np.inf), "agent 1: set center must be finite"),
         (_poison("lo", (2, 0), -np.inf), "agent 2: box bounds must be finite"),
         (_poison("hi", (0, 1), np.nan), "agent 0: box bounds must be finite"),
-        (_poison("lo", (2, 1), 2.0), "agent 2: empty box: lo > hi componentwise"),
+        (_poison("lo", (2, 1), 2.0), "agent 2: box is empty: lo > hi componentwise"),
         (_poison("radius", 1, 0.0), "agent 1: ball radius must be positive and finite"),
         (_poison("radius", 1, np.nan), "agent 1: ball radius must be positive and finite"),
         (_poison("radius", 2, -np.inf), "agent 2: ball radius must be positive and finite"),
@@ -284,9 +284,35 @@ def test_layout_rejects_bad_rows(rows: dict, message: str) -> None:
         GameLayout(**rows)
 
 
+# each agent rule broken once through a Box, Ball or QuadraticCost, and once through a
+# layout row (agent 0 and 2 are boxes, agent 1 a ball); the layout adds only "agent i: "
+@pytest.mark.parametrize(
+    ("build", "rows", "agent", "message"),
+    [
+        (lambda: QuadraticCost(-1.0, [0.0], [0.0]), _poison("ell", 1, -1.0), 1,
+         "ell must be positive and finite, got -1.0"),
+        (lambda: QuadraticCost(1.0, [np.nan], [0.0]), _poison("xstar", (2, 1), np.nan), 2, "xstar must be finite"),
+        (lambda: QuadraticCost(1.0, [0.0], [np.inf]), _poison("linear", (0, 0), np.inf), 0, "linear must be finite"),
+        (lambda: Box([0.0, -np.inf], [1.0, 1.0]), _poison("lo", (2, 1), -np.inf), 2, "box bounds must be finite"),
+        (lambda: Box([0.0, 2.0], [1.0, 1.0]), _poison("lo", (0, 1), 2.0), 0, "box is empty: lo > hi componentwise"),
+        (lambda: Ball([0.0, np.nan], 1.0), _poison("center", (1, 1), np.nan), 1, "set center must be finite"),
+        # finite bounds whose midpoint overflows
+        (lambda: Box([1e308, 0.0], [1e308, 1.0]), _poison("center", (0, 0), np.inf), 0, "set center must be finite"),
+        (lambda: Ball([0.0, 0.0], 0.0), _poison("radius", 1, 0.0), 1, "ball radius must be positive and finite"),
+        (lambda: Ball([0.0, 0.0], np.inf), _poison("radius", 1, np.nan), 1, "ball radius must be positive and finite"),
+    ],
+)
+def test_sets_costs_and_layout_rows_word_each_rule_alike(build, rows: dict, agent: int, message: str) -> None:
+    with pytest.raises(ValueError) as one:
+        build()
+    with pytest.raises(ValueError) as row:
+        GameLayout(**rows)
+    assert (str(one.value), str(row.value)) == (message, f"agent {agent}: {message}")
+
+
 def test_every_way_to_build_a_layout_checks_its_rows() -> None:
     game = single_agent_game()
-    with pytest.raises(ValueError, match=re.escape("agent 0: xstar and linear must be finite")):
+    with pytest.raises(ValueError, match=re.escape("agent 0: xstar must be finite")):
         dataclasses.replace(game.layout, xstar=np.array([[np.nan]]))
     with pytest.raises(ValueError, match=re.escape("agent 0: ell must be positive and finite, got -1.5")):
         GameSpec(game.C, game.k, layout=GameLayout(**{**_init_rows(game.layout), "ell": np.array([-1.5])}))
@@ -414,7 +440,7 @@ _BAD_FIELD_DOCUMENTS = {
     '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": "list"}': "agents must be an object",
     '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"generator": "count"}}': "agents.generator must be an object",
     '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"list": [5]}}': "agents.list[0] must be an object",
-    '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"list": []}}': "at least one agent",
+    '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"list": []}}': "agents.list must hold at least one agent",
     # the format has no string, boolean or null values: none is read as a number
     '{"n": 1, "C": [[1.0]], "k": true, "agents": {"list": [{"ell": 1.0, "xstar": [0.1], "linear": [0.0], "set": {"box": {"lo": [0.0], "hi": [1.0]}}}]}}': "k must be a number, got True",
     '{"n": 1, "C": [["1"]], "k": 1.0, "agents": {"list": [{"ell": 1.0, "xstar": [0.1], "linear": [0.0], "set": {"box": {"lo": [0.0], "hi": [1.0]}}}]}}': "C[0][0] must be a number, got '1'",
@@ -436,6 +462,16 @@ _BAD_FIELD_DOCUMENTS = {
     '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"generator": {"count": 2, "ell": 1.0, "linear": [0.0], "xstar": {"uniform": {"lo": 1.0, "hi": 0.0, "seed": 1}}, "set": {"box": {"lo": [0.0], "hi": [1.0]}}}}}': "agents.generator.xstar.uniform must have hi >= lo",
     '{"n": 2, "C": [[1.0, 2.0], [3.0]], "k": 1.0, "agents": {"list": [{"ell": 1.0, "xstar": [0.1, 0.1], "linear": [0.0, 0.0], "set": {"box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}}}]}}': "C must hold n = 2 rows of n numbers, got rows of [2, 1]",
     '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"generator": {"count": 2, "ell": 1.0, "linear": [0.0], "xstar": {"uniform": {"lo": -1e308, "hi": 1e308, "seed": 1}}, "set": {"box": {"lo": [0.0], "hi": [1.0]}}}}}': "agents.generator.xstar.uniform must have a finite hi - lo",
+    # n and every agent value in range, named by its path
+    '{"n": 0, "C": [], "k": 1.0, "agents": {"list": [{"ell": 1.0, "xstar": [], "linear": [], "set": {"box": {"lo": [], "hi": []}}}]}}': "n must be positive, got 0",
+    '{"n": -1, "C": [], "k": 1.0, "agents": {"list": [{"ell": 1.0, "xstar": [], "linear": [], "set": {"box": {"lo": [], "hi": []}}}]}}': "n must be positive, got -1",
+    '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"list": [{"ell": 1.0, "xstar": [0.1], "linear": [0.0], "set": {"box": {"lo": [0.0], "hi": [1.0]}}}, {"ell": -1, "xstar": [0.1], "linear": [0.0], "set": {"box": {"lo": [0.0], "hi": [1.0]}}}]}}': "agents.list[1].ell must be positive and finite, got -1.0",
+    '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"list": [{"ell": 1.0, "xstar": [0.1], "linear": [0.0], "set": {"box": {"lo": [0.0], "hi": [1.0]}}}, {"ell": 1.0, "xstar": [0.1], "linear": [0.0], "set": {"ball": {"center": [0.0], "radius": 0.0}}}]}}': "agents.list[1].set.ball.radius must be positive and finite",
+    '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"list": [{"ell": 1.0, "xstar": [0.1], "linear": [0.0], "set": {"box": {"lo": [1.0], "hi": [0.0]}}}]}}': "agents.list[0].set.box is empty: lo > hi componentwise",
+    '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"list": [{"ell": 1.0, "xstar": [0.1], "linear": [0.0], "set": {"box": {"lo": [1e308], "hi": [1e308]}}}]}}': "agents.list[0].set center must be finite",
+    '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"generator": {"count": 2, "ell": 0.0, "linear": [0.0], "xstar": {"uniform": {"lo": 0.0, "hi": 1.0, "seed": 1}}, "set": {"box": {"lo": [0.0], "hi": [1.0]}}}}}': "agents.generator.ell must be positive and finite, got 0.0",
+    '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"generator": {"count": 2, "ell": 1.0, "linear": [0.0], "xstar": {"uniform": {"lo": 0.0, "hi": 1.0, "seed": 1}}, "set": {"ball": {"center": [0.0], "radius": -1.0}}}}}': "agents.generator.set.ball.radius must be positive and finite",
+    '{"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"generator": {"count": 2, "ell": 1.0, "linear": [0.0], "xstar": {"uniform": {"lo": 0.0, "hi": 1.0, "seed": 1}}, "set": {"box": {"lo": [2.0], "hi": [1.0]}}}}}': "agents.generator.set.box is empty: lo > hi componentwise",
     # every vector holds n numbers
     '{"n": 2, "C": [[1.0, 0.0], [0.0, 1.0]], "k": 1.0, "agents": {"list": [{"ell": 1.0, "xstar": [0.1, 0.1], "linear": [0.0, 0.0], "set": {"ball": {"center": [0.0, 0.0], "radius": 1.0}}}, {"ell": 1.0, "xstar": [0.1], "linear": [0.0, 0.0], "set": {"box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}}}]}}': "agents.list[1].xstar must hold n = 2 numbers, got 1",
     '{"n": 2, "C": [[1.0, 0.0], [0.0, 1.0]], "k": 1.0, "agents": {"list": [{"ell": 1.0, "xstar": [0.1, 0.1], "linear": [0.0, 0.0, 0.0], "set": {"box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}}}]}}': "agents.list[0].linear must hold n = 2 numbers, got 3",
