@@ -99,6 +99,8 @@ def solve_equilibrium(
         raise ValueError(f"lam must lie in (0, 1], got {lam}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if not max_iter >= 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not strictly_monotone(game):
         warnings.warn(
             "pseudo-gradient is not strictly monotone; the equilibrium may not be unique",

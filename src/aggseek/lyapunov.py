@@ -5,9 +5,11 @@ The certificate matrix M bounds the decrease of the squared-distance Lyapunov
 function W along the dynamics. Its smallest eigenvalue is computed two ways, a
 dense symmetric eigensolve and a reduced 2n-by-2n form obtained by rotating the
 agent block onto the all-ones direction; the two must agree to near machine
-precision. Two off-diagonal block conventions are exposed ("paper" and
-"symmetrized") because they differ in sign structure; decay certification uses
-the symmetrized variant, the exact symmetrization of the cross terms.
+precision. The two variants, "paper" and "symmetrized", are one off-diagonal
+block B = 0.5 * (s*C - (k/N) I) with s = -1 and s = +1; both matrices are
+[[ell I, column], [column', k I]] with a column of copies of B. Decay
+certification uses the symmetrized variant, the exact symmetrization of the
+cross terms.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ if TYPE_CHECKING:  # neither route is imported to certify it
     from .equilibrium import EquilibriumResult
     from .flow import Trajectory
 
-VARIANTS = ("paper", "symmetrized")
+# the sign s of C in the off-diagonal block B = 0.5 * (s*C - (k/N) I) of each variant
+_SIGNS = {"paper": -1.0, "symmetrized": 1.0}
+VARIANTS = tuple(_SIGNS)
 # decay_report judges only a trajectory of this many samples or more, against a reference of vi_gap at most this
 DECAY_MIN_SAMPLES = 10
 DECAY_MAX_VI_GAP = 1e-6
@@ -78,13 +82,13 @@ def check_condition_5(ell: float, k: float, C: np.ndarray, N: int) -> tuple[bool
     return margin > 0, margin
 
 
-def _offdiag_block(C: np.ndarray, k: float, N: int, variant: str) -> np.ndarray:
-    n = C.shape[0]
-    if variant == "paper":
-        return -0.5 * (C + (k / N) * np.eye(n))
-    if variant == "symmetrized":
-        return 0.5 * (C - (k / N) * np.eye(n))
-    raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+def _certificate(game: GameSpec, variant: str, copies: int, scale: float) -> np.ndarray:
+    """[[ell_min I, column], [column', k I]], whose column stacks `copies` copies of scale * B."""
+    if variant not in _SIGNS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    B = 0.5 * (_SIGNS[variant] * game.C - (game.k / game.N) * np.eye(game.n))
+    column = np.tile(scale * B, (copies, 1))
+    return np.block([[game.ell_min * np.eye(column.shape[0]), column], [column.T, game.k * np.eye(game.n)]])
 
 
 def assemble_M(game: GameSpec, variant: str) -> tuple[np.ndarray, float]:
@@ -96,17 +100,8 @@ def assemble_M(game: GameSpec, variant: str) -> tuple[np.ndarray, float]:
     smallest eigenvalue of a dense symmetric eigensolve; see
     reduced_lambda_min for the independent route.
     """
-    n, N = game.n, game.N
-    B = _offdiag_block(game.C, game.k, N, variant)
-    column = np.tile(B, (N, 1))
-    M = np.block(
-        [
-            [game.ell_min * np.eye(n * N), column],
-            [column.T, game.k * np.eye(n)],
-        ]
-    )
-    lam_min = float(np.linalg.eigvalsh(M)[0])
-    return M, lam_min
+    M = _certificate(game, variant, game.N, 1.0)
+    return M, float(np.linalg.eigvalsh(M)[0])
 
 
 def reduced_lambda_min(game: GameSpec, variant: str) -> float:
@@ -116,18 +111,8 @@ def reduced_lambda_min(game: GameSpec, variant: str) -> float:
     except a 2n-by-2n core [[ell I, sqrt(N) B], [sqrt(N) B', k I]]; the
     remaining n(N-1) eigenvalues all equal ell.
     """
-    n, N = game.n, game.N
-    B = _offdiag_block(game.C, game.k, N, variant)
-    core = np.block(
-        [
-            [game.ell_min * np.eye(n), np.sqrt(N) * B],
-            [np.sqrt(N) * B.T, game.k * np.eye(n)],
-        ]
-    )
-    core_min = float(np.linalg.eigvalsh(core)[0])
-    if N == 1:
-        return core_min
-    return min(game.ell_min, core_min)
+    core_min = float(np.linalg.eigvalsh(_certificate(game, variant, 1, np.sqrt(game.N)))[0])
+    return core_min if game.N == 1 else min(game.ell_min, core_min)
 
 
 def compare_conditions(game: GameSpec) -> CertificateReport:

@@ -173,9 +173,6 @@ class SystemState:
         self.x = np.asarray(self.x, dtype=float)
         self.sigma = np.atleast_1d(np.asarray(self.sigma, dtype=float))
 
-    def copy(self) -> "SystemState":
-        return SystemState(self.x.copy(), self.sigma.copy())
-
 
 def state_arrays(game: GameSpec, state: SystemState) -> tuple[np.ndarray, np.ndarray]:
     """Return (x, sigma) as ((N, n), (n,)) float arrays, validating shapes."""

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -71,6 +72,20 @@ def test_check_single_scenario(capsys: pytest.CaptureFixture[str]) -> None:
     assert kv["cond5_holds"] == "false"
     assert float(kv["cond5_margin"]) == pytest.approx(-0.2, abs=1e-12)
     assert float(kv["lambda_min_symmetrized"]) > 0
+
+
+@pytest.mark.parametrize(
+    ("scenario", "sha256"),
+    [
+        # every key's 17 digits, recorded before the dense M and its reduced core shared one builder
+        (SINGLE, "3f3b2ed3291d5c57e23a5a52e9e11e058162b12e81f3c83c1544d9b80e515bbe"),
+        (DEMAND, "aa485e74bef6fa3b4cfaf67a8c0515a34a670e9649a27ca893936e7177e1c212"),
+        (MIXED, "90c8cde00db128483020cc8d72881610763aaec13e38e424d98107fdee3c721b"),
+    ],
+)
+def test_check_stdout_pinned(scenario: str, sha256: str, capsys: pytest.CaptureFixture[str]) -> None:
+    assert cli.main(["check", "--scenario", scenario]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
 
 def test_check_missing_file(capsys: pytest.CaptureFixture[str]) -> None:

@@ -159,6 +159,9 @@ def test_solve_parameter_validation() -> None:
         solve_equilibrium(game, lam=1.5)
     with pytest.raises(ValueError):
         solve_equilibrium(game, tol=0.0)
+    for max_iter in (0, -3):
+        with pytest.raises(ValueError, match="max_iter"):
+            solve_equilibrium(game, max_iter=max_iter)
 
 
 def test_solve_raises_on_oscillating_iteration() -> None:

@@ -86,6 +86,13 @@ def test_step_zero_length_is_identity() -> None:
     assert np.array_equal(nxt.sigma, state.sigma)
 
 
+@pytest.mark.parametrize("h", [-0.5, math.nan, math.inf, -math.inf])
+def test_step_rejects_negative_or_non_finite_length(h: float) -> None:
+    game = load_scenario((SCENARIOS / "single_box.json").read_text())
+    with pytest.raises(ValueError, match="step length h"):
+        step(game, initial_state(game), h)
+
+
 def test_integrate_converges_single_agent() -> None:
     game = single_agent_game()
     cfg = IntegratorConfig(h=1e-3, T=30.0, record_every=100)

@@ -168,6 +168,28 @@ def test_reduced_route_matches_dense() -> None:
             assert abs(reduced_lambda_min(game, variant) - dense) <= 1e-10
 
 
+def test_certificate_matrices_match_their_block_formulas_bit_for_bit() -> None:
+    # M and the 2n-by-2n core built here from the two block formulas, B written per variant
+    rng = np.random.default_rng(23)
+    games = [random_game(rng, n_choices=(1, 2, 3), max_agents=30, N=N) for N in (1, 1, 1, None, None, None)]
+    games += [random_game(rng, n_choices=(1, 2, 3), max_agents=30) for _ in range(24)]
+    for game in games:
+        n, N, ell, k, C = game.n, game.N, game.ell_min, game.k, game.C
+        for variant in ("paper", "symmetrized"):
+            if variant == "paper":
+                B = -0.5 * (C + (k / N) * np.eye(n))
+            else:
+                B = 0.5 * (C - (k / N) * np.eye(n))
+            column = np.tile(B, (N, 1))
+            M = np.block([[ell * np.eye(n * N), column], [column.T, k * np.eye(n)]])
+            core = np.block([[ell * np.eye(n), np.sqrt(N) * B], [np.sqrt(N) * B.T, k * np.eye(n)]])
+            got, lam = assemble_M(game, variant)
+            assert np.array_equal(got, M)
+            assert lam == float(np.linalg.eigvalsh(M)[0])
+            core_min = float(np.linalg.eigvalsh(core)[0])
+            assert reduced_lambda_min(game, variant) == (core_min if N == 1 else min(ell, core_min))
+
+
 def test_certificate_eigenvalue_lower_bound() -> None:
     rng = np.random.default_rng(22)
     for _ in range(40):
