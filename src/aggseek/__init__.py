@@ -11,19 +11,17 @@ Each public name is imported from its submodule on first use (PEP 562), so
 loading a scenario runs only `model` and `geometry`.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 _EXPORTS = {
     "equilibrium": ("ConvergenceError", "EquilibriumResult", "VerificationReport", "aggregation_map",
-                    "best_response", "solve_equilibrium", "verify_equilibrium", "vi_gap"),
+                    "solve_equilibrium", "verify_equilibrium", "vi_gap"),
     "flow": ("IntegratorConfig", "NonFiniteStateError", "Trajectory", "integrate", "integrate_gains", "rhs",
              "stationarity_residual", "step"),
-    "geometry": ("Ball", "Box", "ConvexSet", "contains", "distance", "normal_project", "project", "set_center",
-                 "tangent_project"),
-    "lyapunov": ("CertificateReport", "DecayReport", "assemble_M", "check_condition_5", "compare_conditions",
-                 "decay_report", "lyapunov_W", "norm_inf", "reduced_lambda_min", "storage_inequality_check"),
-    "model": ("GameSpec", "QuadraticCost", "ScenarioError", "SystemState", "cost_J", "grad_f", "initial_state",
-              "load_scenario", "project_state", "pseudo_gradient_F", "splitmix64", "strictly_monotone"),
+    "lyapunov": ("CertificateReport", "DecayReport", "check_condition_5", "compare_conditions", "decay_report",
+                 "lyapunov_W", "norm_inf", "reduced_lambda_min"),
+    "model": ("GameSpec", "ScenarioError", "SystemState", "initial_state", "load_scenario", "project_state",
+              "pseudo_gradient_F", "splitmix64", "strictly_monotone"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -54,25 +54,19 @@ class VerificationReport:
         return self.ok
 
 
-def best_response(game: GameSpec, i: int, sigma: np.ndarray) -> np.ndarray:
-    """Agent i's unique cost minimizer given broadcast sigma.
+def _best_responses(lay: GameLayout, csig: np.ndarray) -> np.ndarray:
+    """Best responses of the layout's rows to the coupling term C sigma.
 
-    The local cost is an isotropic quadratic, so the constrained minimizer is
-    the projection of the unconstrained one, xstar - (C sigma + linear) / ell,
+    Each local cost is an isotropic quadratic, so agent i's constrained minimizer
+    is the projection of its unconstrained one, xstar_i - (C sigma + linear_i) / ell_i,
     for boxes and balls alike.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # a response past the float range is returned as it is
-        return _best_responses(game.layout, game.C @ shaped(sigma, (game.n,), "sigma"))[i]
-
-
-def _best_responses(lay: GameLayout, csig: np.ndarray) -> np.ndarray:
-    """Best responses of the layout's rows to the coupling term C sigma."""
     return project_rows(lay, lay.xstar - (csig + lay.linear) / lay.ell[:, None])
 
 
 def aggregation_map(game: GameSpec, sigma: np.ndarray) -> np.ndarray:
     """T(sigma): average of all agents' best responses to sigma."""
-    with np.errstate(over="ignore", invalid="ignore"):  # as in best_response
+    with np.errstate(over="ignore", invalid="ignore"):  # a response past the float range is returned as it is
         return _best_responses(game.layout, game.C @ shaped(sigma, (game.n,), "sigma")).mean(axis=0)
 
 
@@ -154,7 +148,7 @@ def _agent_gaps(game: GameSpec, x: np.ndarray) -> np.ndarray:
 def vi_gap(game: GameSpec, x: np.ndarray) -> float:
     """Worst-agent violation of the equilibrium variational inequality.
 
-    For each agent, g_i = grad_f(i, x_i) + C avg(x) and the feasible-direction
+    For each agent, g_i is row i of pseudo_gradient_F and the feasible-direction
     infimum min_{z in X_i} (z - x_i)' g_i is evaluated in closed form. The gap
     is max_i max(0, -min_i): zero exactly when every agent's inequality holds.
     Raises ValueError, naming the agent, when some x_i lies outside its set.

@@ -129,7 +129,7 @@ def _sup(xdot: np.ndarray, sigmadot: np.ndarray) -> np.ndarray:
 def rhs(game: GameSpec, state: SystemState) -> tuple[np.ndarray, np.ndarray]:
     """Instantaneous velocities (xdot, sigmadot) of the projected dynamics.
 
-    xdot[i] is the tangent-cone projection at x_i of -grad_f(i, x_i) - C sigma;
+    xdot[i] is the tangent-cone projection at x_i of agent i's negated local gradient minus C sigma;
     sigmadot is k * (avg(x) - sigma). Raises ValueError when some x_i lies
     outside its set beyond tolerance.
     """
@@ -144,8 +144,9 @@ def step(game: GameSpec, state: SystemState, h: float) -> SystemState:
     if not (h >= 0 and math.isfinite(h)):
         raise ValueError(f"step length h must be non-negative and finite, got {h}")
     consts, (x_rows, _, _, sigmas, *_), slots = _loop(game, np.array([game.k]), h, 2, state)
-    _derive(consts, slots[0])
-    _euler(consts, *slots)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in the loop, of which this is one iteration
+        _derive(consts, slots[0])
+        _euler(consts, *slots)
     return SystemState(x_rows[1], sigmas[1, 0])
 
 
@@ -170,8 +171,9 @@ def integrate(
     reference equilibrium, the W, dist_avg and dist_sigma diagnostics are filled
     against it; otherwise they are NaN.
 
-    Raises NonFiniteStateError (with the offending step index) if the state
-    stops being finite; non-convergence by itself is not an error.
+    Raises NonFiniteStateError (with the offending step index, 0 for a start
+    that is not finite) if the state stops being finite; non-convergence by
+    itself is not an error.
     """
     return integrate_gains(game, (game.k,), init, cfg, reference)[0]
 
@@ -224,7 +226,7 @@ def integrate_gains(
                 _euler(consts, last, now)
             _derive(consts, now)
             # a non-finite entry of x or of sigma makes the sum of the state row non-finite
-            if i and not math.isfinite(np.add.reduce(now[0])):
+            if not math.isfinite(np.add.reduce(now[0])):
                 finite = np.isfinite(now[4]).all(axis=(1, 2)) & np.isfinite(now[5]).all(axis=1)
                 if not finite.all():  # else only a sum of finite numbers overflowed
                     raise NonFiniteStateError(i, i * h, float(ks[np.argmin(finite)]))

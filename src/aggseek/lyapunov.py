@@ -1,15 +1,15 @@
-"""Convergence certificates: the scalar gain condition, the certificate matrix
-and its spectrum, condition comparisons, and trajectory-level decay checks.
+"""Convergence certificates: the scalar gain condition, the certificate matrix's
+smallest eigenvalue, condition comparisons, and trajectory-level decay checks.
 
-The certificate matrix M bounds the decrease of the squared-distance Lyapunov
-function W along the dynamics. Its smallest eigenvalue is computed two ways, a
-dense symmetric eigensolve and a reduced 2n-by-2n form obtained by rotating the
-agent block onto the all-ones direction; the two must agree to near machine
-precision. The two variants, "paper" and "symmetrized", are one off-diagonal
-block B = 0.5 * (s*C - (k/N) I) with s = -1 and s = +1; both matrices are
-[[ell I, column], [column', k I]] with a column of copies of B. Decay
-certification uses the symmetrized variant, the exact symmetrization of the
-cross terms.
+The (nN+n)-square certificate matrix M = [[ell I, column], [column', k I]], whose
+column stacks N copies of the off-diagonal block B = 0.5 * (s*C - (k/N) I), bounds
+the decrease of the squared-distance Lyapunov function W along the dynamics.
+The variants "paper" and "symmetrized" take s = -1 and s = +1. M is never built:
+rotating the agent block onto the all-ones direction leaves the 2n-by-2n core
+[[ell I, sqrt(N) B], [sqrt(N) B', k I]] and n(N-1) eigenvalues equal to ell, so
+the smallest eigenvalue comes from the core. The test suite checks it against a
+dense eigensolve of M. Decay certification uses the symmetrized variant, the
+exact symmetrization of the cross terms.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .geometry import require_members, shaped, tangent_rows
-from .model import GameSpec, SystemState, energy, state_arrays, strictly_monotone
+from .geometry import shaped
+from .model import GameSpec, SystemState, energy, strictly_monotone
 
 if TYPE_CHECKING:  # neither route is imported to certify it
     from .equilibrium import EquilibriumResult
@@ -82,28 +82,6 @@ def check_condition_5(ell: float, k: float, C: np.ndarray, N: int) -> tuple[bool
     return margin > 0, margin
 
 
-def _certificate(game: GameSpec, variant: str, copies: int, scale: float) -> np.ndarray:
-    """[[ell_min I, column], [column', k I]], whose column stacks `copies` copies of scale * B."""
-    if variant not in _SIGNS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    B = 0.5 * (_SIGNS[variant] * game.C - (game.k / game.N) * np.eye(game.n))
-    column = np.tile(scale * B, (copies, 1))
-    return np.block([[game.ell_min * np.eye(column.shape[0]), column], [column.T, game.k * np.eye(game.n)]])
-
-
-def assemble_M(game: GameSpec, variant: str) -> tuple[np.ndarray, float]:
-    """Build the (nN+n)-square certificate matrix and its smallest eigenvalue.
-
-    Layout: ell_min * I on the agent block, k * I on the signal block, and a
-    column of N stacked copies of the off-diagonal block B (with B' mirrored
-    below) coupling them. The dense matrix is returned together with the
-    smallest eigenvalue of a dense symmetric eigensolve; see
-    reduced_lambda_min for the independent route.
-    """
-    M = _certificate(game, variant, game.N, 1.0)
-    return M, float(np.linalg.eigvalsh(M)[0])
-
-
 def reduced_lambda_min(game: GameSpec, variant: str) -> float:
     """Smallest certificate-matrix eigenvalue via the rotated 2n-by-2n block.
 
@@ -111,7 +89,11 @@ def reduced_lambda_min(game: GameSpec, variant: str) -> float:
     except a 2n-by-2n core [[ell I, sqrt(N) B], [sqrt(N) B', k I]]; the
     remaining n(N-1) eigenvalues all equal ell.
     """
-    core_min = float(np.linalg.eigvalsh(_certificate(game, variant, 1, np.sqrt(game.N)))[0])
+    if variant not in _SIGNS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    B = np.sqrt(game.N) * (0.5 * (_SIGNS[variant] * game.C - (game.k / game.N) * np.eye(game.n)))
+    core = np.block([[game.ell_min * np.eye(game.n), B], [B.T, game.k * np.eye(game.n)]])
+    core_min = float(np.linalg.eigvalsh(core)[0])
     return core_min if game.N == 1 else min(game.ell_min, core_min)
 
 
@@ -142,33 +124,6 @@ def lyapunov_W(state: SystemState, ref: EquilibriumResult) -> float:
     dx = shaped(state.x, shape, "state.x") - shaped(ref.xbar, shape, "ref.xbar")
     ds = shaped(state.sigma, (n,), "state.sigma") - shaped(ref.sigmabar, (n,), "ref.sigmabar")
     return float(energy(dx, ds))
-
-
-def storage_inequality_check(
-    game: GameSpec,
-    state: SystemState,
-    u: np.ndarray,
-    ref: EquilibriumResult,
-    slack: float = 1e-9,
-) -> bool:
-    """Pointwise storage inequality for V = half squared distance to xbar.
-
-    Checks (x - xbar)' Pi(x, -grad f(x) + u) <= -(x - xbar)' (grad f(x) -
-    grad f(xbar) + ubar - u) + slack, where ubar stacks -C sigmabar for every
-    agent. Holds for all feasible x and any input u; the right-hand side is
-    where strong convexity enters the decrease argument.
-    """
-    x, _ = state_arrays(game, state)
-    lay = game.layout
-    require_members(lay, x)
-    u = shaped(u, (game.N, game.n), "u")
-    xbar = shaped(ref.xbar, (game.N, game.n), "ref.xbar")
-    ubar_row = -(game.C @ shaped(ref.sigmabar, (game.n,), "ref.sigmabar"))
-    gx, gxbar = -lay.descent(np.stack((x, xbar)))
-    dx = x - xbar
-    lhs = float(np.sum(dx * tangent_rows(lay, x, -gx + u)))
-    rhs = -float(np.sum(dx * (gx - gxbar + ubar_row - u)))
-    return lhs <= rhs + slack
 
 
 def decay_report(traj: Trajectory, ref: EquilibriumResult, cert: CertificateReport) -> DecayReport:

@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .geometry import Box, ConvexSet, RuleError, SetRows, contains, enforce, project_rows, shaped
+from .geometry import RuleError, SetRows, enforce, project_rows, shaped
 
 _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's state increment
 _MASK = (1 << 64) - 1
@@ -37,30 +37,6 @@ _NAMES = {dict: "an object", list: "a list", int: "an integer", float: "a number
 
 class ScenarioError(ValueError):
     """Raised when a scenario document is malformed or inconsistent."""
-
-
-@dataclass(frozen=True)
-class QuadraticCost:
-    """Strongly convex local cost 0.5*ell*||x - xstar||^2 + linear' x."""
-
-    ell: float
-    xstar: np.ndarray
-    linear: np.ndarray
-
-    def __post_init__(self) -> None:
-        ell = float(self.ell)
-        xstar = np.atleast_1d(np.asarray(self.xstar, dtype=float))
-        linear = np.atleast_1d(np.asarray(self.linear, dtype=float))
-        if xstar.shape != linear.shape or xstar.ndim != 1:
-            raise ValueError("xstar and linear must be 1-D arrays of equal length")
-        enforce(_cost_faults(np.array([ell]), xstar[None], linear[None]), agent=False)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "xstar", xstar)
-        object.__setattr__(self, "linear", linear)
-
-    @property
-    def dim(self) -> int:
-        return self.xstar.shape[0]
 
 
 def _cost_faults(ell: np.ndarray, xstar: np.ndarray, linear: np.ndarray) -> tuple:
@@ -95,7 +71,7 @@ class GameLayout(SetRows):
         return self if B == 1 else GameLayout(**{name: np.tile(a, (B, 1)[: a.ndim]) for name, a in rows.items()})
 
     def descent(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """-grad_f of the rows of x (..., N, n) as (-ell_i)(x_i - xstar_i) - linear_i (same bits), into out."""
+        """The negated local gradient of the rows of x (..., N, n) as (-ell_i)(x_i - xstar_i) - linear_i (same bits), into out."""
         out = np.subtract(x, self.xstar, out)
         np.multiply(self.neg_ell, out, out)
         return np.subtract(out, self.linear, out)
@@ -131,12 +107,6 @@ class GameSpec:
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "k", k)
 
-    @classmethod
-    def from_agents(cls, C: np.ndarray, k: float, agents) -> "GameSpec":
-        """The game of (cost, constraint set) pairs, each of C's dimension n, stacked row-wise."""
-        entries = [{**vars(cost), "set": {"box" if isinstance(s, Box) else "ball": vars(s)}} for cost, s in agents]
-        return cls(C=C, k=k, layout=GameLayout(**_rows(entries, np.atleast_2d(C).shape[0], "agents")))
-
     @property
     def N(self) -> int:
         return self.layout.xstar.shape[0]
@@ -149,17 +119,6 @@ class GameSpec:
     def ell_min(self) -> float:
         """Game-level strong-convexity modulus: the weakest agent's ell."""
         return float(self.layout.ell.min())
-
-    @property
-    def agents(self) -> tuple:
-        """Per-agent (cost, constraint set) pairs, rebuilt from the layout's rows."""
-        return tuple((self.cost(i), self.constraint(i)) for i in range(self.N))
-
-    def cost(self, i: int) -> QuadraticCost:
-        return QuadraticCost(self.layout.ell[i], self.layout.xstar[i], self.layout.linear[i])
-
-    def constraint(self, i: int) -> ConvexSet:
-        return self.layout.row(i)
 
 
 @dataclass(eq=False)
@@ -221,14 +180,14 @@ def _rows(entries: list, n: int, name: str) -> dict[str, np.ndarray]:
                    **{f"set.{kind}.{key}": s[kind][key] for key in (("lo", "hi") if kind == "box" else ("center",))}}
         for path, vector in vectors.items():
             if len(vector) != n:
-                raise RuleError(i, path, f"must hold n = {n} numbers, got {len(vector)}", path)
+                raise RuleError(i, path, f"must hold n = {n} numbers, got {len(vector)}")
     rows = {key: np.array([entry[key] for entry in entries], dtype=float) for key in ("ell", "xstar", "linear")}
     box = np.array(["box" in s for s in sets])
     lo = np.array([s["box"]["lo"] if "box" in s else down for s in sets], dtype=float)
     hi = np.array([s["box"]["hi"] if "box" in s else up for s in sets], dtype=float)
     center = np.array([up if "box" in s else s["ball"]["center"] for s in sets], dtype=float)
     with np.errstate(over="ignore"):  # a midpoint that overflows is named by the set rules
-        center[box] = 0.5 * (lo[box] + hi[box])  # as Box.center
+        center[box] = 0.5 * (lo[box] + hi[box])
     radius = np.array([math.inf if "box" in s else s["ball"]["radius"] for s in sets], dtype=float)
     return dict(rows, lo=lo, hi=hi, center=center, radius=radius)
 
@@ -305,35 +264,10 @@ def load_scenario(document: str) -> GameSpec:
         raise ScenarioError(str(e)) from None
 
 
-def grad_f(cost: QuadraticCost, x: np.ndarray) -> np.ndarray:
-    """Gradient of the local cost: ell * (x - xstar) + linear."""
-    x = shaped(x, (cost.dim,), "x")
-    return cost.ell * (x - cost.xstar) + cost.linear
-
-
-def local_f(cost: QuadraticCost, x: np.ndarray) -> float:
-    """The local cost value f(x) itself (no coupling, no indicator)."""
-    x = shaped(x, (cost.dim,), "x")
-    d = x - cost.xstar
-    return 0.5 * cost.ell * float(d @ d) + float(cost.linear @ x)
-
-
-def cost_J(game: GameSpec, i: int, x: np.ndarray, sigma: np.ndarray) -> float:
-    """Full cost of agent i at decision x under broadcast sigma.
-
-    Returns f_i(x) + (C sigma)' x for feasible x, and math.inf outside the
-    agent's constraint set (the indicator term).
-    """
-    x, sigma = shaped(x, (game.n,), "x"), shaped(sigma, (game.n,), "sigma")
-    if not contains(game.constraint(i), x):
-        return math.inf
-    return local_f(game.cost(i), x) + float((game.C @ sigma) @ x)
-
-
 def pseudo_gradient_F(game: GameSpec, x: np.ndarray) -> np.ndarray:
-    """Stacked pseudo-gradient: component i is grad_f(i, x_i) + C * avg(x)."""
+    """Stacked pseudo-gradient: row i is agent i's local gradient ell_i (x_i - xstar_i) + linear_i plus C avg(x)."""
     x = shaped(x, (game.N, game.n), "x")
-    return game.C @ x.mean(axis=0) - game.layout.descent(x)  # C avg(x) + grad_f, the same bits
+    return game.C @ x.mean(axis=0) - game.layout.descent(x)  # C avg(x) plus the local gradient, the same bits
 
 
 def initial_state(game: GameSpec) -> SystemState:

@@ -6,14 +6,33 @@ import json
 
 import numpy as np
 
-from aggseek.geometry import Ball, Box, ConvexSet
-from aggseek.model import GameSpec, QuadraticCost, load_scenario
+from aggseek.model import GameSpec, load_scenario
+
+from oracles import Ball, Box, ConvexSet, QuadraticCost
+
+
+def load_agents(C, k: float, agents) -> GameSpec:
+    """The game of oracle (cost, set) pairs, loaded from the scenario list document they make."""
+    C = np.atleast_2d(np.asarray(C, dtype=float))
+    entries = [
+        {"ell": cost.ell, "xstar": cost.xstar.tolist(), "linear": cost.linear.tolist(),
+         "set": {"box": {"lo": s.lo.tolist(), "hi": s.hi.tolist()}} if isinstance(s, Box)
+         else {"ball": {"center": s.center.tolist(), "radius": s.radius}}}
+        for cost, s in agents
+    ]
+    return load_scenario(json.dumps({"n": C.shape[0], "C": C.tolist(), "k": float(k), "agents": {"list": entries}}))
+
+
+def one_row(s: ConvexSet):
+    """The one-row layout of a decoupled agent whose set is s, for the row kernels."""
+    n = s.dim
+    return load_agents(np.zeros((n, n)), 1.0, [(QuadraticCost(1.0, np.zeros(n), np.zeros(n)), s)]).layout
 
 
 def single_agent_game(lo: float = 0.25, hi: float = 0.75, k: float = 0.6) -> GameSpec:
     """One agent, ell=1.5, xstar=0.6, linear=0.5, scalar coupling C=1."""
     cost = QuadraticCost(ell=1.5, xstar=np.array([0.6]), linear=np.array([0.5]))
-    return GameSpec.from_agents(C=np.array([[1.0]]), k=k, agents=((cost, Box(np.array([lo]), np.array([hi]))),))
+    return load_agents([[1.0]], k, [(cost, Box(np.array([lo]), np.array([hi])))])
 
 
 def demand_response_doc(k: float = 0.6, count: int = 100, seed: int = 42) -> str:
@@ -121,4 +140,4 @@ def random_game(
         else:
             cset = Ball(rng.uniform(0.2, 0.8, size=n), float(rng.uniform(0.3, 0.8)))
         agents.append((cost, cset))
-    return GameSpec.from_agents(C=C, k=k, agents=tuple(agents))
+    return load_agents(C, k, agents)

@@ -16,31 +16,38 @@ import pytest
 from aggseek import cli
 from aggseek.equilibrium import (
     EquilibriumResult,
-    best_response,
+    aggregation_map,
     solve_equilibrium,
     strictly_monotone,
     vi_gap,
 )
-from aggseek.flow import IntegratorConfig, integrate
-from aggseek.geometry import Ball, Box, contains, normal_project, project, tangent_project
-from aggseek.lyapunov import (
-    assemble_M,
-    check_condition_5,
-    compare_conditions,
-    decay_report,
-    reduced_lambda_min,
-    storage_inequality_check,
-)
-from aggseek.model import GameSpec, QuadraticCost, SystemState, grad_f, local_f
+from aggseek.flow import IntegratorConfig, integrate, rhs
+from aggseek.geometry import project_rows, tangent_rows
+from aggseek.lyapunov import check_condition_5, compare_conditions, decay_report, reduced_lambda_min
+from aggseek.model import GameSpec, SystemState, pseudo_gradient_F
 
 from helpers import (
+    load_agents,
+    one_row,
     random_boundaryish_point,
     random_game,
     random_point_in,
     random_set,
     small_certified_game,
 )
-from oracles import central_difference, grid_minimize_interval
+from oracles import (
+    Ball,
+    Box,
+    QuadraticCost,
+    agents_of,
+    central_difference,
+    certificate_matrix,
+    contains,
+    grid_minimize_interval,
+    local_f,
+    normal_project,
+    storage_inequality_check,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -88,7 +95,7 @@ def test_criterion_3_flow_and_fixed_point_routes_agree() -> None:
         traj = integrate(
             game,
             SystemState(
-                x=np.stack([random_point_in(rng, game.constraint(i)) for i in range(game.N)]),
+                x=np.stack([random_point_in(rng, s) for _, s in agents_of(game.layout)]),
                 sigma=rng.uniform(0.0, 1.0, size=game.n),
             ),
             IntegratorConfig(h=1e-3, T=25.0, record_every=1000),
@@ -126,22 +133,17 @@ def test_criterion_4_certified_game_obeys_exponential_envelope() -> None:
 
 
 def test_criterion_5_dense_and_reduced_eigenvalues_agree() -> None:
+    """The package's reduced eigenvalue against a dense eigensolve of the whole certificate matrix."""
     rng = np.random.default_rng(31)
-    box_cache: dict[int, Box] = {}
     for _ in range(100):
         n = int(rng.integers(1, 4))
         N = int(rng.integers(2, 51))
-        if n not in box_cache:
-            box_cache[n] = Box(np.zeros(n), np.ones(n))
-        agents = tuple(
-            (QuadraticCost(float(rng.uniform(0.5, 3.0)), np.full(n, 0.5), np.zeros(n)), box_cache[n])
-            for _ in range(N)
-        )
-        game = GameSpec.from_agents(
-            C=rng.normal(size=(n, n)), k=float(rng.uniform(0.1, 2.0)), agents=agents
-        )
+        box = Box(np.zeros(n), np.ones(n))
+        agents = [(QuadraticCost(float(rng.uniform(0.5, 3.0)), np.full(n, 0.5), np.zeros(n)), box) for _ in range(N)]
+        game = load_agents(rng.normal(size=(n, n)), float(rng.uniform(0.1, 2.0)), agents)
         for variant in ("paper", "symmetrized"):
-            _, dense = assemble_M(game, variant)
+            M = certificate_matrix(game.ell_min, game.k, game.C, game.N, variant)
+            dense = float(np.linalg.eigvalsh(M)[0])
             reduced = reduced_lambda_min(game, variant)
             assert abs(dense - reduced) <= 1e-10, f"{variant}: {dense!r} vs {reduced!r}"
 
@@ -149,13 +151,16 @@ def test_criterion_5_dense_and_reduced_eigenvalues_agree() -> None:
 def test_criterion_6_projection_identities_and_storage_inequality(
     demand_game: GameSpec, demand_ref: EquilibriumResult
 ) -> None:
+    """The row kernels on one-row layouts against the normal cone and the set's definitions, and the
+    flow's velocity (rhs) against the storage inequality's bound."""
     rng = np.random.default_rng(32)
     for _ in range(1000):
         n = int(rng.integers(1, 4))
         cset = random_set(rng, n)
+        lay = one_row(cset)
         x = random_boundaryish_point(rng, cset)
         v = rng.normal(scale=2.0, size=n)
-        pt = tangent_project(cset, x, v)
+        pt = tangent_rows(lay, x[None], v[None])[0]
         pn = normal_project(cset, x, v)
         assert np.linalg.norm(v - (pt + pn)) <= 1e-9
         assert abs(float(pt @ pn)) <= 1e-9
@@ -165,23 +170,25 @@ def test_criterion_6_projection_identities_and_storage_inequality(
 
         y1 = rng.normal(scale=1.5, size=n)
         y2 = rng.normal(scale=1.5, size=n)
-        p1, p2 = project(cset, y1), project(cset, y2)
-        assert np.linalg.norm(project(cset, p1) - p1) <= 1e-9
+        p1, p2 = project_rows(lay, y1[None])[0], project_rows(lay, y2[None])[0]
+        assert np.linalg.norm(project_rows(lay, p1[None])[0] - p1) <= 1e-9
         assert np.linalg.norm(p1 - p2) <= np.linalg.norm(y1 - y2) + 1e-12
         assert contains(cset, p1)
 
     lo = np.full(demand_game.N, 0.25)
     hi = np.full(demand_game.N, 0.75)
+    agents = agents_of(demand_game.layout)
     for _ in range(1000):
         x = rng.uniform(lo, hi)[:, None]
         sigma = rng.uniform(-0.5, 1.5, size=1)
-        u = np.tile(-(demand_game.C @ sigma), (demand_game.N, 1))
-        state = SystemState(x=x, sigma=sigma)
-        assert storage_inequality_check(demand_game, state, u, demand_ref, slack=1e-9)
+        xdot, _ = rhs(demand_game, SystemState(x=x, sigma=sigma))  # its input u = -C sigma for every agent
+        assert storage_inequality_check(agents, demand_game.C, x, sigma, xdot, demand_ref.xbar, demand_ref.sigmabar,
+                                        slack=1e-9)
 
 
 def test_criterion_7_closed_forms_match_independent_oracles() -> None:
-    """Best responses against dense grid search; gradients against central differences."""
+    """Best responses (a one-agent game's aggregation map) against dense grid search; gradients (a
+    decoupled one-agent game's pseudo-gradient) against central differences."""
     rng = np.random.default_rng(33)
     for _ in range(500):
         ell = float(rng.uniform(0.6, 2.5))
@@ -195,7 +202,7 @@ def test_criterion_7_closed_forms_match_independent_oracles() -> None:
             r = float(rng.uniform(0.3, 1.0))
             cset = Ball(np.array([c]), r)
             lo_hi = (c - r, c + r)
-        game = GameSpec.from_agents(C=rng.uniform(-1, 1, (1, 1)), k=1.0, agents=((cost, cset),))
+        game = load_agents(rng.uniform(-1, 1, (1, 1)), 1.0, [(cost, cset)])
         sigma = rng.uniform(-1, 1, 1)
         shift = cost.linear[0] + float(game.C[0, 0] * sigma[0])
 
@@ -203,13 +210,14 @@ def test_criterion_7_closed_forms_match_independent_oracles() -> None:
             return 0.5 * ell * (zs - cost.xstar[0]) ** 2 + shift * zs
 
         gridded = grid_minimize_interval(objective, lo_hi[0], lo_hi[1], resolution=1e-5)
-        assert abs(float(best_response(game, 0, sigma)[0]) - gridded) <= 2e-5
+        assert abs(float(aggregation_map(game, sigma)[0]) - gridded) <= 2e-5
 
     for _ in range(200):
         n = int(rng.integers(1, 4))
         cost = QuadraticCost(float(rng.uniform(0.5, 3.0)), rng.normal(size=n), rng.normal(size=n))
         x = rng.normal(size=n)
-        g = grad_f(cost, x)
+        decoupled = load_agents(np.zeros((n, n)), 1.0, [(cost, Box(np.full(n, -1.0), np.full(n, 1.0)))])
+        g = pseudo_gradient_F(decoupled, x)[0]
         fd = central_difference(lambda y: local_f(cost, y), x)
         assert np.linalg.norm(fd - g) <= 1e-6 * max(1.0, float(np.linalg.norm(g)))
 

@@ -1,17 +1,18 @@
 """The batched kernels against the per-agent formulas they replaced, bit for bit.
 
-Every agent-level quantity used to be computed one agent at a time with the
-scalar geometry helpers. The references below keep those loops; the property
-tests demand np.array_equal, not approximate agreement, on random mixed
-box/ball games with points inside each set, on its boundary and outside it.
-Likewise every gain of integrate_gains is held to a single-gain integrator
-loop kept below as the reference.
+Every agent-level quantity used to be computed one agent at a time with scalar
+per-set helpers, now the oracles' Box, Ball and QuadraticCost. The references
+below keep those loops; the property tests demand np.array_equal, not
+approximate agreement, on random mixed box/ball games with points inside each
+set, on its boundary and outside it. Likewise every gain of integrate_gains is
+held to a single-gain integrator loop kept below as the reference.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,35 +21,20 @@ from hypothesis import strategies as st
 
 from aggseek.equilibrium import (
     EquilibriumResult,
+    _best_responses,
     aggregation_map,
-    best_response,
     verify_equilibrium,
     vi_gap,
 )
 from aggseek import flow
 from aggseek.flow import IntegratorConfig, NonFiniteStateError, integrate_gains
-from aggseek.geometry import (
-    Ball,
-    Box,
-    ConvexSet,
-    project,
-    project_rows,
-    set_center,
-    tangent_project,
-    tangent_rows,
-    vi_min_rows,
-)
-from aggseek.model import (
-    GameSpec,
-    QuadraticCost,
-    SystemState,
-    initial_state,
-    project_state,
-    pseudo_gradient_F,
-)
+from aggseek.geometry import project_rows, tangent_rows, vi_min_rows
+from aggseek.model import GameSpec, SystemState, initial_state, load_scenario, project_state, pseudo_gradient_F
 
-from helpers import demand_response_game, random_game, single_agent_game
+from helpers import demand_response_game, load_agents, random_game, single_agent_game
+from oracles import Ball, Box, ConvexSet, QuadraticCost, agents_of, best_response, grad_f, project, tangent_project
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 COORD = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 # where a point sits relative to its set: 0 is the center, 1 the boundary
 REACH = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 0.999), st.floats(1.001, 3.0))
@@ -87,20 +73,17 @@ def games_with_points(draw, max_agents: int = 6) -> tuple[GameSpec, np.ndarray, 
         agents.append((cost, cset))
         points.append(_point(draw, cset, n))
     C = np.array([draw(vec) for _ in range(n)])
-    game = GameSpec.from_agents(C=C, k=1.0, agents=tuple(agents))
+    game = load_agents(C, 1.0, agents)
     return game, np.array(points), draw(vec)
 
 
 def scalar_best_responses(game: GameSpec, sigma: np.ndarray) -> np.ndarray:
-    csig = game.C @ sigma
-    return np.array([project(s, c.xstar - (csig + c.linear) / c.ell) for c, s in game.agents])
+    return np.array([best_response(c, s, game.C, sigma) for c, s in agents_of(game.layout)])
 
 
 def scalar_pseudo_gradient(game: GameSpec, x: np.ndarray) -> np.ndarray:
     coupling = game.C @ x.mean(axis=0)
-    return np.array(
-        [c.ell * (x[i] - c.xstar) + c.linear + coupling for i, (c, _) in enumerate(game.agents)]
-    )
+    return np.array([grad_f(c, x[i]) + coupling for i, (c, _) in enumerate(agents_of(game.layout))])
 
 
 def scalar_vi_min(cset: ConvexSet, x: np.ndarray, g: np.ndarray) -> float:
@@ -112,12 +95,12 @@ def scalar_vi_min(cset: ConvexSet, x: np.ndarray, g: np.ndarray) -> float:
 def scalar_gaps(game: GameSpec, x: np.ndarray) -> np.ndarray:
     g = scalar_pseudo_gradient(game, x)
     return np.array(
-        [max(0.0, -scalar_vi_min(s, x[i], g[i])) for i, (_, s) in enumerate(game.agents)]
+        [max(0.0, -scalar_vi_min(s, x[i], g[i])) for i, (_, s) in enumerate(agents_of(game.layout))]
     )
 
 
 def scalar_first_outside(game: GameSpec, x: np.ndarray):
-    for i, (_, s) in enumerate(game.agents):
+    for i, (_, s) in enumerate(agents_of(game.layout)):
         if np.linalg.norm(x[i] - project(s, x[i])) > 1e-9:
             return i
     return None
@@ -128,8 +111,7 @@ def scalar_first_outside(game: GameSpec, x: np.ndarray):
 def test_best_responses_and_aggregation_map_match_scalar(case) -> None:
     game, _, sigma = case
     ref = scalar_best_responses(game, sigma)
-    batched = np.array([best_response(game, i, sigma) for i in range(game.N)])
-    assert np.array_equal(batched, ref)
+    assert np.array_equal(_best_responses(game.layout, game.C @ sigma), ref)
     assert np.array_equal(aggregation_map(game, sigma), ref.mean(axis=0))
 
 
@@ -137,18 +119,17 @@ def test_best_responses_and_aggregation_map_match_scalar(case) -> None:
 @given(games_with_points(), st.data())
 def test_projection_and_pseudo_gradient_match_scalar(case, data) -> None:
     game, x, sigma = case
+    agents = agents_of(game.layout)
     projected = project_state(game, SystemState(x, sigma))
-    assert np.array_equal(
-        projected.x, np.array([project(s, x[i]) for i, (_, s) in enumerate(game.agents)])
-    )
+    assert np.array_equal(projected.x, np.array([project(s, x[i]) for i, (_, s) in enumerate(agents)]))
     assert np.array_equal(projected.sigma, sigma)
     assert np.array_equal(pseudo_gradient_F(game, x), scalar_pseudo_gradient(game, x))
-    assert np.array_equal(initial_state(game).x, np.array([set_center(s) for _, s in game.agents]))
+    assert np.array_equal(initial_state(game).x, np.array([s.center for _, s in agents]))
 
     # on a (B, N, n) stack, and on a (K, B, N, n) stack of those, the kernels
     # act on the agent axis of each (N, n) slice alike
     K, B, lay = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)), game.layout
-    more = [[_point(data.draw, s, game.n) for _, s in game.agents] for _ in range(K * B - 1)]
+    more = [[_point(data.draw, s, game.n) for _, s in agents] for _ in range(K * B - 1)]
     ys = np.array([x, *more]).reshape(K, B, game.N, game.n)
     stacked = project_rows(lay, ys)
     assert np.array_equal(stacked, np.array([[project_rows(lay, y) for y in yb] for yb in ys]))
@@ -158,7 +139,7 @@ def test_projection_and_pseudo_gradient_match_scalar(case, data) -> None:
     per_slice = [[tangent_rows(lay, p, w) for p, w in zip(pb, wb)] for pb, wb in zip(stacked, v)]
     assert np.array_equal(tangent, np.array(per_slice))
     assert np.array_equal(tangent, np.array([tangent_rows(lay, *pwb) for pwb in zip(stacked, v)]))
-    sets, slices = [s for _, s in game.agents], (-1, *x.shape)
+    sets, slices = [s for _, s in agents], (-1, *x.shape)
     per_agent = [_ref_tangent_rows(sets, p, w) for p, w in zip(stacked.reshape(slices), v.reshape(slices))]
     assert np.array_equal(tangent, np.array(per_agent).reshape(tangent.shape))
     vi_min = vi_min_rows(lay, stacked, v)
@@ -200,7 +181,7 @@ def _ref_tangent_rows(sets, x, v):
 
 
 def reference_integrate(game: GameSpec, init: SystemState, cfg: IntegratorConfig, ref) -> dict:
-    lay, C, k, h, sets = game.layout, game.C, game.k, cfg.h, [s for _, s in game.agents]
+    lay, C, k, h, sets = game.layout, game.C, game.k, cfg.h, [s for _, s in agents_of(game.layout)]
     x, sigma = project_state(game, init).x.copy(), init.sigma.copy()
     n_steps = math.ceil(cfg.T / h)
     sample_steps = list(range(0, n_steps, cfg.record_every))
@@ -302,14 +283,14 @@ def test_many_agents_match_single_gain_loop() -> None:
     # each energy sum spans N*n = 4,000 floats, several of numpy's 128-element
     # pairwise blocks; the default block holds 2 samples of B*N*n = 8,000 floats
     game, init, gains, cfg = random_population(2000, 2, seed=3, T=0.4)
-    assert sum(isinstance(s, Ball) for _, s in game.agents) > 500
+    assert game.layout.ball_rows.size > 500
     assert flow.BLOCK_FLOATS // block_floats(1, gains, game) == 2
     assert_gains_match_reference(game, init, gains, cfg)
 
 
 def first_nonfinite(game: GameSpec, init: SystemState, gains, cfg: IntegratorConfig) -> tuple[int, float]:
     """The first step at which some gain's single-gain loop stops being finite, and that gain."""
-    lay, h, sets = game.layout, cfg.h, [s for _, s in game.agents]
+    lay, h, sets = game.layout, cfg.h, [s for _, s in agents_of(game.layout)]
     states = [(project_state(game, init).x, init.sigma) for _ in gains]
     for i in range(1, math.ceil(cfg.T / h) + 1):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -339,11 +320,20 @@ def test_blowup_inside_a_block_raises_at_the_loop_step(monkeypatch: pytest.Monke
     assert every == 1 or step_index % every, "the blow-up falls on a step that is not recorded"
 
 
+@pytest.mark.parametrize("start", [{"x": np.nan}, {"sigma": np.inf}])
+def test_start_that_is_not_finite_raises_at_step_0(start: dict) -> None:
+    game = load_scenario((SCENARIOS / "single_box.json").read_text(encoding="utf-8"))
+    init = SystemState(**{"x": initial_state(game).x, "sigma": initial_state(game).sigma, **start})
+    with pytest.raises(NonFiniteStateError, match=r"^non-finite state at step 0 \(t = 0\) for k = 0.5$") as excinfo:
+        integrate_gains(game, (0.5, 2.0), init, IntegratorConfig(h=0.01, T=0.1))
+    assert (excinfo.value.step_index, excinfo.value.time) == (0, 0.0)
+
+
 @pytest.mark.parametrize("K", [1, 10**6])
 def test_overflowing_agent_sum_of_a_finite_state_does_not_raise(monkeypatch: pytest.MonkeyPatch, K: int) -> None:
     # in one step every agent goes from 0 to 1e308: the state stays finite, its agent sum does not
     box, cost = Box(np.array([-1e308]), np.array([1e308])), QuadraticCost(1.0, np.array([1e308]), np.array([0.0]))
-    game = GameSpec.from_agents(np.zeros((1, 1)), 1.0, [(cost, box)] * 4)
+    game = load_agents(np.zeros((1, 1)), 1.0, [(cost, box)] * 4)
     init, gains = SystemState(np.zeros((4, 1)), np.zeros(1)), (1.0,)
     monkeypatch.setattr(flow, "BLOCK_FLOATS", block_floats(K, gains, game))
     (traj,) = integrate_gains(game, gains, init, IntegratorConfig(h=1.0, T=1.0))

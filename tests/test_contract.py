@@ -2,8 +2,8 @@
 
 x is any array of N*n entries and sigma, sigmabar any of n; a mis-sized array
 raises ValueError naming it; a flat x and an (N, n) x give the same bits. The
-VI checks reject a decision outside its set, a non-finite one included, and the
-set and cost constructors reject non-finite data.
+VI checks and rhs reject a decision outside its set, a non-finite one included,
+and a game's rows and C reject non-finite data.
 """
 
 from __future__ import annotations
@@ -15,27 +15,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aggseek.equilibrium import aggregation_map, best_response, solve_equilibrium, verify_equilibrium, vi_gap
+from aggseek.equilibrium import aggregation_map, solve_equilibrium, verify_equilibrium, vi_gap
 from aggseek.flow import IntegratorConfig, integrate, integrate_gains, rhs, step
-from aggseek.geometry import Ball, Box, SetRows, distance, normal_project, project, tangent_project
-from aggseek.lyapunov import lyapunov_W, storage_inequality_check
-from aggseek.model import (
-    GameSpec,
-    QuadraticCost,
-    SystemState,
-    cost_J,
-    grad_f,
-    initial_state,
-    load_scenario,
-    local_f,
-    project_state,
-    pseudo_gradient_F,
-)
+from aggseek.geometry import SetRows
+from aggseek.lyapunov import lyapunov_W
+from aggseek.model import SystemState, initial_state, load_scenario, project_state, pseudo_gradient_F
+
+from helpers import load_agents
+from oracles import Box, QuadraticCost
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-GAME = load_scenario((SCENARIOS / "mixed_sets.json").read_text(encoding="utf-8"))  # N = 3, n = 2
+GAME = load_scenario((SCENARIOS / "mixed_sets.json").read_text(encoding="utf-8"))  # N = 3, n = 2: a box, two balls
 REF = solve_equilibrium(GAME)
-COST, BALL = GAME.agents[1]
 CFG = IntegratorConfig(h=1e-2, T=0.05)
 
 
@@ -52,15 +43,7 @@ REFERENCE = {"reference.xbar": REF.xbar, "reference.sigmabar": REF.sigmabar}
 
 # entry point: (its call on a dict of the arrays it is handed, those arrays by the name an error gives them)
 ENTRY_POINTS = {
-    "project": (lambda a: project(BALL, a["y"]), {"y": np.array([2.0, 0.5])}),
-    "distance": (lambda a: distance(BALL, a["y"]), {"y": np.array([2.0, 0.5])}),
-    "tangent_project": (lambda a: tangent_project(BALL, a["x"], a["v"]), {"x": np.array([0.9, 0.5]), "v": np.ones(2)}),
-    "normal_project": (lambda a: normal_project(BALL, a["x"], a["v"]), {"x": np.array([0.9, 0.5]), "v": np.ones(2)}),
-    "grad_f": (lambda a: grad_f(COST, a["x"]), {"x": REF.xbar[1]}),
-    "local_f": (lambda a: local_f(COST, a["x"]), {"x": REF.xbar[1]}),
-    "cost_J": (lambda a: cost_J(GAME, 1, a["x"], a["sigma"]), {"x": REF.xbar[1], "sigma": REF.sigmabar}),
     "pseudo_gradient_F": (lambda a: pseudo_gradient_F(GAME, a["x"]), {"x": REF.xbar}),
-    "best_response": (lambda a: best_response(GAME, 1, a["sigma"]), {"sigma": REF.sigmabar}),
     "aggregation_map": (lambda a: aggregation_map(GAME, a["sigma"]), {"sigma": REF.sigmabar}),
     "vi_gap": (lambda a: vi_gap(GAME, a["x"]), {"x": REF.xbar}),
     "verify_equilibrium": (lambda a: verify_equilibrium(GAME, a["x"], 1e-6), {"x": REF.xbar}),
@@ -72,9 +55,6 @@ ENTRY_POINTS = {
         lambda a: integrate_gains(GAME, (0.5, 2.0), _state(a), CFG, _ref(a, "reference")), {**STATE, **REFERENCE}),
     # handed no game, lyapunov_W reads n from ref.sigmabar and N from the size of ref.xbar
     "lyapunov_W": (lambda a: lyapunov_W(_state(a), REF), STATE),
-    "storage_inequality_check": (
-        lambda a: storage_inequality_check(GAME, _state(a), a["u"], _ref(a)),
-        {**STATE, "u": np.full((3, 2), 0.3), "ref.xbar": REF.xbar, "ref.sigmabar": REF.sigmabar}),
 }
 ARGUMENTS = [(entry, name) for entry, (_, arrays) in ENTRY_POINTS.items() for name in arrays]
 VI_CHECKS = (vi_gap, lambda game, x: verify_equilibrium(game, x, tol=1e-6))
@@ -135,7 +115,7 @@ def test_array_records_compare_by_identity() -> None:
 
 def test_vi_checks_share_one_membership_rule() -> None:
     # xstar = 5 outside the box [0, 1], at x = 3: no feasible direction is checked, so the gap alone reads 0
-    game = GameSpec.from_agents(np.zeros((1, 1)), 1.0, ((QuadraticCost(1.0, [5.0], [0.0]), Box([0.0], [1.0])),))
+    game = load_agents(np.zeros((1, 1)), 1.0, [(QuadraticCost(1.0, [5.0], [0.0]), Box([0.0], [1.0]))])
     for check in VI_CHECKS:
         with pytest.raises(ValueError, match="^agent 0 decision lies outside its set$"):
             check(game, np.array([[3.0]]))
@@ -153,21 +133,30 @@ def test_non_finite_decision_lies_outside_its_set(value: float) -> None:
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
-def test_tangent_project_rejects_a_non_finite_point(value: float) -> None:
+def test_rhs_rejects_a_non_finite_point(value: float) -> None:
     # an infinite coordinate projects to NaN without a warning, so the membership check names it
-    with pytest.raises(ValueError, match="^point lies outside the set"):
-        tangent_project(BALL, np.array([value, 0.5]), np.ones(2))
+    x = initial_state(GAME).x.copy()
+    x[1, 0] = value  # a ball row
+    with pytest.raises(ValueError, match="^agent 1 decision lies outside its set$"):
+        rhs(GAME, SystemState(x, REF.sigmabar))
+
+
+def _poisoned(name: str, index, value: float):
+    """GAME's layout with one entry of the row array name set to value."""
+    rows = getattr(GAME.layout, name).copy()
+    rows[index] = value
+    return dataclasses.replace(GAME.layout, **{name: rows})
 
 
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda v: Box([v, 0.0], [1.0, 1.0]), "box bounds must be finite"),
-        (lambda v: Box([0.0, 0.0], [1.0, -v]), "box bounds must be finite"),
-        (lambda v: Ball([0.0, v], 1.0), "set center must be finite"),
-        (lambda v: QuadraticCost(v, [0.0], [0.0]), "ell must be positive and finite"),
-        (lambda v: QuadraticCost(1.0, [v], [0.0]), "xstar must be finite"),
-        (lambda v: QuadraticCost(1.0, [0.0], [-v]), "linear must be finite"),
+        (lambda v: _poisoned("lo", (0, 0), v), "agent 0: box bounds must be finite"),
+        (lambda v: _poisoned("hi", (0, 1), -v), "agent 0: box bounds must be finite"),
+        (lambda v: _poisoned("center", (1, 1), v), "agent 1: set center must be finite"),
+        (lambda v: _poisoned("ell", 1, v), "agent 1: ell must be positive and finite"),
+        (lambda v: _poisoned("xstar", (1, 0), v), "agent 1: xstar must be finite"),
+        (lambda v: _poisoned("linear", (1, 0), -v), "agent 1: linear must be finite"),
         (lambda v: dataclasses.replace(GAME, C=np.array([[0.2, v], [0.0, 0.15]])), "C must be finite"),
     ],
 )

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -14,18 +15,26 @@ from aggseek.equilibrium import (
     ConvergenceError,
     EquilibriumResult,
     aggregation_map,
-    best_response,
     solve_equilibrium,
     strictly_monotone,
     verify_equilibrium,
     vi_gap,
 )
 from aggseek.flow import stationarity_residual
-from aggseek.geometry import Ball, Box, ConvexSet, project
-from aggseek.model import GameSpec, QuadraticCost, SystemState, cost_J, initial_state, load_scenario
+from aggseek.model import GameSpec, SystemState, initial_state, load_scenario
 
-from helpers import random_game, random_point_in, single_agent_game
-from oracles import grid_minimize_interval, sampled_set_infimum
+from helpers import load_agents, random_game, random_point_in, single_agent_game
+from oracles import (
+    Ball,
+    Box,
+    ConvexSet,
+    QuadraticCost,
+    agents_of,
+    cost_J,
+    grid_minimize_interval,
+    project,
+    sampled_set_infimum,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 WIDE = Box(np.array([-5.0]), np.array([5.0]))
@@ -35,37 +44,37 @@ def probe_game(cset: ConvexSet, x: np.ndarray, g: np.ndarray) -> GameSpec:
     """Single decoupled agent whose gradient at x equals g exactly."""
     n = cset.dim
     cost = QuadraticCost(ell=1.0, xstar=np.asarray(x, dtype=float), linear=np.asarray(g, dtype=float))
-    return GameSpec.from_agents(C=np.zeros((n, n)), k=1.0, agents=((cost, cset),))
+    return load_agents(np.zeros((n, n)), 1.0, [(cost, cset)])
 
 
+# a one-agent game's aggregation map is that agent's best response
 def test_best_response_clamps_low() -> None:
     game = single_agent_game()
     # unconstrained minimizer 0.2 sits below the box
-    assert best_response(game, 0, np.array([0.1])) == pytest.approx([0.25])
+    assert aggregation_map(game, np.array([0.1])) == pytest.approx([0.25])
 
 
 def test_best_response_interior() -> None:
     game = single_agent_game()
-    assert best_response(game, 0, np.array([-0.5])) == pytest.approx([0.6])
+    assert aggregation_map(game, np.array([-0.5])) == pytest.approx([0.6])
 
 
 def test_best_response_clamps_high() -> None:
     game = single_agent_game()
-    assert best_response(game, 0, np.array([-2.0])) == pytest.approx([0.75])
+    assert aggregation_map(game, np.array([-2.0])) == pytest.approx([0.75])
 
 
 def test_best_response_decoupled_hits_target() -> None:
     cost = QuadraticCost(2.0, np.array([0.5]), np.array([0.0]))
-    game = GameSpec.from_agents(C=np.array([[0.0]]), k=1.0,
-                    agents=((cost, Box(np.array([0.0]), np.array([1.0]))),))
-    assert best_response(game, 0, np.array([77.0])) == pytest.approx([0.5])
+    game = load_agents([[0.0]], 1.0, [(cost, Box(np.array([0.0]), np.array([1.0])))])
+    assert aggregation_map(game, np.array([77.0])) == pytest.approx([0.5])
 
 
 def test_best_response_ball_boundary() -> None:
     cost = QuadraticCost(1.0, np.array([3.0, 0.0]), np.zeros(2))
     ball = Ball(np.zeros(2), 1.0)
-    game = GameSpec.from_agents(C=np.zeros((2, 2)), k=1.0, agents=((cost, ball),))
-    assert best_response(game, 0, np.zeros(2)) == pytest.approx([1.0, 0.0])
+    game = load_agents(np.zeros((2, 2)), 1.0, [(cost, ball)])
+    assert aggregation_map(game, np.zeros(2)) == pytest.approx([1.0, 0.0])
 
 
 def test_best_response_beats_feasible_alternatives() -> None:
@@ -74,11 +83,12 @@ def test_best_response_beats_feasible_alternatives() -> None:
         game = random_game(rng, max_agents=6)
         sigma = rng.normal(scale=0.7, size=game.n)
         i = int(rng.integers(game.N))
-        br = best_response(game, i, sigma)
-        val = cost_J(game, i, br, sigma)
+        cost, cset = agents_of(game.layout)[i]
+        br = aggregation_map(load_agents(game.C, game.k, [(cost, cset)]), sigma)
+        val = cost_J(cost, cset, game.C, br, sigma)
         for _ in range(60):
-            z = random_point_in(rng, game.constraint(i))
-            assert val <= cost_J(game, i, z, sigma) + 1e-10
+            z = random_point_in(rng, cset)
+            assert val <= cost_J(cost, cset, game.C, z, sigma) + 1e-10
 
 
 def test_best_response_matches_grid_search() -> None:
@@ -88,7 +98,7 @@ def test_best_response_matches_grid_search() -> None:
         cost = QuadraticCost(ell, rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1))
         lo, hi = sorted(rng.uniform(-1.5, 1.5, 2))
         box = Box(np.array([lo]), np.array([hi + 0.1]))
-        game = GameSpec.from_agents(C=rng.uniform(-1, 1, (1, 1)), k=1.0, agents=((cost, box),))
+        game = load_agents(rng.uniform(-1, 1, (1, 1)), 1.0, [(cost, box)])
         sigma = rng.uniform(-1, 1, 1)
         csig = float(game.C[0, 0] * sigma[0])
 
@@ -96,7 +106,7 @@ def test_best_response_matches_grid_search() -> None:
             return 0.5 * ell * (zs - cost.xstar[0]) ** 2 + (cost.linear[0] + csig) * zs
 
         best = grid_minimize_interval(objective, float(box.lo[0]), float(box.hi[0]))
-        assert abs(float(best_response(game, 0, sigma)[0]) - best) <= 2e-5
+        assert abs(float(aggregation_map(game, sigma)[0]) - best) <= 2e-5
 
 
 def test_aggregation_map_fixed_point_single_agent() -> None:
@@ -106,8 +116,7 @@ def test_aggregation_map_fixed_point_single_agent() -> None:
 
 def test_aggregation_map_constant_when_decoupled() -> None:
     mk = lambda xs: QuadraticCost(1.0, np.array([xs]), np.array([0.0]))
-    game = GameSpec.from_agents(C=np.array([[0.0]]), k=1.0,
-                    agents=((mk(0.2), WIDE), (mk(0.6), WIDE)))
+    game = load_agents([[0.0]], 1.0, [(mk(0.2), WIDE), (mk(0.6), WIDE)])
     for s in (-3.0, 0.0, 0.4, 10.0):
         assert aggregation_map(game, np.array([s])) == pytest.approx([0.4])
 
@@ -138,8 +147,7 @@ def test_solve_demand_scenario(demand_ref: EquilibriumResult) -> None:
 
 def test_solve_decoupled_full_relaxation_counts_one_update() -> None:
     mk = lambda xs: QuadraticCost(1.0, np.array([xs]), np.array([0.0]))
-    game = GameSpec.from_agents(C=np.array([[0.0]]), k=1.0,
-                    agents=((mk(0.2), WIDE), (mk(0.6), WIDE)))
+    game = load_agents([[0.0]], 1.0, [(mk(0.2), WIDE), (mk(0.6), WIDE)])
     res = solve_equilibrium(game, lam=1.0)
     assert res.iterations == 1
     assert res.sigmabar == pytest.approx([0.4])
@@ -168,7 +176,7 @@ def test_solve_raises_on_oscillating_iteration() -> None:
     # strong positive coupling makes the relaxed map a 2-cycle, not a contraction
     cost = QuadraticCost(1.0, np.array([1.0]), np.array([0.0]))
     box = Box(np.array([-10.0]), np.array([10.0]))
-    game = GameSpec.from_agents(C=np.array([[5.0]]), k=1.0, agents=((cost, box),))
+    game = load_agents([[5.0]], 1.0, [(cost, box)])
     with pytest.raises(ConvergenceError) as excinfo:
         solve_equilibrium(game, max_iter=2000)
     err = excinfo.value
@@ -179,7 +187,7 @@ def test_solve_raises_on_oscillating_iteration() -> None:
 
 def test_solve_warns_when_uniqueness_unverified() -> None:
     game = single_agent_game()
-    loose = GameSpec.from_agents(C=np.array([[-2.0]]), k=game.k, agents=game.agents)
+    loose = dataclasses.replace(game, C=np.array([[-2.0]]))
     assert not strictly_monotone(loose)
     with pytest.warns(UserWarning):
         res = solve_equilibrium(loose)
@@ -207,10 +215,7 @@ def test_vi_gap_zero_at_projected_targets_when_decoupled() -> None:
     rng = np.random.default_rng(13)
     for _ in range(50):
         game = random_game(rng, max_agents=5, coupling_scale=0.0)
-        x = np.stack([
-            project(game.constraint(i), game.cost(i).xstar - game.cost(i).linear / game.cost(i).ell)
-            for i in range(game.N)
-        ])
+        x = np.stack([project(s, cost.xstar - cost.linear / cost.ell) for cost, s in agents_of(game.layout)])
         assert vi_gap(game, x) <= 1e-9
 
 
@@ -286,7 +291,7 @@ def test_equilibrium_conditions_agree_on_rejections() -> None:
     rng = np.random.default_rng(17)
     for _ in range(100):
         game = random_game(rng, max_agents=6)
-        x = np.stack([random_point_in(rng, game.constraint(i)) for i in range(game.N)])
+        x = np.stack([random_point_in(rng, s) for _, s in agents_of(game.layout)])
         sigma = rng.normal(scale=0.5, size=game.n)
         residual = stationarity_residual(game, SystemState(x=x, sigma=sigma))
         gap = vi_gap(game, x)
@@ -421,7 +426,7 @@ def test_box_population_runs_to_pinned_bytes(
 def test_solve_stops_at_first_nonfinite_update() -> None:
     # every entry is finite, but C sigma / ell overflows in the first best response
     cost, ball = QuadraticCost(1e-300, np.array([1.0]), np.array([0.0])), Ball(np.array([1.0]), 0.5)
-    game = GameSpec.from_agents(C=np.array([[1e300]]), k=1.0, agents=((cost, ball),))
+    game = load_agents([[1e300]], 1.0, [(cost, ball)])
     with pytest.raises(ConvergenceError, match="non-finite") as excinfo:
         solve_equilibrium(game)
     assert excinfo.value.iterations == 1
@@ -429,10 +434,9 @@ def test_solve_stops_at_first_nonfinite_update() -> None:
 
 
 def test_best_responses_past_the_float_range_emit_no_warning() -> None:
-    # the overflow game above: the map and the response return their non-finite values quietly
+    # the overflow game above: the map returns its non-finite values quietly
     cost, ball = QuadraticCost(1e-300, np.array([1.0]), np.array([0.0])), Ball(np.array([1.0]), 0.5)
-    game = GameSpec.from_agents(C=np.array([[1e300]]), k=1.0, agents=((cost, ball),))
+    game = load_agents([[1e300]], 1.0, [(cost, ball)])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert not np.isfinite(aggregation_map(game, np.array([1.0]))).any()
-        assert not np.isfinite(best_response(game, 0, np.array([1.0]))).any()

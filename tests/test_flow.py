@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,17 +19,10 @@ from aggseek.flow import (
     stationarity_residual,
     step,
 )
-from aggseek.geometry import Ball, Box, contains
-from aggseek.model import (
-    GameSpec,
-    QuadraticCost,
-    SystemState,
-    initial_state,
-    load_scenario,
-    project_state,
-)
+from aggseek.model import GameSpec, SystemState, initial_state, load_scenario, project_state
 
-from helpers import demand_response_game, single_agent_game
+from helpers import demand_response_game, load_agents, single_agent_game
+from oracles import Ball, QuadraticCost, agents_of, contains
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -55,7 +49,7 @@ def test_rhs_ball_boundary_keeps_tangential_part() -> None:
     # drive (1, 1) at boundary point (1, 0): outward radial part removed
     cost = QuadraticCost(1.0, np.array([2.0, 1.0]), np.zeros(2))
     ball = Ball(np.zeros(2), 1.0)
-    game = GameSpec.from_agents(C=np.zeros((2, 2)), k=2.0, agents=((cost, ball),))
+    game = load_agents(np.zeros((2, 2)), 2.0, [(cost, ball)])
     state = SystemState(x=np.array([[1.0, 0.0]]), sigma=np.zeros(2))
     xdot, sigmadot = rhs(game, state)
     assert xdot == pytest.approx(np.array([[0.0, 1.0]]))
@@ -84,6 +78,18 @@ def test_step_zero_length_is_identity() -> None:
     nxt = step(game, state, h=0.0)
     assert np.array_equal(nxt.x, state.x)
     assert np.array_equal(nxt.sigma, state.sigma)
+
+
+@pytest.mark.parametrize(("h", "sigma"), [(1e300, None), (0.01, np.array([np.inf, 0.0]))])
+def test_step_emits_no_warning_where_the_state_leaves_the_finite_numbers(h: float, sigma) -> None:
+    # the time loop's errstate: a step of 1e300 overflows a ball row's norm, an infinite sigma meets
+    # a zero of C in C sigma; step, one iteration of that loop, returns what it computes quietly
+    game = mixed_game()
+    start = initial_state(game)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        nxt = step(game, SystemState(start.x, start.sigma if sigma is None else sigma), h)
+    assert np.isfinite(nxt.x).all() if sigma is None else not np.isfinite(nxt.sigma).all()
 
 
 @pytest.mark.parametrize("h", [-0.5, math.nan, math.inf, -math.inf])
@@ -131,11 +137,11 @@ def test_integrate_forward_invariance_mixed_sets() -> None:
     # step is the integrator's update: chaining it reproduces integrate's final
     # state bit for bit, so the chain visits every iterate of the run
     traj = integrate(game, start, IntegratorConfig(h=0.01, T=2.0))
-    state = project_state(game, start)
+    state, sets = project_state(game, start), [s for _, s in agents_of(game.layout)]
     for _ in range(len(traj) - 1):
         state = step(game, state, 0.01)
-        for i in range(game.N):
-            assert contains(game.constraint(i), state.x[i])
+        for i, s in enumerate(sets):
+            assert contains(s, state.x[i])
     assert np.array_equal(state.x, traj.x)
     assert np.array_equal(state.sigma, traj.sigma)
 

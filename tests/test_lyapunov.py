@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -8,33 +9,44 @@ import pytest
 
 from aggseek.equilibrium import EquilibriumResult, solve_equilibrium
 from aggseek.flow import IntegratorConfig, Trajectory, integrate
-from aggseek.geometry import Box, tangent_project
+from aggseek.flow import rhs
 from aggseek.lyapunov import (
     CertificateReport,
-    assemble_M,
     check_condition_5,
     compare_conditions,
     decay_report,
     lyapunov_W,
     norm_inf,
     reduced_lambda_min,
-    storage_inequality_check,
 )
-from aggseek.model import GameSpec, QuadraticCost, SystemState, grad_f, initial_state, load_scenario
+from aggseek.model import GameSpec, SystemState, initial_state, load_scenario
 
 from helpers import (
-    demand_response_game,
+    load_agents,
     random_game,
     random_point_in,
     single_agent_game,
     small_certified_game,
 )
+from oracles import Box, QuadraticCost, agents_of, certificate_matrix, grad_f, storage_inequality_check
 
 
 def boxes_game(ell: float, C: float, k: float, N: int) -> GameSpec:
     cost = QuadraticCost(ell, np.array([0.5]), np.array([0.0]))
     box = Box(np.array([0.0]), np.array([1.0]))
-    return GameSpec.from_agents(C=np.array([[C]]), k=k, agents=tuple((cost, box) for _ in range(N)))
+    return load_agents([[C]], k, [(cost, box)] * N)
+
+
+def dense_lambda_min(game: GameSpec, variant: str) -> float:
+    """Smallest eigenvalue of the dense certificate matrix, by a symmetric eigensolve."""
+    return float(np.linalg.eigvalsh(certificate_matrix(game.ell_min, game.k, game.C, game.N, variant))[0])
+
+
+def storage_holds(game: GameSpec, state: SystemState, ref: EquilibriumResult) -> bool:
+    """The storage inequality at state, with the flow's velocity there from rhs."""
+    xdot, _ = rhs(game, state)
+    return storage_inequality_check(agents_of(game.layout), game.C, state.x, state.sigma, xdot,
+                                    ref.xbar, ref.sigmabar)
 
 
 def synthetic_reference(n: int = 1, N: int = 1) -> EquilibriumResult:
@@ -109,54 +121,30 @@ def test_condition_margin_nondecreasing_in_population() -> None:
     assert all(b >= a for a, b in zip(margins, margins[1:]))
 
 
-def test_certificate_matrix_structure() -> None:
-    game = boxes_game(ell=1.3, C=0.4, k=0.7, N=3)
-    M, lam = assemble_M(game, "symmetrized")
-    assert M.shape == (4, 4)
-    assert np.array_equal(M, M.T)
-    assert M[:3, :3] == pytest.approx(1.3 * np.eye(3))
-    assert M[3, 3] == pytest.approx(0.7)
-    # symmetrized off-diagonal block: 0.5 * (C - (k/N) I)
-    expected_B = 0.5 * (0.4 - 0.7 / 3)
-    assert M[0, 3] == pytest.approx(expected_B)
-    assert M[1, 3] == pytest.approx(expected_B)
-    assert lam == pytest.approx(float(np.linalg.eigvalsh(M)[0]), abs=0.0)
-
-    Mp, _ = assemble_M(game, "paper")
-    assert Mp[0, 3] == pytest.approx(-0.5 * (0.4 + 0.7 / 3))
-
-
 def test_certificate_matrix_rejects_unknown_variant() -> None:
     game = single_agent_game()
-    with pytest.raises(ValueError):
-        assemble_M(game, "bogus")
-    with pytest.raises(ValueError):
-        reduced_lambda_min(game, "")
+    for variant in ("bogus", ""):
+        with pytest.raises(ValueError, match="variant must be one of"):
+            reduced_lambda_min(game, variant)
 
 
 def test_certificate_eigenvalue_decoupled_closed_form() -> None:
     game = boxes_game(ell=1.0, C=0.0, k=1.0, N=2)
     expected = 1.0 - math.sqrt(0.125)
     for variant in ("paper", "symmetrized"):
-        _, lam = assemble_M(game, variant)
-        assert lam == pytest.approx(expected, abs=1e-12)
         assert reduced_lambda_min(game, variant) == pytest.approx(expected, abs=1e-12)
 
 
 def test_certificate_eigenvalue_pinned_values(demand_game: GameSpec) -> None:
-    _, lam_sym = assemble_M(demand_game, "symmetrized")
-    _, lam_paper = assemble_M(demand_game, "paper")
-    assert lam_sym == pytest.approx(-3.940330650367767, abs=1e-9)
-    assert lam_paper == pytest.approx(-4.000089108124729, abs=1e-9)
+    # pinned from the dense eigensolve
+    assert reduced_lambda_min(demand_game, "symmetrized") == pytest.approx(-3.940330650367767, abs=1e-9)
+    assert reduced_lambda_min(demand_game, "paper") == pytest.approx(-4.000089108124729, abs=1e-9)
 
     single = single_agent_game()
-    _, s_sym = assemble_M(single, "symmetrized")
-    _, s_paper = assemble_M(single, "paper")
-    assert s_sym == pytest.approx(0.5575571099101947, abs=1e-12)
-    assert s_paper == pytest.approx(0.13212201246570893, abs=1e-12)
+    assert reduced_lambda_min(single, "symmetrized") == pytest.approx(0.5575571099101947, abs=1e-12)
+    assert reduced_lambda_min(single, "paper") == pytest.approx(0.13212201246570893, abs=1e-12)
 
-    _, lam5 = assemble_M(small_certified_game(7), "symmetrized")
-    assert lam5 == pytest.approx(0.5994447869572479, abs=1e-12)
+    assert reduced_lambda_min(small_certified_game(7), "symmetrized") == pytest.approx(0.5994447869572479, abs=1e-12)
 
 
 def test_reduced_route_matches_dense() -> None:
@@ -164,12 +152,11 @@ def test_reduced_route_matches_dense() -> None:
     for _ in range(30):
         game = random_game(rng, n_choices=(1, 2, 3), max_agents=40)
         for variant in ("paper", "symmetrized"):
-            _, dense = assemble_M(game, variant)
-            assert abs(reduced_lambda_min(game, variant) - dense) <= 1e-10
+            assert abs(reduced_lambda_min(game, variant) - dense_lambda_min(game, variant)) <= 1e-10
 
 
-def test_certificate_matrices_match_their_block_formulas_bit_for_bit() -> None:
-    # M and the 2n-by-2n core built here from the two block formulas, B written per variant
+def test_reduced_core_matches_its_block_formula_bit_for_bit() -> None:
+    # the 2n-by-2n core built here from its block formula, B written per variant
     rng = np.random.default_rng(23)
     games = [random_game(rng, n_choices=(1, 2, 3), max_agents=30, N=N) for N in (1, 1, 1, None, None, None)]
     games += [random_game(rng, n_choices=(1, 2, 3), max_agents=30) for _ in range(24)]
@@ -180,12 +167,7 @@ def test_certificate_matrices_match_their_block_formulas_bit_for_bit() -> None:
                 B = -0.5 * (C + (k / N) * np.eye(n))
             else:
                 B = 0.5 * (C - (k / N) * np.eye(n))
-            column = np.tile(B, (N, 1))
-            M = np.block([[ell * np.eye(n * N), column], [column.T, k * np.eye(n)]])
             core = np.block([[ell * np.eye(n), np.sqrt(N) * B], [np.sqrt(N) * B.T, k * np.eye(n)]])
-            got, lam = assemble_M(game, variant)
-            assert np.array_equal(got, M)
-            assert lam == float(np.linalg.eigvalsh(M)[0])
             core_min = float(np.linalg.eigvalsh(core)[0])
             assert reduced_lambda_min(game, variant) == (core_min if N == 1 else min(ell, core_min))
 
@@ -198,8 +180,7 @@ def test_certificate_eigenvalue_lower_bound() -> None:
             sign = -0.5 if variant == "paper" else 0.5
             B = sign * (game.C + (-1 if variant == "symmetrized" else 1) * (game.k / game.N) * np.eye(game.n))
             bound = min(game.ell_min, game.k) - math.sqrt(game.N) * float(np.linalg.norm(B, 2))
-            _, lam = assemble_M(game, variant)
-            assert lam >= bound - 1e-12
+            assert reduced_lambda_min(game, variant) >= bound - 1e-12
 
 
 def test_compare_conditions_demand_scenario(demand_game: GameSpec) -> None:
@@ -224,7 +205,7 @@ def test_compare_conditions_separates_old_and_new() -> None:
 
 def test_compare_conditions_flags_nonmonotone_coupling() -> None:
     game = single_agent_game()
-    loose = GameSpec.from_agents(C=np.array([[-2.0]]), k=game.k, agents=game.agents)
+    loose = dataclasses.replace(game, C=np.array([[-2.0]]))
     report = compare_conditions(loose)
     assert not report.strictly_monotone
 
@@ -262,20 +243,18 @@ def test_lyapunov_value_examples(single_ref: EquilibriumResult) -> None:
 def test_storage_inequality_at_equilibrium_input(
     demand_game: GameSpec, demand_ref: EquilibriumResult
 ) -> None:
+    # sigma = sigmabar: the input u = -C sigma is the equilibrium's
     rng = np.random.default_rng(23)
-    ubar = -(demand_game.C @ demand_ref.sigmabar)
+    sets = [s for _, s in agents_of(demand_game.layout)]
     for _ in range(20):
-        x = np.stack([random_point_in(rng, demand_game.constraint(i)) for i in range(demand_game.N)])
-        state = SystemState(x=x, sigma=demand_ref.sigmabar.copy())
-        u = np.tile(ubar, (demand_game.N, 1))
-        assert storage_inequality_check(demand_game, state, u, demand_ref)
+        x = np.stack([random_point_in(rng, s) for s in sets])
+        assert storage_holds(demand_game, SystemState(x=x, sigma=demand_ref.sigmabar.copy()), demand_ref)
 
 
 def test_storage_inequality_active_bound(single_ref: EquilibriumResult) -> None:
     game = single_agent_game()
-    state = SystemState(x=np.array([[0.25]]), sigma=np.array([0.5]))
-    u = np.array([[-0.5]])
-    assert storage_inequality_check(game, state, u, single_ref)
+    state = SystemState(x=np.array([[0.25]]), sigma=np.array([0.5]))  # u = -C sigma = -0.5
+    assert storage_holds(game, state, single_ref)
 
 
 def test_storage_inequality_random_inputs() -> None:
@@ -283,11 +262,12 @@ def test_storage_inequality_random_inputs() -> None:
     for _ in range(30):
         game = random_game(rng, max_agents=6)
         ref = solve_equilibrium(game)
+        agents = agents_of(game.layout)
         for _ in range(10):
-            x = np.stack([random_point_in(rng, game.constraint(i)) for i in range(game.N)])
-            state = SystemState(x=x, sigma=rng.normal(size=game.n))
-            u = rng.normal(scale=2.0, size=(game.N, game.n))
-            assert storage_inequality_check(game, state, u, ref)
+            x = np.stack([random_point_in(rng, s) for _, s in agents])
+            # C is at most 0.15 / n per entry, so the input u = -C sigma is of order 1
+            state = SystemState(x=x, sigma=rng.normal(scale=20.0, size=game.n))
+            assert storage_holds(game, state, ref)
 
 
 def test_storage_inequality_sign_is_load_bearing() -> None:
@@ -295,17 +275,17 @@ def test_storage_inequality_sign_is_load_bearing() -> None:
     game = single_agent_game(lo=-10.0, hi=10.0)
     ref = solve_equilibrium(game)
     x = ref.xbar + 0.5
-    state = SystemState(x=x, sigma=ref.sigmabar.copy())
     ubar = -(game.C @ ref.sigmabar)
     u = ubar + 1.0
+    state = SystemState(x=x, sigma=ref.sigmabar - 1.0)  # C = 1: u = -C sigma = ubar + 1
 
-    assert storage_inequality_check(game, state, u[None, :], ref)
+    assert storage_holds(game, state, ref)
 
-    cost, cset = game.agents[0]
+    (cost, _), = agents_of(game.layout)
     dx = (x - ref.xbar)[0]
     gx = grad_f(cost, x[0])
     gxbar = grad_f(cost, ref.xbar[0])
-    lhs = float(dx @ tangent_project(cset, x[0], -gx + u))
+    lhs = float(dx @ rhs(game, state)[0][0])
     flipped_rhs = -float(dx @ (gx - gxbar + u - ubar))
     assert lhs > flipped_rhs + 1e-9
 
@@ -328,7 +308,7 @@ def test_decay_report_exact_equilibrium_start() -> None:
     cost_a = QuadraticCost(1.0, np.array([0.4]), np.array([0.0]))
     cost_b = QuadraticCost(1.0, np.array([0.6]), np.array([0.0]))
     box = Box(np.array([0.0]), np.array([1.0]))
-    game = GameSpec.from_agents(C=np.zeros((1, 1)), k=1.0, agents=((cost_a, box), (cost_b, box)))
+    game = load_agents(np.zeros((1, 1)), 1.0, [(cost_a, box), (cost_b, box)])
     ref = solve_equilibrium(game)
     assert np.array_equal(ref.xbar, np.array([[0.4], [0.6]]))
     cert = compare_conditions(game)

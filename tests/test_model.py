@@ -15,41 +15,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aggseek.geometry import Ball, Box
 from aggseek.model import (
     GameLayout,
     GameSpec,
-    QuadraticCost,
     ScenarioError,
     SystemState,
-    cost_J,
-    grad_f,
     initial_state,
     load_scenario,
-    local_f,
     project_state,
     pseudo_gradient_F,
     splitmix64,
     state_arrays,
 )
 
-from helpers import demand_response_doc, random_game, single_agent_game
-from oracles import central_difference, splitmix64_reference
+from helpers import demand_response_doc, load_agents, random_game, single_agent_game
+from oracles import Ball, Box, QuadraticCost, central_difference, grad_f, local_f, splitmix64_reference
+
+
+def local_gradient(cost: QuadraticCost, x: np.ndarray) -> np.ndarray:
+    """pseudo_gradient_F of the decoupled one-agent game of cost at x: the agent's local gradient."""
+    n = cost.xstar.shape[0]
+    game = load_agents(np.zeros((n, n)), 1.0, [(cost, Box(np.full(n, -1.0), np.full(n, 1.0)))])
+    return pseudo_gradient_F(game, x)[0]
 
 
 def test_grad_vanishes_at_minimizer() -> None:
     cost = QuadraticCost(1.5, np.array([0.4]), np.array([0.0]))
-    assert grad_f(cost, np.array([0.4])) == pytest.approx([0.0])
+    assert local_gradient(cost, np.array([0.4])) == pytest.approx([0.0])
 
 
 def test_grad_closed_form_scalar() -> None:
     cost = QuadraticCost(1.5, np.array([0.4]), np.array([0.5]))
-    assert grad_f(cost, np.array([1.0])) == pytest.approx([1.4])
+    assert local_gradient(cost, np.array([1.0])) == pytest.approx([1.4])
 
 
 def test_grad_closed_form_vector() -> None:
     cost = QuadraticCost(2.0, np.zeros(2), np.array([1.0, -1.0]))
-    assert grad_f(cost, np.array([1.0, 1.0])) == pytest.approx([3.0, 1.0])
+    assert local_gradient(cost, np.array([1.0, 1.0])) == pytest.approx([3.0, 1.0])
 
 
 def test_grad_matches_central_differences() -> None:
@@ -62,7 +64,7 @@ def test_grad_matches_central_differences() -> None:
             linear=rng.normal(size=n),
         )
         x = rng.normal(size=n)
-        g = grad_f(cost, x)
+        g = local_gradient(cost, x)
         fd = central_difference(lambda y: local_f(cost, y), x)
         assert np.linalg.norm(fd - g) <= 1e-6 * max(1.0, float(np.linalg.norm(g)))
 
@@ -75,7 +77,7 @@ def test_gradient_quadratic_exactness() -> None:
         x = rng.normal(size=n)
         h = rng.normal(size=n)
         t = float(rng.uniform(1e-6, 1e-4))
-        lhs = abs(local_f(cost, x + t * h) - local_f(cost, x) - t * float(grad_f(cost, x) @ h))
+        lhs = abs(local_f(cost, x + t * h) - local_f(cost, x) - t * float(local_gradient(cost, x) @ h))
         assert lhs <= cost.ell * t * t * float(h @ h) + 1e-12
 
 
@@ -85,46 +87,25 @@ def test_strong_convexity_of_gradient() -> None:
         n = int(rng.integers(1, 4))
         cost = QuadraticCost(float(rng.uniform(0.5, 3.0)), rng.normal(size=n), rng.normal(size=n))
         x, y = rng.normal(size=n), rng.normal(size=n)
-        inner = float((grad_f(cost, x) - grad_f(cost, y)) @ (x - y))
+        inner = float((local_gradient(cost, x) - local_gradient(cost, y)) @ (x - y))
         assert inner >= cost.ell * float((x - y) @ (x - y)) - 1e-12
-
-
-def test_cost_value_example() -> None:
-    game = single_agent_game()
-    assert cost_J(game, 0, np.array([0.5]), np.array([0.1])) == pytest.approx(0.3075)
-
-
-def test_cost_infinite_outside_set() -> None:
-    game = single_agent_game()
-    assert cost_J(game, 0, np.array([0.9]), np.array([0.1])) == math.inf
-
-
-def test_cost_zero_at_quadratic_minimum() -> None:
-    cost = QuadraticCost(2.0, np.array([0.5]), np.array([0.0]))
-    game = GameSpec.from_agents(
-        C=np.array([[0.0]]), k=1.0,
-        agents=((cost, Box(np.array([0.0]), np.array([1.0]))),),
-    )
-    assert cost_J(game, 0, np.array([0.5]), np.array([123.0])) == pytest.approx(0.0)
 
 
 def test_pseudo_gradient_examples() -> None:
     mk = lambda xs: QuadraticCost(1.0, np.array([xs]), np.array([0.0]))
     box = Box(np.array([-5.0]), np.array([5.0]))
-    game = GameSpec.from_agents(C=np.array([[1.0]]), k=1.0,
-                    agents=((mk(0.0), box), (mk(0.0), box)))
+    game = load_agents([[1.0]], 1.0, [(mk(0.0), box), (mk(0.0), box)])
     F = pseudo_gradient_F(game, np.array([[1.0], [-1.0]]))
     assert F == pytest.approx(np.array([[1.0], [-1.0]]))
 
-    game2 = GameSpec.from_agents(C=np.array([[0.0]]), k=1.0,
-                     agents=((mk(0.2), box), (mk(0.6), box)))
+    agents = [(mk(0.2), box), (mk(0.6), box)]
+    game2 = load_agents([[0.0]], 1.0, agents)
     x = np.array([[0.9], [0.1]])
     F2 = pseudo_gradient_F(game2, x)
-    expected = np.stack([grad_f(game2.cost(i), x[i]) for i in range(2)])
+    expected = np.stack([grad_f(cost, x[i]) for i, (cost, _) in enumerate(agents)])
     assert F2 == pytest.approx(expected)
 
-    game3 = GameSpec.from_agents(C=np.array([[1.0]]), k=1.0,
-                     agents=((mk(0.2), box), (mk(0.6), box)))
+    game3 = load_agents([[1.0]], 1.0, agents)
     F3 = pseudo_gradient_F(game3, np.array([[0.2], [0.6]]))
     assert F3 == pytest.approx(np.array([[0.4], [0.4]]))
 
@@ -160,21 +141,20 @@ def test_load_generator_scenario() -> None:
     assert game.seed == 42
     assert game.k == 0.6
     assert game.ell_min == 1.5
+    lay = game.layout
     # first generated target comes straight from the documented stream
-    assert float(game.cost(0).xstar[0]) == 0.7415648787718234
-    for i in range(game.N):
-        assert 0.0 <= float(game.cost(i).xstar[0]) < 1.0
-        cset = game.constraint(i)
-        assert isinstance(cset, Box)
-        assert cset.lo == pytest.approx([0.25]) and cset.hi == pytest.approx([0.75])
+    assert float(lay.xstar[0, 0]) == 0.7415648787718234
+    assert np.all((0.0 <= lay.xstar) & (lay.xstar < 1.0))
+    # every agent a box row: finite bounds, an infinite radius
+    assert lay.ball_rows.size == 0 and np.all(lay.radius == np.inf)
+    assert np.all(lay.lo == 0.25) and np.all(lay.hi == 0.75)
 
 
 def test_load_scenario_deterministic_bitwise() -> None:
     doc = demand_response_doc()
-    a, b = load_scenario(doc), load_scenario(doc)
-    for i in range(a.N):
-        assert np.array_equal(a.cost(i).xstar, b.cost(i).xstar)
-        assert np.array_equal(a.cost(i).linear, b.cost(i).linear)
+    a, b = load_scenario(doc).layout, load_scenario(doc).layout
+    assert np.array_equal(a.xstar, b.xstar)
+    assert np.array_equal(a.linear, b.linear)
 
 
 def _layout_fields(game: GameSpec) -> dict:
@@ -267,6 +247,8 @@ def _poison(name: str, index, value) -> dict:
         (_poison("radius", 1, np.nan), "agent 1: ball radius must be positive and finite"),
         (_poison("radius", 2, -np.inf), "agent 2: ball radius must be positive and finite"),
         (_poison("lo", (1, 0), 0.0), "agent 1: ball bounds must be infinite"),
+        # finite bounds whose midpoint overflows leave a box row's center infinite
+        (_poison("center", (0, 0), np.inf), "agent 0: set center must be finite"),
         # the first agent of the first fault found is named
         ({**_poison("ell", 2, -1.0), "linear": np.array([[0.0, 0.0], [0.0, np.nan], [0.0, np.nan]])},
          "agent 2: ell must be positive and finite, got -1.0"),
@@ -284,32 +266,6 @@ def test_layout_rejects_bad_rows(rows: dict, message: str) -> None:
         GameLayout(**rows)
 
 
-# each agent rule broken once through a Box, Ball or QuadraticCost, and once through a
-# layout row (agent 0 and 2 are boxes, agent 1 a ball); the layout adds only "agent i: "
-@pytest.mark.parametrize(
-    ("build", "rows", "agent", "message"),
-    [
-        (lambda: QuadraticCost(-1.0, [0.0], [0.0]), _poison("ell", 1, -1.0), 1,
-         "ell must be positive and finite, got -1.0"),
-        (lambda: QuadraticCost(1.0, [np.nan], [0.0]), _poison("xstar", (2, 1), np.nan), 2, "xstar must be finite"),
-        (lambda: QuadraticCost(1.0, [0.0], [np.inf]), _poison("linear", (0, 0), np.inf), 0, "linear must be finite"),
-        (lambda: Box([0.0, -np.inf], [1.0, 1.0]), _poison("lo", (2, 1), -np.inf), 2, "box bounds must be finite"),
-        (lambda: Box([0.0, 2.0], [1.0, 1.0]), _poison("lo", (0, 1), 2.0), 0, "box is empty: lo > hi componentwise"),
-        (lambda: Ball([0.0, np.nan], 1.0), _poison("center", (1, 1), np.nan), 1, "set center must be finite"),
-        # finite bounds whose midpoint overflows
-        (lambda: Box([1e308, 0.0], [1e308, 1.0]), _poison("center", (0, 0), np.inf), 0, "set center must be finite"),
-        (lambda: Ball([0.0, 0.0], 0.0), _poison("radius", 1, 0.0), 1, "ball radius must be positive and finite"),
-        (lambda: Ball([0.0, 0.0], np.inf), _poison("radius", 1, np.nan), 1, "ball radius must be positive and finite"),
-    ],
-)
-def test_sets_costs_and_layout_rows_word_each_rule_alike(build, rows: dict, agent: int, message: str) -> None:
-    with pytest.raises(ValueError) as one:
-        build()
-    with pytest.raises(ValueError) as row:
-        GameLayout(**rows)
-    assert (str(one.value), str(row.value)) == (message, f"agent {agent}: {message}")
-
-
 def test_every_way_to_build_a_layout_checks_its_rows() -> None:
     game = single_agent_game()
     with pytest.raises(ValueError, match=re.escape("agent 0: xstar must be finite")):
@@ -322,32 +278,6 @@ def test_every_way_to_build_a_layout_checks_its_rows() -> None:
     message = "agents.generator.xstar.uniform must have a finite hi - lo, got lo -1e+308, hi 1e+308"
     with pytest.raises(ScenarioError, match=re.escape(message)):
         load_scenario(json.dumps(doc))
-
-
-def test_from_agents_views_return_the_agents_bit_for_bit() -> None:
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        agents = []
-        for _ in range(int(rng.integers(1, 8))):
-            cost = QuadraticCost(float(rng.uniform(0.5, 3.0)), rng.normal(size=2), rng.normal(size=2))
-            lo = rng.normal(size=2)
-            if rng.random() < 0.5:
-                agents.append((cost, Box(lo, lo + rng.uniform(0.0, 1.0, 2))))
-            else:
-                agents.append((cost, Ball(lo, rng.uniform(0.1, 2.0))))
-        game = GameSpec.from_agents(C=np.eye(2), k=1.0, agents=agents)
-        assert game.N == len(agents) and game.n == 2
-        assert game.ell_min == min(cost.ell for cost, _ in agents)
-        views = game.agents
-        assert len(views) == len(agents)
-        for i, ((cost, cset), (vc, vs)) in enumerate(zip(agents, views)):
-            assert vc.ell == cost.ell
-            assert np.array_equal(vc.xstar, cost.xstar) and np.array_equal(vc.linear, cost.linear)
-            assert type(vs) is type(cset) and type(game.constraint(i)) is type(cset)
-            if isinstance(cset, Box):
-                assert np.array_equal(vs.lo, cset.lo) and np.array_equal(vs.hi, cset.hi)
-            else:
-                assert np.array_equal(vs.center, cset.center) and vs.radius == cset.radius
 
 
 # integer literals, -0.0 and floats; an unlisted key holds a number or a list of numbers
@@ -386,33 +316,37 @@ def test_loaded_rows_equal_the_rows_of_the_agents_as_objects(doc: dict) -> None:
         s = a["set"]
         cset = Box(s["box"]["lo"], s["box"]["hi"]) if "box" in s else Ball(s["ball"]["center"], s["ball"]["radius"])
         agents.append((QuadraticCost(a["ell"], a["xstar"], a["linear"]), cset))
-    loaded = load_scenario(json.dumps(doc))
-    built = GameSpec.from_agents(np.array(doc["C"]), 1.0, agents)
+    lay, N, n = load_scenario(json.dumps(doc)).layout, len(agents), doc["n"]
     for f in dataclasses.fields(GameLayout):
-        got, want = getattr(loaded.layout, f.name), getattr(built.layout, f.name)
-        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), f.name
-    for i, ((cost, cset), (vc, vs)) in enumerate(zip(agents, loaded.agents)):
-        assert [_bits(a) for a in vars(vc).values()] == [_bits(a) for a in vars(cost).values()]
-        assert type(vs) is type(cset) and _bits(loaded.layout.center[i]) == _bits(cset.center)
-        assert [_bits(a) for a in vars(vs).values()] == [_bits(a) for a in vars(cset).values()]
+        got = getattr(lay, f.name)
+        assert got.dtype == (np.intp if f.name == "ball_rows" else float), f.name
+    assert lay.ball_rows.tolist() == [i for i, (_, cset) in enumerate(agents) if isinstance(cset, Ball)]
+    # a box row has an infinite radius, a ball row infinite bounds; every row the set's center
+    inf = np.full(n, np.inf)
+    for i, (cost, cset) in enumerate(agents):
+        bounds = (cset.lo, cset.hi, np.inf) if isinstance(cset, Box) else (-inf, inf, cset.radius)
+        want = [cost.ell, cost.xstar, cost.linear, *bounds, cset.center]
+        got = [getattr(lay, name)[i] for name in ("ell", "xstar", "linear", "lo", "hi", "radius", "center")]
+        assert [_bits(a) for a in got] == [_bits(a) for a in want], i
+    assert lay.xstar.shape == lay.center.shape == (N, n) and lay.radius.shape == (N,)
 
 
 def test_replace_gain_shares_the_read_only_layout() -> None:
     game = load_scenario(demand_response_doc())
     faster = dataclasses.replace(game, k=2.0)
     assert faster.k == 2.0 and faster.layout is game.layout
-    # the shared rows, and the per-agent views of them, are read-only
+    # the shared rows are read-only
     with pytest.raises(ValueError, match="read-only"):
-        faster.cost(0).xstar[0] = 5.0
+        faster.layout.xstar[0, 0] = 5.0
     with pytest.raises(ValueError, match="read-only"):
-        game.constraint(0).lo[0] = 0.0
+        game.layout.lo[0, 0] = 0.0
 
 
 def test_load_explicit_agent_list() -> None:
     doc = '{"n": 1, "C": [[0.0]], "k": 1.0, "agents": {"list": [{"ell": 2.0, "xstar": [0.1], "linear": [0.0], "set": {"ball": {"center": [0.0], "radius": 1.0}}}]}}'
     game = load_scenario(doc)
     assert game.N == 1 and game.seed is None
-    assert isinstance(game.constraint(0), Ball)
+    assert game.layout.ball_rows.tolist() == [0] and game.layout.radius.tolist() == [1.0]
     assert game.C == pytest.approx(np.array([[0.0]]))
 
 
@@ -424,10 +358,10 @@ _SETS_DOC = {"n": 2, "C": [[1.0, 0.5], [0.0, 1.0]], "k": 0.6, "agents": {"list":
 
 
 def test_load_builds_the_set_of_each_kind() -> None:
-    game = load_scenario(json.dumps(_SETS_DOC))
-    box, ball = game.constraint(0), game.constraint(1)
-    assert isinstance(box, Box) and box.lo.tolist() == [0.0, -1.0] and box.hi.tolist() == [1.0, 1.0]
-    assert isinstance(ball, Ball) and ball.center.tolist() == [0.0, 0.0] and ball.radius == 2.0
+    lay = load_scenario(json.dumps(_SETS_DOC)).layout
+    assert lay.lo.tolist() == [[0.0, -1.0], [-np.inf, -np.inf]] and lay.hi.tolist() == [[1.0, 1.0], [np.inf, np.inf]]
+    assert lay.center.tolist() == [[0.5, 0.0], [0.0, 0.0]] and lay.radius.tolist() == [np.inf, 2.0]
+    assert lay.ball_rows.tolist() == [1]
 
 
 # documents whose error must name the offending field
@@ -584,18 +518,13 @@ def test_generator_requires_uniform_block() -> None:
 
 
 def test_gamespec_validation() -> None:
-    cost = QuadraticCost(1.0, np.array([0.0]), np.array([0.0]))
-    box = Box(np.array([0.0]), np.array([1.0]))
-    with pytest.raises(ValueError, match="at least one agent"):
-        GameSpec.from_agents(C=np.array([[1.0]]), k=1.0, agents=())
-    with pytest.raises(ValueError, match=re.escape("agent 0: xstar must hold n = 2 numbers, got 1")):
-        GameSpec.from_agents(C=np.eye(2), k=1.0, agents=((cost, box),))
-    with pytest.raises(ValueError, match=re.escape("agent 1: set.box.lo must hold n = 1 numbers, got 2")):
-        GameSpec.from_agents(C=np.array([[1.0]]), k=1.0, agents=((cost, box), (cost, Box(np.zeros(2), np.ones(2)))))
-    with pytest.raises(ValueError, match=re.escape("agent 1: set.ball.center must hold n = 1 numbers, got 2")):
-        GameSpec.from_agents(C=np.array([[1.0]]), k=1.0, agents=((cost, box), (cost, Ball(np.zeros(2), 1.0))))
-    with pytest.raises(ValueError):
-        GameSpec.from_agents(C=np.array([[1.0]]), k=0.0, agents=((cost, box),))
+    # an empty agent list and vectors not of n numbers are named by _BAD_FIELD_DOCUMENTS
+    lay = single_agent_game().layout
+    with pytest.raises(ValueError, match=re.escape("C has shape (2, 2), expected (1, 1)")):
+        GameSpec(np.eye(2), 1.0, lay)
+    for k in (0.0, -1.0):
+        with pytest.raises(ValueError, match=f"^k must be positive and finite, got {k}$"):
+            GameSpec(np.eye(1), k, lay)
 
 
 def test_initial_state_and_projection() -> None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import importlib
 import subprocess
 import sys
@@ -15,18 +16,19 @@ LOADED = ["aggseek", "aggseek.cli", "aggseek.geometry", "aggseek.model"]  # by e
 
 # each public name under the submodule that defines it
 HOMES = {
-    "equilibrium": ["ConvergenceError", "EquilibriumResult", "VerificationReport", "aggregation_map", "best_response",
+    "equilibrium": ["ConvergenceError", "EquilibriumResult", "VerificationReport", "aggregation_map",
                     "solve_equilibrium", "verify_equilibrium", "vi_gap"],
     "flow": ["IntegratorConfig", "NonFiniteStateError", "Trajectory", "integrate", "integrate_gains", "rhs",
              "stationarity_residual", "step"],
-    "geometry": ["Ball", "Box", "ConvexSet", "contains", "distance", "normal_project", "project", "set_center",
-                 "tangent_project"],
-    "lyapunov": ["CertificateReport", "DecayReport", "assemble_M", "check_condition_5", "compare_conditions",
-                 "decay_report", "lyapunov_W", "norm_inf", "reduced_lambda_min", "storage_inequality_check"],
-    "model": ["GameSpec", "QuadraticCost", "ScenarioError", "SystemState", "cost_J", "grad_f", "initial_state",
-              "load_scenario", "project_state", "pseudo_gradient_F", "splitmix64", "strictly_monotone"],
+    "lyapunov": ["CertificateReport", "DecayReport", "check_condition_5", "compare_conditions", "decay_report",
+                 "lyapunov_W", "norm_inf", "reduced_lambda_min"],
+    "model": ["GameSpec", "ScenarioError", "SystemState", "initial_state", "load_scenario", "project_state",
+              "pseudo_gradient_F", "splitmix64", "strictly_monotone"],
 }
 PUBLIC = sorted(name for names in HOMES.values() for name in names)
+# the scalar object model of 0.1.0, now the test oracles in tests/oracles.py
+MOVED = ["Ball", "Box", "ConvexSet", "QuadraticCost", "assemble_M", "best_response", "contains", "cost_J", "distance",
+         "grad_f", "normal_project", "project", "set_center", "storage_inequality_check", "tangent_project"]
 
 
 def test_loading_a_scenario_imports_only_model_and_geometry() -> None:
@@ -77,7 +79,10 @@ def test_traced_cli_names_resolve_and_their_wrappers_run(monkeypatch: pytest.Mon
 
 
 def test_all_lists_the_public_names_each_its_home_modules_object() -> None:
-    assert len(PUBLIC) == 47 and aggseek.__all__ == PUBLIC and aggseek.__version__ == "0.1.0"
+    assert len(PUBLIC) == 32 and aggseek.__all__ == PUBLIC and aggseek.__version__ == "0.2.0"
+    assert 'version = "0.2.0"' in (ROOT / "pyproject.toml").read_text(encoding="utf-8").splitlines()
+    for name in MOVED:
+        assert not hasattr(aggseek, name), name
     for home, names in HOMES.items():
         module = importlib.import_module(f"aggseek.{home}")
         for name in names:
@@ -99,3 +104,11 @@ def test_submodules_import_and_unknown_names_raise() -> None:
         aggseek.no_such_name
     with pytest.raises(AttributeError, match="module 'aggseek.cli' has no attribute 'no_such_name'"):
         cli.no_such_name
+
+
+def test_oracles_import_nothing_from_the_package() -> None:
+    # the references the tests hold the package to share no code path with it
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert imported and not [name for name in imported if name.split(".")[0] == "aggseek" or name == ""]
