@@ -135,8 +135,9 @@ def rhs(game: GameSpec, state: SystemState) -> tuple[np.ndarray, np.ndarray]:
     """
     consts, (x_rows, drive_rows, *_, gaps), slots = _loop(game, np.array([game.k]), 0.0, 1, state)
     require_members(game.layout, x_rows[0])
-    _derive(consts, slots[0])
-    return tangent_rows(game.layout, x_rows[0], drive_rows[0]), game.k * gaps[0, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # as in the loop, whose derivative this is
+        _derive(consts, slots[0])
+        return tangent_rows(game.layout, x_rows[0], drive_rows[0]), game.k * gaps[0, 0]
 
 
 def step(game: GameSpec, state: SystemState, h: float) -> SystemState:

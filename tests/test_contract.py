@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from aggseek.equilibrium import aggregation_map, solve_equilibrium, verify_equilibrium, vi_gap
-from aggseek.flow import IntegratorConfig, integrate, integrate_gains, rhs, step
+from aggseek.flow import IntegratorConfig, integrate, integrate_gains, rhs, stationarity_residual, step
 from aggseek.geometry import SetRows
 from aggseek.lyapunov import lyapunov_W
-from aggseek.model import SystemState, initial_state, load_scenario, project_state, pseudo_gradient_F
+from aggseek.model import GameSpec, SystemState, initial_state, load_scenario, project_state, pseudo_gradient_F
 
 from helpers import load_agents
 from oracles import Box, QuadraticCost
@@ -30,33 +30,44 @@ REF = solve_equilibrium(GAME)
 CFG = IntegratorConfig(h=1e-2, T=0.05)
 
 
-def _state(a: dict) -> SystemState:
-    return SystemState(a["state.x"], a["state.sigma"])
+def _entry_points(game: GameSpec) -> dict:
+    """entry point: (its call on a dict of the arrays it is handed, those arrays by the name an error gives them)."""
+    ref = solve_equilibrium(game)
+    # halfway from the equilibrium to the set centers: inside every set, off the equilibrium
+    state = {"state.x": 0.5 * (ref.xbar + game.layout.center), "state.sigma": ref.sigmabar - 0.02}
+    reference = {"reference.xbar": ref.xbar, "reference.sigmabar": ref.sigmabar}
+    as_state = lambda a: SystemState(a["state.x"], a["state.sigma"])
+    as_ref = lambda a: dataclasses.replace(ref, xbar=a["reference.xbar"], sigmabar=a["reference.sigmabar"])
+    return {
+        "pseudo_gradient_F": (lambda a: pseudo_gradient_F(game, a["x"]), {"x": ref.xbar}),
+        "aggregation_map": (lambda a: aggregation_map(game, a["sigma"]), {"sigma": ref.sigmabar}),
+        "vi_gap": (lambda a: vi_gap(game, a["x"]), {"x": ref.xbar}),
+        "verify_equilibrium": (lambda a: verify_equilibrium(game, a["x"], 1e-6), {"x": ref.xbar}),
+        "project_state": (lambda a: project_state(game, as_state(a)), state),
+        "rhs": (lambda a: rhs(game, as_state(a)), state),
+        "stationarity_residual": (lambda a: stationarity_residual(game, as_state(a)), state),
+        "step": (lambda a: step(game, as_state(a), 1e-2), state),
+        "integrate": (lambda a: integrate(game, as_state(a), CFG, as_ref(a)), {**state, **reference}),
+        "integrate_gains": (
+            lambda a: integrate_gains(game, (0.5, 2.0), as_state(a), CFG, as_ref(a)), {**state, **reference}),
+        # handed no game, lyapunov_W reads n from ref.sigmabar and N from the size of ref.xbar
+        "lyapunov_W": (lambda a: lyapunov_W(as_state(a), ref), state),
+    }
 
 
-def _ref(a: dict, name: str = "ref"):
-    return dataclasses.replace(REF, xbar=a[f"{name}.xbar"], sigmabar=a[f"{name}.sigmabar"])
-
-
-STATE = {"state.x": REF.xbar + 0.01, "state.sigma": REF.sigmabar - 0.02}
-REFERENCE = {"reference.xbar": REF.xbar, "reference.sigmabar": REF.sigmabar}
-
-# entry point: (its call on a dict of the arrays it is handed, those arrays by the name an error gives them)
+# on mixed_sets, and on single_box (N = n = 1): there an array one entry short is empty, and an empty
+# array broadcasts against an axis of one entry
 ENTRY_POINTS = {
-    "pseudo_gradient_F": (lambda a: pseudo_gradient_F(GAME, a["x"]), {"x": REF.xbar}),
-    "aggregation_map": (lambda a: aggregation_map(GAME, a["sigma"]), {"sigma": REF.sigmabar}),
-    "vi_gap": (lambda a: vi_gap(GAME, a["x"]), {"x": REF.xbar}),
-    "verify_equilibrium": (lambda a: verify_equilibrium(GAME, a["x"], 1e-6), {"x": REF.xbar}),
-    "project_state": (lambda a: project_state(GAME, _state(a)), STATE),
-    "rhs": (lambda a: rhs(GAME, _state(a)), STATE),
-    "step": (lambda a: step(GAME, _state(a), 1e-2), STATE),
-    "integrate": (lambda a: integrate(GAME, _state(a), CFG, _ref(a, "reference")), {**STATE, **REFERENCE}),
-    "integrate_gains": (
-        lambda a: integrate_gains(GAME, (0.5, 2.0), _state(a), CFG, _ref(a, "reference")), {**STATE, **REFERENCE}),
-    # handed no game, lyapunov_W reads n from ref.sigmabar and N from the size of ref.xbar
-    "lyapunov_W": (lambda a: lyapunov_W(_state(a), REF), STATE),
+    "mixed_sets": _entry_points(GAME),
+    "single_box": _entry_points(load_scenario((SCENARIOS / "single_box.json").read_text(encoding="utf-8"))),
 }
-ARGUMENTS = [(entry, name) for entry, (_, arrays) in ENTRY_POINTS.items() for name in arrays]
+# mixed_sets' cases keep their ids of entry point and argument alone
+_ID = lambda game, *names: "-".join(names if game == "mixed_sets" else (game, *names))
+ENTRIES = [pytest.param(game, entry, id=_ID(game, entry)) for game, calls in ENTRY_POINTS.items() for entry in calls]
+ARGUMENTS = [
+    pytest.param(game, entry, name, id=_ID(game, entry, name))
+    for game, calls in ENTRY_POINTS.items() for entry, (_, arrays) in calls.items() for name in arrays
+]
 VI_CHECKS = (vi_gap, lambda game, x: verify_equilibrium(game, x, tol=1e-6))
 
 
@@ -69,10 +80,10 @@ def _leaves(result) -> list[np.ndarray]:
     return [np.asarray(result)]
 
 
-@pytest.mark.parametrize("entry, name", ARGUMENTS)
+@pytest.mark.parametrize("game, entry, name", ARGUMENTS)
 @pytest.mark.parametrize("extra", [-1, 1])
-def test_mis_sized_argument_is_named(entry: str, name: str, extra: int) -> None:
-    call, arrays = ENTRY_POINTS[entry]
+def test_mis_sized_argument_is_named(game: str, entry: str, name: str, extra: int) -> None:
+    call, arrays = ENTRY_POINTS[game][entry]
     good = arrays[name].ravel()
     # one entry short (a 1-entry sigma used to broadcast), or one too many
     bad = good[:extra] if extra < 0 else np.append(good, 0.0)
@@ -80,9 +91,9 @@ def test_mis_sized_argument_is_named(entry: str, name: str, extra: int) -> None:
         call({**arrays, name: bad})
 
 
-@pytest.mark.parametrize("entry", ENTRY_POINTS)
-def test_flat_and_stacked_arrays_give_the_same_bits(entry: str) -> None:
-    call, arrays = ENTRY_POINTS[entry]
+@pytest.mark.parametrize("game, entry", ENTRIES)
+def test_flat_and_stacked_arrays_give_the_same_bits(game: str, entry: str) -> None:
+    call, arrays = ENTRY_POINTS[game][entry]
     stacked, flat = _leaves(call(arrays)), _leaves(call({name: a.ravel() for name, a in arrays.items()}))
     assert [(a.shape, a.tobytes()) for a in flat] == [(a.shape, a.tobytes()) for a in stacked]
 

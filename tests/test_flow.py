@@ -92,6 +92,16 @@ def test_step_emits_no_warning_where_the_state_leaves_the_finite_numbers(h: floa
     assert np.isfinite(nxt.x).all() if sigma is None else not np.isfinite(nxt.sigma).all()
 
 
+@pytest.mark.parametrize("velocity", [rhs, stationarity_residual])
+def test_rhs_emits_no_warning_where_the_state_leaves_the_finite_numbers(velocity) -> None:
+    # an infinite sigma meets a zero of C in C sigma, as in the step above; the velocity is not finite
+    game = mixed_game()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = velocity(game, SystemState(initial_state(game).x, np.array([np.inf, 0.0])))
+    assert not all(np.isfinite(a).all() for a in (out if velocity is rhs else [out]))
+
+
 @pytest.mark.parametrize("h", [-0.5, math.nan, math.inf, -math.inf])
 def test_step_rejects_negative_or_non_finite_length(h: float) -> None:
     game = load_scenario((SCENARIOS / "single_box.json").read_text())

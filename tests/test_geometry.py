@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from aggseek.geometry import project_rows, require_members, tangent_rows
+from aggseek.geometry import SetRows, project_rows, require_members, tangent_rows
 
 from helpers import one_row, random_boundaryish_point, random_point_in, random_set
 from oracles import (
@@ -127,6 +127,18 @@ def test_moreau_identity_orthogonality_membership() -> None:
         # w must support the set at x: nonpositive inner product with feasible directions
         zs = np.stack([random_point_in(rng, s) for _ in range(20)])
         assert float(np.max((zs - x[None, :]) @ w)) <= 1e-9
+
+
+def test_set_validation() -> None:
+    one = lambda lo, hi, center, radius: SetRows(*map(np.array, ([lo], [hi], [center], [radius])))
+    with pytest.raises(ValueError, match="^agent 0: box is empty: lo > hi componentwise$"):
+        one([1.0], [0.0], [0.5], np.inf)
+    for radius in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="^agent 0: ball radius must be positive and finite$"):
+            one([-np.inf] * 2, [np.inf] * 2, [0.0, 0.0], radius)
+    # an infinite radius marks a box row, so a ball of infinite radius reads as a box without bounds
+    with pytest.raises(ValueError, match="^agent 0: box bounds must be finite$"):
+        one([-np.inf] * 2, [np.inf] * 2, [0.0, 0.0], np.inf)
 
 
 def test_require_members_rejects_points_outside() -> None:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aggseek.geometry import RuleError, SetRows
 from aggseek.model import (
     GameLayout,
     GameSpec,
@@ -264,6 +265,37 @@ def test_layout_rejects_bad_rows(rows: dict, message: str) -> None:
     GameLayout(**_three_rows())
     with pytest.raises(ValueError, match=re.escape(message)):
         GameLayout(**rows)
+
+
+# each agent rule broken once through a layout row (agent 0 and 2 are boxes, agent 1 a ball), and each set
+# rule once more through a bare SetRows of the same set rows: one RuleError, whose row, field and rule the
+# loader turns into a JSON path, and one wording, "agent i: ", the field in words, the rule
+@pytest.mark.parametrize(
+    ("rows", "agent", "field", "rule"),
+    [
+        (_poison("ell", 1, -1.0), 1, "ell", "must be positive and finite, got -1.0"),
+        (_poison("xstar", (2, 1), np.nan), 2, "xstar", "must be finite"),
+        (_poison("linear", (0, 0), np.inf), 0, "linear", "must be finite"),
+        (_poison("lo", (2, 1), -np.inf), 2, "set.box", "bounds must be finite"),
+        (_poison("lo", (0, 1), 2.0), 0, "set.box", "is empty: lo > hi componentwise"),
+        (_poison("center", (1, 1), np.nan), 1, "set", "center must be finite"),
+        # a box row's center, infinite where finite bounds have a midpoint past the float range
+        (_poison("center", (0, 0), np.inf), 0, "set", "center must be finite"),
+        (_poison("radius", 1, 0.0), 1, "set.ball.radius", "must be positive and finite"),
+        (_poison("radius", 1, np.nan), 1, "set.ball.radius", "must be positive and finite"),
+        (_poison("lo", (1, 0), 0.0), 1, "set.ball", "bounds must be infinite"),
+    ],
+)
+def test_sets_costs_and_layout_rows_word_each_rule_alike(rows: dict, agent: int, field: str, rule: str) -> None:
+    words = {"set.box": "box", "set.ball": "ball", "set.ball.radius": "ball radius"}.get(field, field)
+    with pytest.raises(RuleError) as row:
+        GameLayout(**rows)
+    assert (row.value.row, row.value.field, row.value.rule) == (agent, field, rule)
+    assert str(row.value) == f"agent {agent}: {words} {rule}"
+    if field.startswith("set"):
+        with pytest.raises(RuleError) as bare:
+            SetRows(**{name: rows[name] for name in ("lo", "hi", "center", "radius")})
+        assert str(bare.value) == str(row.value)
 
 
 def test_every_way_to_build_a_layout_checks_its_rows() -> None:
