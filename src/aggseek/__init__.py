@@ -11,7 +11,7 @@ Each public name is imported from its submodule on first use (PEP 562), so
 loading a scenario runs only `model` and `geometry`.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 _EXPORTS = {
     "equilibrium": ("ConvergenceError", "EquilibriumResult", "VerificationReport", "aggregation_map",
@@ -19,7 +19,7 @@ _EXPORTS = {
     "flow": ("IntegratorConfig", "NonFiniteStateError", "Trajectory", "integrate", "integrate_gains", "rhs",
              "stationarity_residual", "step"),
     "lyapunov": ("CertificateReport", "DecayReport", "check_condition_5", "compare_conditions", "decay_report",
-                 "lyapunov_W", "norm_inf", "reduced_lambda_min"),
+                 "lyapunov_W", "reduced_lambda_min"),
     "model": ("GameSpec", "ScenarioError", "SystemState", "initial_state", "load_scenario", "project_state",
               "pseudo_gradient_F", "splitmix64", "strictly_monotone"),
 }

@@ -184,11 +184,9 @@ def _run_one(
     game: GameSpec, traj: Trajectory, ref: EquilibriumResult, out_prefix: Optional[str], suffix: str = ""
 ) -> tuple[list[tuple[str, object]], dict]:
     """One trajectory's report, as `key = value` lines and as a JSON dict built from the same fields."""
-    from .lyapunov import DECAY_MAX_VI_GAP, DECAY_MIN_SAMPLES  # compare_conditions loads this module anyway
-
     cert = _lib.compare_conditions(game)
-    can_judge = len(traj) >= DECAY_MIN_SAMPLES and ref.vi_gap_value <= DECAY_MAX_VI_GAP
-    decay = dataclasses.asdict(_lib.decay_report(traj, ref, cert)) if can_judge else None
+    decay = _lib.decay_report(traj, ref, cert)
+    decay = None if decay is None else dataclasses.asdict(decay)
     paths = {}
     if out_prefix:
         paths = {"csv": f"{out_prefix}{suffix}.csv", "svg": f"{out_prefix}{suffix}.svg"}
@@ -242,21 +240,16 @@ def cmd_run(scenario: str, k: Optional[float], h: float, T: float, out: Optional
 
 def cmd_sweep(scenario: str, ks: Sequence[float], h: float, T: float, out: Optional[str]) -> int:
     game = _load(scenario)
-    labels: dict[str, float] = {}
+    games: dict[str, GameSpec] = {}  # each gain's game, which checks its k, by its label
     for k in ks:
-        if not (k > 0 and math.isfinite(k)):
-            raise ScenarioError(f"swept k must be positive and finite, got {k}")
         label = f"k{k:g}"
-        if label in labels:
-            raise ScenarioError(f"gains {labels[label]!r} and {k!r} share the label {label}")
-        labels[label] = k
+        if label in games:
+            raise ScenarioError(f"gains {games[label].k!r} and {k!r} share the label {label}")
+        games[label] = dataclasses.replace(game, k=k)
     cfg = _lib.IntegratorConfig(h=h, T=T)
     ref = _lib.solve_equilibrium(game)  # the fixed point does not depend on k
     trajs = _lib.integrate_gains(game, ks, initial_state(game), cfg, reference=ref)
-    reports = {
-        label: _run_one(dataclasses.replace(game, k=float(k)), traj, ref, out, f"_{label}")
-        for (label, k), traj in zip(labels.items(), trajs)
-    }
+    reports = {label: _run_one(g, traj, ref, out, f"_{label}") for (label, g), traj in zip(games.items(), trajs)}
     for label, (lines, _) in reports.items():
         _emit([(f"{label}.{key}", value) for key, value in lines])
     if out:

@@ -141,7 +141,7 @@ def rhs(game: GameSpec, state: SystemState) -> tuple[np.ndarray, np.ndarray]:
 
 
 def step(game: GameSpec, state: SystemState, h: float) -> SystemState:
-    """One projected forward-Euler step of length h (h = 0 returns the state unchanged)."""
+    """One projected forward-Euler step of length h (h = 0 projects the state onto its sets: a feasible one stays)."""
     if not (h >= 0 and math.isfinite(h)):
         raise ValueError(f"step length h must be non-negative and finite, got {h}")
     consts, (x_rows, _, _, sigmas, *_), slots = _loop(game, np.array([game.k]), h, 2, state)

@@ -1,7 +1,7 @@
-"""Compact convex constraint sets (boxes and balls), stacked as rows, and the kernels over those rows.
+"""Compact convex constraint sets (boxes and balls): the set rules of a layout's rows, and the kernels over them.
 
-Agent i's set is row i of a SetRows: a box [lo_i, hi_i] with an infinite radius,
-or a ball of radius_i around center_i with infinite bounds. The kernels act on
+Agent i's set is row i of a model.GameLayout: a box [lo_i, hi_i] with an infinite
+radius, or a ball of radius_i around center_i with infinite bounds. The kernels act on
 the agent axis of (..., N, n) arrays: Euclidean point projection, projection of
 a velocity onto the tangent cone at a feasible point, membership, and the
 minimum of a linear function over each set. The test suite checks them against
@@ -12,10 +12,12 @@ that completes the tangent cone (Moreau decomposition).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
+
+if TYPE_CHECKING:  # the kernels read a layout's rows; model imports this module
+    from .model import GameLayout
 
 # a point counts as "on the boundary" within this distance
 ACTIVITY_TOL = 1e-10
@@ -39,8 +41,9 @@ def enforce(faults) -> None:
             raise RuleError(int(rows.argmax()), field, rule)
 
 
-def _set_faults(lo, hi, center, radius, box) -> tuple:
-    """Each set rule as (field, rule, mask of the rows that break it), on (N, n) rows: boxes where box, else balls."""
+def set_faults(lo, hi, center, radius) -> tuple:
+    """Each set rule as (field, rule, mask of the rows that break it), on (N, n) rows: a box where the radius is inf."""
+    box = radius == np.inf
     finite = lambda rows: np.isfinite(rows).all(axis=-1)
     return (("set.box", "bounds must be finite", box & ~(finite(lo) & finite(hi))),
             ("set.box", "is empty: lo > hi componentwise", box & (lo > hi).any(axis=-1)),
@@ -57,33 +60,7 @@ def shaped(a, shape: tuple[int, ...], name: str) -> np.ndarray:
     return a.reshape(shape)
 
 
-@dataclass(frozen=True, eq=False)
-class SetRows:
-    """N boxes and balls stacked row-wise for the batched kernels.
-
-    Row i is the intersection of a box [lo_i, hi_i] and a ball of radius_i
-    around center_i: a box row has an infinite radius, a ball row infinite
-    bounds. center_i is the box midpoint or the ball center; every row keeps the set rules.
-    """
-
-    lo: np.ndarray       # (N, n)
-    hi: np.ndarray       # (N, n)
-    center: np.ndarray   # (N, n)
-    radius: np.ndarray   # (N,)
-    ball_rows: np.ndarray = field(init=False)    # indices of the rows of finite radius
-    ball_center: np.ndarray = field(init=False)  # center[ball_rows], gathered once
-    ball_radius: np.ndarray = field(init=False)  # radius[ball_rows], gathered once
-
-    def __post_init__(self) -> None:
-        enforce(_set_faults(self.lo, self.hi, self.center, self.radius, self.radius == np.inf))
-        b = np.flatnonzero(self.radius < np.inf)
-        for name, rows in (("ball_rows", b), ("ball_center", self.center[b]), ("ball_radius", self.radius[b])):
-            object.__setattr__(self, name, rows)
-        for rows in vars(self).values():
-            rows.setflags(write=False)  # games that share rows cannot change each other
-
-
-def project_rows(sets: SetRows, y: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+def project_rows(sets: GameLayout, y: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Project along the agent axis of an (..., N, n) array, with any leading axes, into out if given.
 
     y[..., i, :] goes onto set_i: clamped componentwise to a box, shrunk radially onto a ball when outside it.
@@ -101,7 +78,7 @@ def project_rows(sets: SetRows, y: np.ndarray, out: Optional[np.ndarray] = None)
     return out
 
 
-def tangent_rows(sets: SetRows, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+def tangent_rows(sets: GameLayout, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Tangent-cone projection along the agent axis of an (..., N, n) array, any leading axes.
 
     v[..., i, :] goes onto the tangent cone of set_i at x[..., i, :]: a box zeroes
@@ -124,7 +101,7 @@ def tangent_rows(sets: SetRows, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def require_members(sets: SetRows, x: np.ndarray) -> None:
+def require_members(sets: GameLayout, x: np.ndarray) -> None:
     """Raise ValueError naming the first agent whose row x[i] lies outside set_i or is not finite."""
     d = x - project_rows(sets, x)
     outside = np.flatnonzero(~(np.sqrt(np.vecdot(d, d)) <= MEMBERSHIP_TOL))
@@ -132,7 +109,7 @@ def require_members(sets: SetRows, x: np.ndarray) -> None:
         raise ValueError(f"agent {outside[0]} decision lies outside its set")
 
 
-def vi_min_rows(sets: SetRows, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+def vi_min_rows(sets: GameLayout, x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Row-wise min over z in set_i of (z - x_i)' g_i of (..., N, n) arrays, any leading axes.
 
     Box: sum_j min((lo_j - x_j) g_j, (hi_j - x_j) g_j). Ball: (center - x)' g

@@ -8,8 +8,9 @@ The variants "paper" and "symmetrized" take s = -1 and s = +1. M is never built:
 rotating the agent block onto the all-ones direction leaves the 2n-by-2n core
 [[ell I, sqrt(N) B], [sqrt(N) B', k I]] and n(N-1) eigenvalues equal to ell, so
 the smallest eigenvalue comes from the core. The test suite checks it against a
-dense eigensolve of M. Decay certification uses the symmetrized variant, the
-exact symmetrization of the cross terms.
+dense eigensolve of M; ||C||_inf is np.linalg.norm(C, np.inf). Decay
+certification uses the symmetrized variant, the exact symmetrization of the
+cross terms, on a run long enough and against a verified reference.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .geometry import shaped
-from .model import GameSpec, SystemState, energy, strictly_monotone
+from .model import GameSpec, SystemState, energy, state_arrays, strictly_monotone
 
 if TYPE_CHECKING:  # neither route is imported to certify it
     from .equilibrium import EquilibriumResult
@@ -65,12 +66,6 @@ class DecayReport:
     certified: Optional[bool]
 
 
-def norm_inf(C: np.ndarray) -> float:
-    """Induced sup-norm: maximum absolute row sum."""
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    return float(np.max(np.sum(np.abs(C), axis=1)))
-
-
 def check_condition_5(ell: float, k: float, C: np.ndarray, N: int) -> tuple[bool, float]:
     """Scalar gain condition: min{ell, k} must exceed 0.5*||C||_inf + 0.5*k/N.
 
@@ -78,7 +73,7 @@ def check_condition_5(ell: float, k: float, C: np.ndarray, N: int) -> tuple[bool
     """
     if not (ell > 0 and k > 0 and N >= 1):
         raise ValueError("ell and k must be positive and N >= 1")
-    margin = min(ell, k) - 0.5 * norm_inf(C) - 0.5 * k / N
+    margin = min(ell, k) - 0.5 * float(np.linalg.norm(np.atleast_2d(C), np.inf)) - 0.5 * k / N
     return margin > 0, margin
 
 
@@ -105,7 +100,7 @@ def compare_conditions(game: GameSpec) -> CertificateReport:
     return CertificateReport(
         cond5_holds=holds,
         cond5_margin=margin,
-        gershgorin_rhs=0.5 * norm_inf(C) + 0.5 * k / N,
+        gershgorin_rhs=0.5 * float(np.linalg.norm(C, np.inf)) + 0.5 * k / N,
         prior_holds=ell >= spectral,
         prior_margin=ell - spectral,
         strictly_monotone=strictly_monotone(game),
@@ -114,23 +109,20 @@ def compare_conditions(game: GameSpec) -> CertificateReport:
     )
 
 
-def lyapunov_W(state: SystemState, ref: EquilibriumResult) -> float:
+def lyapunov_W(game: GameSpec, state: SystemState, ref: EquilibriumResult) -> float:
     """Half the squared distance to the equilibrium pair: model.energy, as in traj.W."""
-    n = np.size(ref.sigmabar)  # ref fixes n, and N as the size of ref.xbar over n
-    if np.size(state.sigma) != n:  # either may be the mis-sized one
-        raise ValueError(f"state.sigma has {np.size(state.sigma)} entries, expected shape ({n},) "
-                         f"as ref.sigmabar has {n} entries")
-    shape = (np.size(ref.xbar) // n, n)
-    dx = shaped(state.x, shape, "state.x") - shaped(ref.xbar, shape, "ref.xbar")
-    ds = shaped(state.sigma, (n,), "state.sigma") - shaped(ref.sigmabar, (n,), "ref.sigmabar")
+    x, sigma = state_arrays(game, state)
+    dx = x - shaped(ref.xbar, (game.N, game.n), "ref.xbar")
+    ds = sigma - shaped(ref.sigmabar, (game.n,), "ref.sigmabar")
     return float(energy(dx, ds))
 
 
-def decay_report(traj: Trajectory, ref: EquilibriumResult, cert: CertificateReport) -> DecayReport:
+def decay_report(traj: Trajectory, ref: EquilibriumResult, cert: CertificateReport) -> Optional[DecayReport]:
     """Judge W along a trajectory: monotonicity, fitted decay rate, certificate bound.
 
     W is traj.W, recorded by the integrator against its reference, which must
-    be ref; a trajectory integrated without one raises ValueError. The fitted
+    be ref; a trajectory integrated without one raises ValueError. One too short,
+    or a ref not verified, is not judged (see DECAY_*): the report is None. The fitted
     rate is the negated least-squares slope of ln W over the prefix ending at
     the first sample with W <= W0/2, falling back to the full window when W
     never halves (NaN when W0 = 0 or fewer than two samples are positive). When
@@ -140,10 +132,8 @@ def decay_report(traj: Trajectory, ref: EquilibriumResult, cert: CertificateRepo
     """
     if not traj.has_reference:
         raise ValueError("trajectory was integrated without a reference, so it has no W")
-    if not ref.vi_gap_value <= DECAY_MAX_VI_GAP:
-        raise ValueError(f"reference not verified: vi_gap {ref.vi_gap_value:.3e} > {DECAY_MAX_VI_GAP}")
-    if len(traj) < DECAY_MIN_SAMPLES:
-        raise ValueError(f"trajectory has {len(traj)} samples, need at least {DECAY_MIN_SAMPLES}")
+    if len(traj) < DECAY_MIN_SAMPLES or not ref.vi_gap_value <= DECAY_MAX_VI_GAP:
+        return None
     W = traj.W
     W0 = float(W[0])
     monotone = bool(np.all(W[1:] <= W[:-1] * (1.0 + 1e-9)))

@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .geometry import RuleError, SetRows, enforce, project_rows, shaped
+from .geometry import RuleError, enforce, project_rows, set_faults, shaped
 
 _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's state increment
 _MASK = (1 << 64) - 1
@@ -48,22 +48,38 @@ def _cost_faults(ell: np.ndarray, xstar: np.ndarray, linear: np.ndarray) -> tupl
 
 
 @dataclass(frozen=True, eq=False)
-class GameLayout(SetRows):
-    """Every agent's cost and set stacked row-wise, row i for agent i, checked against the cost and set rules."""
+class GameLayout:
+    """Every agent's set and cost stacked row-wise, row i for agent i, checked against the set and cost rules.
 
+    Row i's set is a box [lo_i, hi_i] of infinite radius_i, or a ball of radius_i around center_i with
+    infinite bounds; center_i is the box midpoint or the ball center.
+    """
+
+    lo: np.ndarray      # (N, n)
+    hi: np.ndarray      # (N, n)
+    center: np.ndarray  # (N, n)
+    radius: np.ndarray  # (N,)
     ell: np.ndarray     # (N,)
     xstar: np.ndarray   # (N, n)
     linear: np.ndarray  # (N, n)
-    neg_ell: np.ndarray = field(init=False)  # (N, n): -ell_i in every column; an (N, 1) one broadcasts slowly
+    neg_ell: np.ndarray = field(init=False)      # (N, n): -ell_i in every column; an (N, 1) one broadcasts slowly
+    ball_rows: np.ndarray = field(init=False)    # indices of the rows of finite radius
+    ball_center: np.ndarray = field(init=False)  # center[ball_rows], gathered once
+    ball_radius: np.ndarray = field(init=False)  # radius[ball_rows], gathered once
 
     def __post_init__(self) -> None:
         N, n = (np.shape(self.xstar) + (0, 0))[:2]
         got = {f.name: getattr(getattr(self, f.name), "shape", None) for f in fields(self) if f.init}
         if not N * n or any(shape != ((N,) if name in ("ell", "radius") else (N, n)) for name, shape in got.items()):
             raise ValueError(f"rows must be arrays of shape (N,) for ell and radius, else (N, n), N, n >= 1: {got}")
-        enforce(_cost_faults(self.ell, self.xstar, self.linear))
-        object.__setattr__(self, "neg_ell", np.repeat(-self.ell[:, None], n, axis=1))
-        super().__post_init__()
+        enforce((*_cost_faults(self.ell, self.xstar, self.linear),
+                 *set_faults(self.lo, self.hi, self.center, self.radius)))
+        b = np.flatnonzero(self.radius < np.inf)
+        for name, rows in (("neg_ell", np.repeat(-self.ell[:, None], n, axis=1)), ("ball_rows", b),
+                           ("ball_center", self.center[b]), ("ball_radius", self.radius[b])):
+            object.__setattr__(self, name, rows)
+        for rows in vars(self).values():
+            rows.setflags(write=False)  # games that share rows cannot change each other
 
     def tile(self, B: int) -> "GameLayout":
         """B copies of these rows stacked: copy b's agent i is row b*N + i, in ball_rows too."""

@@ -323,7 +323,7 @@ def test_run_rejects_bad_config(capsys: pytest.CaptureFixture[str]) -> None:
         (["run", "--T", "inf"], "horizon T"),
         (["run", "--h", "inf", "--T", "inf"], "step size h"),
         (["run", "--k", "inf"], "k must be"),
-        (["sweep", "--k", "1,inf"], "swept k"),
+        (["sweep", "--k", "1,inf"], "k must be"),
     ],
 )
 def test_nonfinite_numbers_are_input_errors(

@@ -17,7 +17,6 @@ import pytest
 
 from aggseek.equilibrium import aggregation_map, solve_equilibrium, verify_equilibrium, vi_gap
 from aggseek.flow import IntegratorConfig, integrate, integrate_gains, rhs, stationarity_residual, step
-from aggseek.geometry import SetRows
 from aggseek.lyapunov import lyapunov_W
 from aggseek.model import GameSpec, SystemState, initial_state, load_scenario, project_state, pseudo_gradient_F
 
@@ -37,7 +36,7 @@ def _entry_points(game: GameSpec) -> dict:
     state = {"state.x": 0.5 * (ref.xbar + game.layout.center), "state.sigma": ref.sigmabar - 0.02}
     reference = {"reference.xbar": ref.xbar, "reference.sigmabar": ref.sigmabar}
     as_state = lambda a: SystemState(a["state.x"], a["state.sigma"])
-    as_ref = lambda a: dataclasses.replace(ref, xbar=a["reference.xbar"], sigmabar=a["reference.sigmabar"])
+    as_ref = lambda a, at="reference": dataclasses.replace(ref, xbar=a[f"{at}.xbar"], sigmabar=a[f"{at}.sigmabar"])
     return {
         "pseudo_gradient_F": (lambda a: pseudo_gradient_F(game, a["x"]), {"x": ref.xbar}),
         "aggregation_map": (lambda a: aggregation_map(game, a["sigma"]), {"sigma": ref.sigmabar}),
@@ -50,8 +49,8 @@ def _entry_points(game: GameSpec) -> dict:
         "integrate": (lambda a: integrate(game, as_state(a), CFG, as_ref(a)), {**state, **reference}),
         "integrate_gains": (
             lambda a: integrate_gains(game, (0.5, 2.0), as_state(a), CFG, as_ref(a)), {**state, **reference}),
-        # handed no game, lyapunov_W reads n from ref.sigmabar and N from the size of ref.xbar
-        "lyapunov_W": (lambda a: lyapunov_W(as_state(a), ref), state),
+        "lyapunov_W": (lambda a: lyapunov_W(game, as_state(a), as_ref(a, "ref")),
+                       {**state, "ref.xbar": ref.xbar, "ref.sigmabar": ref.sigmabar}),
     }
 
 
@@ -101,24 +100,18 @@ def test_flat_and_stacked_arrays_give_the_same_bits(game: str, entry: str) -> No
 def test_one_entry_sigmabar_is_not_broadcast() -> None:
     init = initial_state(GAME)
     traj = integrate(GAME, init, CFG, reference=REF)
-    assert traj.W[0] == lyapunov_W(init, REF) == pytest.approx(0.20501, abs=5e-6)
+    assert traj.W[0] == lyapunov_W(GAME, init, REF) == pytest.approx(0.20501, abs=5e-6)
+    short = dataclasses.replace(REF, sigmabar=REF.sigmabar[:1])
     with pytest.raises(ValueError, match=r"^reference\.sigmabar has 1 entries, expected shape \(2,\)$"):
-        integrate(GAME, init, CFG, reference=dataclasses.replace(REF, sigmabar=REF.sigmabar[:1]))
-
-    # handed no game, lyapunov_W cannot tell which of the two is mis-sized, so it names both
-    message = r"^state\.sigma has {} entries, expected shape \({},\) as ref\.sigmabar has {} entries$"
-    with pytest.raises(ValueError, match=message.format(1, 2, 2)):
-        lyapunov_W(SystemState(init.x, init.sigma[:1]), REF)
-    with pytest.raises(ValueError, match=message.format(2, 1, 1)):
-        lyapunov_W(init, dataclasses.replace(REF, sigmabar=REF.sigmabar[:1]))
+        integrate(GAME, init, CFG, reference=short)
+    with pytest.raises(ValueError, match=r"^ref\.sigmabar has 1 entries, expected shape \(2,\)$"):
+        lyapunov_W(GAME, init, short)
 
 
 def test_array_records_compare_by_identity() -> None:
     # N = 3: a generated __eq__ would compare arrays of three rows and raise, a generated __hash__ too
-    lay = GAME.layout
-    rows = SetRows(lay.lo, lay.hi, lay.center, lay.radius)
     traj = integrate(GAME, initial_state(GAME), CFG, reference=REF)
-    for record in (rows, GAME.layout, GAME, initial_state(GAME), REF, traj):
+    for record in (GAME.layout, GAME, initial_state(GAME), REF, traj):
         twin = dataclasses.replace(record)
         assert hash(record) == hash(record) and record == record
         assert (record == twin) is False and record != twin

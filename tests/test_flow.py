@@ -78,6 +78,11 @@ def test_step_zero_length_is_identity() -> None:
     nxt = step(game, state, h=0.0)
     assert np.array_equal(nxt.x, state.x)
     assert np.array_equal(nxt.sigma, state.sigma)
+    # a start outside its sets (agent 0 moved 100 out) is projected onto them
+    outside = SystemState(x=state.x + [[100.0, 0.0], [0.0, 0.0], [0.0, 0.0]], sigma=state.sigma)
+    nxt, projected = step(game, outside, h=0.0), project_state(game, outside)
+    assert np.array_equal(nxt.x, projected.x) and not np.array_equal(nxt.x, outside.x)
+    assert np.array_equal(nxt.sigma, projected.sigma)
 
 
 @pytest.mark.parametrize(("h", "sigma"), [(1e300, None), (0.01, np.array([np.inf, 0.0]))])

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from aggseek.geometry import SetRows, project_rows, require_members, tangent_rows
+from aggseek.geometry import project_rows, require_members, tangent_rows
+from aggseek.model import GameLayout
 
 from helpers import one_row, random_boundaryish_point, random_point_in, random_set
 from oracles import (
@@ -130,7 +131,10 @@ def test_moreau_identity_orthogonality_membership() -> None:
 
 
 def test_set_validation() -> None:
-    one = lambda lo, hi, center, radius: SetRows(*map(np.array, ([lo], [hi], [center], [radius])))
+    def one(lo, hi, center, radius):  # a one-row layout, its cost within the cost rules
+        zeros = np.zeros((1, len(lo)))
+        return GameLayout(*map(np.array, ([lo], [hi], [center], [radius], [1.0])), zeros, zeros)
+
     with pytest.raises(ValueError, match="^agent 0: box is empty: lo > hi componentwise$"):
         one([1.0], [0.0], [0.5], np.inf)
     for radius in (0.0, -1.0, np.nan):

@@ -16,7 +16,6 @@ from aggseek.lyapunov import (
     compare_conditions,
     decay_report,
     lyapunov_W,
-    norm_inf,
     reduced_lambda_min,
 )
 from aggseek.model import GameSpec, SystemState, initial_state, load_scenario
@@ -88,12 +87,6 @@ def synthetic_certificate(lam_sym: float) -> CertificateReport:
     )
 
 
-def test_norm_inf_examples() -> None:
-    assert norm_inf(np.array([[1.0, -2.0], [3.0, 4.0]])) == 7.0
-    assert norm_inf(np.array([[2.0]])) == 2.0
-    assert norm_inf(np.zeros((3, 3))) == 0.0
-
-
 def test_condition_margin_examples() -> None:
     C = np.array([[1.0]])
     holds, margin = check_condition_5(1.5, 0.6, C, 100)
@@ -104,6 +97,9 @@ def test_condition_margin_examples() -> None:
     assert not holds and margin == pytest.approx(-0.102, abs=1e-12)
     holds, margin = check_condition_5(1.0, 1.0, np.zeros((1, 1)), 2)
     assert holds and margin == pytest.approx(0.75)
+    # C as a number or a row of numbers reads as a one-row matrix: ||[1, -2]||_inf = 3
+    assert check_condition_5(1.0, 1.0, 0.0, 2) == (True, margin)
+    assert check_condition_5(4.0, 4.0, [1.0, -2.0], 4) == (True, 2.0)
 
 
 def test_condition_check_validates_inputs() -> None:
@@ -231,13 +227,13 @@ def test_condition_5_holds_where_the_flow_diverges() -> None:
     assert traj.dist_sigma[-1] >= 10 * traj.dist_sigma[0]  # 0.0141 -> 0.178
 
 
-def test_lyapunov_value_examples(single_ref: EquilibriumResult) -> None:
+def test_lyapunov_value_examples(single_game: GameSpec, single_ref: EquilibriumResult) -> None:
     at_ref = SystemState(x=single_ref.xbar.copy(), sigma=single_ref.sigmabar.copy())
-    assert lyapunov_W(at_ref, single_ref) == 0.0
+    assert lyapunov_W(single_game, at_ref, single_ref) == 0.0
     off = SystemState(x=np.array([[0.5]]), sigma=np.array([0.5]))
-    assert lyapunov_W(off, single_ref) == pytest.approx(0.0625)
+    assert lyapunov_W(single_game, off, single_ref) == pytest.approx(0.0625)
     twice = SystemState(x=np.array([[0.75]]), sigma=np.array([0.75]))
-    assert lyapunov_W(twice, single_ref) == pytest.approx(4 * 0.0625)
+    assert lyapunov_W(single_game, twice, single_ref) == pytest.approx(4 * 0.0625)
 
 
 def test_storage_inequality_at_equilibrium_input(
@@ -365,12 +361,12 @@ def test_decay_report_guards() -> None:
         xbar=np.zeros((1, 1)), sigmabar=np.zeros(1),
         iterations=0, final_update_norm=0.0, vi_gap_value=1e-3,
     )
-    with pytest.raises(ValueError):
-        decay_report(traj, bad_ref, synthetic_certificate(0.1))
-
-    short = synthetic_trajectory(times[:5], W[:5])
-    with pytest.raises(ValueError):
-        decay_report(short, synthetic_reference(), synthetic_certificate(0.1))
+    cert = synthetic_certificate(0.1)
+    # a reference not verified (a NaN gap included), or fewer than DECAY_MIN_SAMPLES = 10 samples: no report
+    assert decay_report(traj, bad_ref, cert) is None
+    assert decay_report(traj, dataclasses.replace(bad_ref, vi_gap_value=np.nan), cert) is None
+    assert decay_report(synthetic_trajectory(times[:9], W[:9]), synthetic_reference(), cert) is None
+    assert decay_report(synthetic_trajectory(times[:10], W[:10]), synthetic_reference(), cert) is not None
 
     game = small_certified_game(7)
     ref = solve_equilibrium(game)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aggseek.geometry import RuleError, SetRows
+from aggseek.geometry import RuleError
 from aggseek.model import (
     GameLayout,
     GameSpec,
@@ -267,9 +267,9 @@ def test_layout_rejects_bad_rows(rows: dict, message: str) -> None:
         GameLayout(**rows)
 
 
-# each agent rule broken once through a layout row (agent 0 and 2 are boxes, agent 1 a ball), and each set
-# rule once more through a bare SetRows of the same set rows: one RuleError, whose row, field and rule the
-# loader turns into a JSON path, and one wording, "agent i: ", the field in words, the rule
+# each agent rule broken once through a layout row (agent 0 and 2 are boxes, agent 1 a ball): one RuleError,
+# whose row, field and rule the loader turns into a JSON path, and one wording, "agent i: ", the field in
+# words, the rule
 @pytest.mark.parametrize(
     ("rows", "agent", "field", "rule"),
     [
@@ -292,10 +292,6 @@ def test_sets_costs_and_layout_rows_word_each_rule_alike(rows: dict, agent: int,
         GameLayout(**rows)
     assert (row.value.row, row.value.field, row.value.rule) == (agent, field, rule)
     assert str(row.value) == f"agent {agent}: {words} {rule}"
-    if field.startswith("set"):
-        with pytest.raises(RuleError) as bare:
-            SetRows(**{name: rows[name] for name in ("lo", "hi", "center", "radius")})
-        assert str(bare.value) == str(row.value)
 
 
 def test_every_way_to_build_a_layout_checks_its_rows() -> None:

@@ -21,7 +21,7 @@ HOMES = {
     "flow": ["IntegratorConfig", "NonFiniteStateError", "Trajectory", "integrate", "integrate_gains", "rhs",
              "stationarity_residual", "step"],
     "lyapunov": ["CertificateReport", "DecayReport", "check_condition_5", "compare_conditions", "decay_report",
-                 "lyapunov_W", "norm_inf", "reduced_lambda_min"],
+                 "lyapunov_W", "reduced_lambda_min"],
     "model": ["GameSpec", "ScenarioError", "SystemState", "initial_state", "load_scenario", "project_state",
               "pseudo_gradient_F", "splitmix64", "strictly_monotone"],
 }
@@ -38,6 +38,23 @@ def test_loading_a_scenario_imports_only_model_and_geometry() -> None:
     )
     proc = subprocess.run([sys.executable, "-c", code, str(SINGLE)], capture_output=True, text=True, check=True)
     assert proc.stdout.split() == ["aggseek", "aggseek.geometry", "aggseek.model"]
+
+
+@pytest.mark.parametrize(
+    "module, loaded",
+    [
+        # the kernels name model.GameLayout only for type checking
+        ("geometry", ["aggseek", "aggseek.geometry"]),
+        # the routes stay independent: neither loads the other
+        ("flow", ["aggseek", "aggseek.flow", "aggseek.geometry", "aggseek.model"]),
+        ("equilibrium", ["aggseek", "aggseek.equilibrium", "aggseek.geometry", "aggseek.model"]),
+    ],
+    ids=["geometry", "flow", "equilibrium"],
+)
+def test_each_module_imports_only_the_layers_below_it(module: str, loaded: list[str]) -> None:
+    code = f"import sys, aggseek.{module}; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'aggseek'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == loaded
 
 
 @pytest.mark.parametrize(
@@ -79,8 +96,8 @@ def test_traced_cli_names_resolve_and_their_wrappers_run(monkeypatch: pytest.Mon
 
 
 def test_all_lists_the_public_names_each_its_home_modules_object() -> None:
-    assert len(PUBLIC) == 32 and aggseek.__all__ == PUBLIC and aggseek.__version__ == "0.2.0"
-    assert 'version = "0.2.0"' in (ROOT / "pyproject.toml").read_text(encoding="utf-8").splitlines()
+    assert len(PUBLIC) == 31 and aggseek.__all__ == PUBLIC and aggseek.__version__ == "0.3.0"
+    assert 'version = "0.3.0"' in (ROOT / "pyproject.toml").read_text(encoding="utf-8").splitlines()
     for name in MOVED:
         assert not hasattr(aggseek, name), name
     for home, names in HOMES.items():
