@@ -22,7 +22,6 @@ from . import _HOME
 from .model import GameSpec, ScenarioError, initial_state, load_scenario
 
 if TYPE_CHECKING:
-    from .equilibrium import EquilibriumResult
     from .flow import Trajectory
 
 # commands call the routes as _lib.name: each imports only what it calls, and a wrapper set here sees it
@@ -180,12 +179,11 @@ def _time_to_threshold(traj: Trajectory, level: float = THRESHOLD) -> float:
     return float(traj.times[above[-1] + 1])
 
 
-def _run_one(
-    game: GameSpec, traj: Trajectory, ref: EquilibriumResult, out_prefix: Optional[str], suffix: str = ""
-) -> tuple[list[tuple[str, object]], dict]:
+def _run_one(game: GameSpec, traj: Trajectory, out_prefix: Optional[str],
+             suffix: str = "") -> tuple[list[tuple[str, object]], dict]:
     """One trajectory's report, as `key = value` lines and as a JSON dict built from the same fields."""
-    cert = _lib.compare_conditions(game)
-    decay = _lib.decay_report(traj, ref, cert)
+    cert, ref = _lib.compare_conditions(game), traj.reference
+    decay = _lib.decay_report(traj, cert)
     decay = None if decay is None else dataclasses.asdict(decay)
     paths = {}
     if out_prefix:
@@ -230,7 +228,7 @@ def cmd_run(scenario: str, k: Optional[float], h: float, T: float, out: Optional
         game = dataclasses.replace(game, k=float(k))
     cfg = _lib.IntegratorConfig(h=h, T=T)
     ref = _lib.solve_equilibrium(game)
-    lines, report = _run_one(game, _lib.integrate(game, initial_state(game), cfg, reference=ref), ref, out)
+    lines, report = _run_one(game, _lib.integrate(game, initial_state(game), cfg, reference=ref), out)
     _emit(lines)
     if out:
         with _create(f"{out}.report.json") as fh:
@@ -249,7 +247,7 @@ def cmd_sweep(scenario: str, ks: Sequence[float], h: float, T: float, out: Optio
     cfg = _lib.IntegratorConfig(h=h, T=T)
     ref = _lib.solve_equilibrium(game)  # the fixed point does not depend on k
     trajs = _lib.integrate_gains(game, ks, initial_state(game), cfg, reference=ref)
-    reports = {label: _run_one(g, traj, ref, out, f"_{label}") for (label, g), traj in zip(games.items(), trajs)}
+    reports = {label: _run_one(g, traj, out, f"_{label}") for (label, g), traj in zip(games.items(), trajs)}
     for label, (lines, _) in reports.items():
         _emit([(f"{label}.{key}", value) for key, value in lines])
     if out:

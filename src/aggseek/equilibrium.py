@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import project_rows, require_members, shaped, vi_min_rows
+from .geometry import positive_int, project_rows, require_members, shaped, vi_min_rows
 from .model import GameLayout, GameSpec, pseudo_gradient_F, strictly_monotone
 
 
@@ -93,8 +93,7 @@ def solve_equilibrium(
         raise ValueError(f"lam must lie in (0, 1], got {lam}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if not max_iter >= 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    max_iter = positive_int(max_iter, "max_iter")
     if not strictly_monotone(game):
         warnings.warn(
             "pseudo-gradient is not strictly monotone; the equilibrium may not be unique",

@@ -5,7 +5,8 @@ of each constraint set; the broadcast signal integrates toward the running
 decision average with gain k. Time stepping uses the discretize-then-project
 forward Euler scheme: the unprojected drive is applied for one step and the
 result is projected back onto the set, which keeps every iterate feasible
-exactly and agrees with the tangent-cone flow to first order.
+exactly and agrees with the tangent-cone flow to first order. A trajectory
+carries the reference equilibrium that its W and distances were measured against.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .geometry import project_rows, require_members, shaped, tangent_rows
+from .geometry import positive_int, project_rows, require_members, shaped, tangent_rows
 from .model import GameSpec, SystemState, energy, project_state, state_arrays
 
 if TYPE_CHECKING:
@@ -49,18 +50,15 @@ class IntegratorConfig:
             raise ValueError(f"step size h must be positive and finite, got {self.h}")
         if not (self.T >= self.h and math.isfinite(self.T / self.h)):
             raise ValueError(f"horizon T must be at least h and T / h finite, got T={self.T}, h={self.h}")
-        every = self.record_every
-        if isinstance(every, bool) or not isinstance(every, (int, np.integer)) or every < 1:
-            raise ValueError(f"record_every must be a positive integer, got {every}")
-        object.__setattr__(self, "record_every", int(every))
+        object.__setattr__(self, "record_every", positive_int(self.record_every, "record_every"))
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Per-sample diagnostics of one run, and its final state x (N, n), sigma (n,).
 
-    W, dist_avg and dist_sigma are NaN when no reference equilibrium was
-    attached to the run; times and residual are always filled.
+    W, dist_avg and dist_sigma are measured against reference, the equilibrium handed
+    to the integrator, and are NaN when it is None; times and residual are always filled.
     """
 
     times: np.ndarray
@@ -70,7 +68,7 @@ class Trajectory:
     residual: np.ndarray
     dist_avg: np.ndarray
     dist_sigma: np.ndarray
-    has_reference: bool
+    reference: Optional[EquilibriumResult]
 
     def __len__(self) -> int:
         return self.times.shape[0]
@@ -170,7 +168,7 @@ def integrate(
     plus a block of fixed size. The grid is t_j = j * h: the last sample, at
     ceil(T / h) * h, passes T by less than h when h does not divide T. With a
     reference equilibrium, the W, dist_avg and dist_sigma diagnostics are filled
-    against it; otherwise they are NaN.
+    against it and the trajectory carries it as traj.reference; otherwise they are NaN.
 
     Raises NonFiniteStateError (with the offending step index, 0 for a start
     that is not finite) if the state stops being finite; non-convergence by
@@ -245,4 +243,4 @@ def integrate_gains(
                 j = slot % K
 
     fields_b = zip(last[4].copy(), last[5].copy(), W, residual, dist_avg, dist_sigma)
-    return [Trajectory(times, *arrays, has_reference=reference is not None) for arrays in fields_b]
+    return [Trajectory(times, *arrays, reference=reference) for arrays in fields_b]

@@ -60,6 +60,13 @@ def shaped(a, shape: tuple[int, ...], name: str) -> np.ndarray:
     return a.reshape(shape)
 
 
+def positive_int(value, name: str) -> int:
+    """value as an int when it is an integer of at least 1 (a bool is not); else ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value}")
+    return int(value)
+
+
 def project_rows(sets: GameLayout, y: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Project along the agent axis of an (..., N, n) array, with any leading axes, into out if given.
 

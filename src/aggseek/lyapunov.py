@@ -10,7 +10,7 @@ rotating the agent block onto the all-ones direction leaves the 2n-by-2n core
 the smallest eigenvalue comes from the core. The test suite checks it against a
 dense eigensolve of M; ||C||_inf is np.linalg.norm(C, np.inf). Decay
 certification uses the symmetrized variant, the exact symmetrization of the
-cross terms, on a run long enough and against a verified reference.
+cross terms, on a run long enough whose own reference (traj.reference) is verified.
 """
 
 from __future__ import annotations
@@ -66,14 +66,12 @@ class DecayReport:
     certified: Optional[bool]
 
 
-def check_condition_5(ell: float, k: float, C: np.ndarray, N: int) -> tuple[bool, float]:
-    """Scalar gain condition: min{ell, k} must exceed 0.5*||C||_inf + 0.5*k/N.
+def check_condition_5(game: GameSpec) -> tuple[bool, float]:
+    """Scalar gain condition (holds, margin): holds iff margin = min{ell, k} - 0.5*||C||_inf - 0.5*k/N > 0.
 
-    Returns (holds, margin) with margin = min{ell, k} - 0.5*||C||_inf - 0.5*k/N.
+    ell is the game's smallest; the margin is evaluated left to right, as written here.
     """
-    if not (ell > 0 and k > 0 and N >= 1):
-        raise ValueError("ell and k must be positive and N >= 1")
-    margin = min(ell, k) - 0.5 * float(np.linalg.norm(np.atleast_2d(C), np.inf)) - 0.5 * k / N
+    margin = min(game.ell_min, game.k) - 0.5 * float(np.linalg.norm(game.C, np.inf)) - 0.5 * game.k / game.N
     return margin > 0, margin
 
 
@@ -95,7 +93,7 @@ def reduced_lambda_min(game: GameSpec, variant: str) -> float:
 def compare_conditions(game: GameSpec) -> CertificateReport:
     """Evaluate every certificate-side condition for one game, with no dense matrix."""
     ell, k, C, N = game.ell_min, game.k, game.C, game.N
-    holds, margin = check_condition_5(ell, k, C, N)
+    holds, margin = check_condition_5(game)
     spectral = float(np.linalg.norm(C, 2))
     return CertificateReport(
         cond5_holds=holds,
@@ -117,12 +115,12 @@ def lyapunov_W(game: GameSpec, state: SystemState, ref: EquilibriumResult) -> fl
     return float(energy(dx, ds))
 
 
-def decay_report(traj: Trajectory, ref: EquilibriumResult, cert: CertificateReport) -> Optional[DecayReport]:
+def decay_report(traj: Trajectory, cert: CertificateReport) -> Optional[DecayReport]:
     """Judge W along a trajectory: monotonicity, fitted decay rate, certificate bound.
 
-    W is traj.W, recorded by the integrator against its reference, which must
-    be ref; a trajectory integrated without one raises ValueError. One too short,
-    or a ref not verified, is not judged (see DECAY_*): the report is None. The fitted
+    W is traj.W, recorded by the integrator against traj.reference; a trajectory
+    integrated without one raises ValueError. One too short, or whose reference
+    is not verified, is not judged (see DECAY_*): the report is None. The fitted
     rate is the negated least-squares slope of ln W over the prefix ending at
     the first sample with W <= W0/2, falling back to the full window when W
     never halves (NaN when W0 = 0 or fewer than two samples are positive). When
@@ -130,9 +128,9 @@ def decay_report(traj: Trajectory, ref: EquilibriumResult, cert: CertificateRepo
     envelope W(t) <= W0 * exp(-rate * t) * 1.01 is checked at every sample;
     otherwise the certificate fields stay None.
     """
-    if not traj.has_reference:
+    if traj.reference is None:
         raise ValueError("trajectory was integrated without a reference, so it has no W")
-    if len(traj) < DECAY_MIN_SAMPLES or not ref.vi_gap_value <= DECAY_MAX_VI_GAP:
+    if len(traj) < DECAY_MIN_SAMPLES or not traj.reference.vi_gap_value <= DECAY_MAX_VI_GAP:
         return None
     W = traj.W
     W0 = float(W[0])

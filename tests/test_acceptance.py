@@ -27,6 +27,7 @@ from aggseek.lyapunov import check_condition_5, compare_conditions, decay_report
 from aggseek.model import GameSpec, SystemState, pseudo_gradient_F
 
 from helpers import (
+    demand_response_game,
     load_agents,
     one_row,
     random_boundaryish_point,
@@ -76,10 +77,9 @@ def test_criterion_1_reference_scenario_converges_faster_with_larger_gain(
 
 
 def test_criterion_2_gain_condition_margins_match_pinned_values() -> None:
-    C = np.array([[1.0]])
     expected = {0.2: -0.301, 0.4: -0.102, 0.6: 0.097}
     for k, target in expected.items():
-        holds, margin = check_condition_5(1.5, k, C, 100)
+        holds, margin = check_condition_5(demand_response_game(k=k))
         assert abs(margin - target) <= 1e-12, f"k={k}: margin {margin!r}"
         assert holds == (target > 0)
 
@@ -126,7 +126,7 @@ def test_criterion_4_certified_game_obeys_exponential_envelope() -> None:
         traj = integrate(
             game, init, IntegratorConfig(h=1e-3, T=20.0, record_every=10), reference=ref
         )
-        report = decay_report(traj, ref, cert)
+        report = decay_report(traj, cert)
         assert report.certified is True, f"start {start_idx} not certified"
         envelope = report.W0 * np.exp(-0.599 * traj.times) * 1.01
         assert np.all(traj.W <= envelope), f"start {start_idx} exceeds the 0.599 envelope"

@@ -218,7 +218,7 @@ def assert_gains_match_reference(game: GameSpec, init: SystemState, gains, cfg: 
     assert len(trajs) == len(gains)
     for k, traj in zip(gains, trajs):
         expect = reference_integrate(dataclasses.replace(game, k=k), init, cfg, ref)
-        assert traj.has_reference
+        assert traj.reference is ref
         for name, values in expect.items():
             assert np.array_equal(getattr(traj, name), values), name
 

@@ -29,6 +29,13 @@ REF = solve_equilibrium(GAME)
 CFG = IntegratorConfig(h=1e-2, T=0.05)
 
 
+def _carrying(integrated, ref):
+    """integrated(ref), its trajectories checked to carry that very reference."""
+    result = integrated(ref)
+    assert all(traj.reference is ref for traj in (result if isinstance(result, list) else [result]))
+    return result
+
+
 def _entry_points(game: GameSpec) -> dict:
     """entry point: (its call on a dict of the arrays it is handed, those arrays by the name an error gives them)."""
     ref = solve_equilibrium(game)
@@ -46,9 +53,11 @@ def _entry_points(game: GameSpec) -> dict:
         "rhs": (lambda a: rhs(game, as_state(a)), state),
         "stationarity_residual": (lambda a: stationarity_residual(game, as_state(a)), state),
         "step": (lambda a: step(game, as_state(a), 1e-2), state),
-        "integrate": (lambda a: integrate(game, as_state(a), CFG, as_ref(a)), {**state, **reference}),
+        "integrate": (lambda a: _carrying(lambda r: integrate(game, as_state(a), CFG, r), as_ref(a)),
+                      {**state, **reference}),
         "integrate_gains": (
-            lambda a: integrate_gains(game, (0.5, 2.0), as_state(a), CFG, as_ref(a)), {**state, **reference}),
+            lambda a: _carrying(lambda r: integrate_gains(game, (0.5, 2.0), as_state(a), CFG, r), as_ref(a)),
+            {**state, **reference}),
         "lyapunov_W": (lambda a: lyapunov_W(game, as_state(a), as_ref(a, "ref")),
                        {**state, "ref.xbar": ref.xbar, "ref.sigmabar": ref.sigmabar}),
     }
@@ -71,11 +80,14 @@ VI_CHECKS = (vi_gap, lambda game, x: verify_equilibrium(game, x, tol=1e-6))
 
 
 def _leaves(result) -> list[np.ndarray]:
-    """Every array in a result: a number, an array, a dataclass of them, or a sequence of those."""
+    """Every array in a result: a number, an array, a dataclass of them, or a sequence of those.
+
+    A trajectory's reference is the record handed in, kept as it is, so of a trajectory only its own arrays count.
+    """
     if isinstance(result, (list, tuple)):
         return [leaf for item in result for leaf in _leaves(item)]
     if dataclasses.is_dataclass(result):
-        return _leaves([getattr(result, f.name) for f in dataclasses.fields(result)])
+        return _leaves([getattr(result, f.name) for f in dataclasses.fields(result) if f.name != "reference"])
     return [np.asarray(result)]
 
 

@@ -167,8 +167,9 @@ def test_solve_parameter_validation() -> None:
         solve_equilibrium(game, lam=1.5)
     with pytest.raises(ValueError):
         solve_equilibrium(game, tol=0.0)
-    for max_iter in (0, -3):
-        with pytest.raises(ValueError, match="max_iter"):
+    # the rule of record_every: a bool or a non-integer is no count, though range() would take True
+    for max_iter in (0, -3, 1.5, True):
+        with pytest.raises(ValueError, match=f"^max_iter must be a positive integer, got {max_iter}$"):
             solve_equilibrium(game, max_iter=max_iter)
 
 

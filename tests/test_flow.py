@@ -132,7 +132,7 @@ def test_integrate_minimal_horizon_records_two_samples() -> None:
 
 
 def assert_same_trajectory(a: Trajectory, b: Trajectory) -> None:
-    assert a.has_reference == b.has_reference
+    assert a.reference is b.reference
     for name in ("times", "x", "sigma", "W", "residual", "dist_avg", "dist_sigma"):
         assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
 
@@ -260,7 +260,7 @@ def test_last_sample_may_pass_the_horizon() -> None:
 def test_diagnostics_nan_without_reference() -> None:
     game = single_agent_game()
     traj = integrate(game, initial_state(game), IntegratorConfig(h=0.1, T=0.5))
-    assert not traj.has_reference
+    assert traj.reference is None
     assert np.all(np.isnan(traj.W))
     assert np.all(np.isnan(traj.dist_avg))
     assert np.all(np.isnan(traj.dist_sigma))
@@ -274,7 +274,7 @@ def test_diagnostics_filled_with_reference(
         single_game, initial_state(single_game), IntegratorConfig(h=1e-3, T=10.0, record_every=100),
         reference=single_ref,
     )
-    assert traj.has_reference
+    assert traj.reference is single_ref
     assert np.all(np.isfinite(traj.W))
     assert np.all(np.isfinite(traj.dist_avg))
     assert np.all(np.isfinite(traj.dist_sigma))

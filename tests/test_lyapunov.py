@@ -7,10 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from aggseek.equilibrium import EquilibriumResult, solve_equilibrium
+from aggseek.equilibrium import EquilibriumResult, solve_equilibrium, vi_gap
 from aggseek.flow import IntegratorConfig, Trajectory, integrate
 from aggseek.flow import rhs
 from aggseek.lyapunov import (
+    DECAY_MAX_VI_GAP,
     CertificateReport,
     check_condition_5,
     compare_conditions,
@@ -58,8 +59,9 @@ def synthetic_reference(n: int = 1, N: int = 1) -> EquilibriumResult:
     )
 
 
-def synthetic_trajectory(times: np.ndarray, W: np.ndarray) -> Trajectory:
-    # decay_report reads W; the states park all of it in sigma to stay consistent
+def synthetic_trajectory(times: np.ndarray, W: np.ndarray, reference: EquilibriumResult | None = None) -> Trajectory:
+    # decay_report reads W and the reference it was measured against (the verified synthetic_reference unless
+    # given); the states park all of W in sigma to stay consistent
     dist_sigma = np.sqrt(2.0 * W)
     m = times.shape[0]
     return Trajectory(
@@ -70,7 +72,7 @@ def synthetic_trajectory(times: np.ndarray, W: np.ndarray) -> Trajectory:
         residual=np.zeros(m),
         dist_avg=np.zeros(m),
         dist_sigma=dist_sigma,
-        has_reference=True,
+        reference=synthetic_reference() if reference is None else reference,
     )
 
 
@@ -88,32 +90,18 @@ def synthetic_certificate(lam_sym: float) -> CertificateReport:
 
 
 def test_condition_margin_examples() -> None:
-    C = np.array([[1.0]])
-    holds, margin = check_condition_5(1.5, 0.6, C, 100)
+    holds, margin = check_condition_5(boxes_game(ell=1.5, C=1.0, k=0.6, N=100))
     assert holds and margin == pytest.approx(0.097, abs=1e-12)
-    holds, margin = check_condition_5(1.5, 0.2, C, 100)
+    holds, margin = check_condition_5(boxes_game(ell=1.5, C=1.0, k=0.2, N=100))
     assert not holds and margin == pytest.approx(-0.301, abs=1e-12)
-    holds, margin = check_condition_5(1.5, 0.4, C, 100)
+    holds, margin = check_condition_5(boxes_game(ell=1.5, C=1.0, k=0.4, N=100))
     assert not holds and margin == pytest.approx(-0.102, abs=1e-12)
-    holds, margin = check_condition_5(1.0, 1.0, np.zeros((1, 1)), 2)
+    holds, margin = check_condition_5(boxes_game(ell=1.0, C=0.0, k=1.0, N=2))
     assert holds and margin == pytest.approx(0.75)
-    # C as a number or a row of numbers reads as a one-row matrix: ||[1, -2]||_inf = 3
-    assert check_condition_5(1.0, 1.0, 0.0, 2) == (True, margin)
-    assert check_condition_5(4.0, 4.0, [1.0, -2.0], 4) == (True, 2.0)
-
-
-def test_condition_check_validates_inputs() -> None:
-    with pytest.raises(ValueError):
-        check_condition_5(0.0, 1.0, np.eye(1), 3)
-    with pytest.raises(ValueError):
-        check_condition_5(1.0, -1.0, np.eye(1), 3)
-    with pytest.raises(ValueError):
-        check_condition_5(1.0, 1.0, np.eye(1), 0)
 
 
 def test_condition_margin_nondecreasing_in_population() -> None:
-    C = np.array([[0.8]])
-    margins = [check_condition_5(1.2, 0.9, C, N)[1] for N in range(1, 11)]
+    margins = [check_condition_5(boxes_game(ell=1.2, C=0.8, k=0.9, N=N))[1] for N in range(1, 11)]
     assert all(b >= a for a, b in zip(margins, margins[1:]))
 
 
@@ -292,7 +280,7 @@ def test_decay_report_certified_run() -> None:
     cert = compare_conditions(game)
     assert cert.lambda_min_symmetrized > 0
     traj = integrate(game, initial_state(game), IntegratorConfig(h=1e-3, T=10.0, record_every=100), reference=ref)
-    report = decay_report(traj, ref, cert)
+    report = decay_report(traj, cert)
     assert report.W0 > 0
     assert report.monotone
     assert report.certificate_rate == pytest.approx(cert.lambda_min_symmetrized)
@@ -310,7 +298,7 @@ def test_decay_report_exact_equilibrium_start() -> None:
     cert = compare_conditions(game)
     init = SystemState(x=ref.xbar.copy(), sigma=ref.sigmabar.copy())
     traj = integrate(game, init, IntegratorConfig(h=0.01, T=0.1), reference=ref)
-    report = decay_report(traj, ref, cert)
+    report = decay_report(traj, cert)
     assert report.W0 == 0.0
     assert report.monotone
     assert math.isnan(report.fitted_rate)
@@ -322,14 +310,13 @@ def test_decay_report_fitted_rate_recovers_synthetic_slope() -> None:
     rho = 0.8
     W = 0.3 * np.exp(-rho * times)
     traj = synthetic_trajectory(times, W)
-    ref = synthetic_reference()
-    report = decay_report(traj, ref, synthetic_certificate(0.5))
+    report = decay_report(traj, synthetic_certificate(0.5))
     assert report.fitted_rate == pytest.approx(rho, rel=1e-6)
     assert report.monotone
     assert report.certified is True
 
     # a certificate rate faster than the actual decay must fail the envelope
-    report_fast = decay_report(traj, ref, synthetic_certificate(1.5))
+    report_fast = decay_report(traj, synthetic_certificate(1.5))
     assert report_fast.certified is False
 
 
@@ -338,7 +325,7 @@ def test_decay_report_full_window_fallback_when_never_halving() -> None:
     rho = 0.05
     W = 1.0 * np.exp(-rho * times)
     assert W[-1] > 0.5 * W[0]
-    report = decay_report(synthetic_trajectory(times, W), synthetic_reference(), synthetic_certificate(0.01))
+    report = decay_report(synthetic_trajectory(times, W), synthetic_certificate(0.01))
     assert report.fitted_rate == pytest.approx(rho, rel=1e-6)
 
 
@@ -347,7 +334,7 @@ def test_decay_report_skips_certificate_when_uncertified(demand_game: GameSpec) 
     cert = compare_conditions(demand_game)
     assert cert.lambda_min_symmetrized < 0
     traj = integrate(demand_game, initial_state(demand_game), IntegratorConfig(h=1e-3, T=1.0, record_every=10), reference=ref)
-    report = decay_report(traj, ref, cert)
+    report = decay_report(traj, cert)
     assert report.certificate_rate is None
     assert report.certified is None
     assert report.W0 > 0
@@ -356,20 +343,30 @@ def test_decay_report_skips_certificate_when_uncertified(demand_game: GameSpec) 
 def test_decay_report_guards() -> None:
     times = np.linspace(0.0, 1.0, 20)
     W = np.exp(-times)
-    traj = synthetic_trajectory(times, W)
-    bad_ref = EquilibriumResult(
-        xbar=np.zeros((1, 1)), sigmabar=np.zeros(1),
-        iterations=0, final_update_norm=0.0, vi_gap_value=1e-3,
-    )
+    bad_ref = dataclasses.replace(synthetic_reference(), vi_gap_value=1e-3)
     cert = synthetic_certificate(0.1)
     # a reference not verified (a NaN gap included), or fewer than DECAY_MIN_SAMPLES = 10 samples: no report
-    assert decay_report(traj, bad_ref, cert) is None
-    assert decay_report(traj, dataclasses.replace(bad_ref, vi_gap_value=np.nan), cert) is None
-    assert decay_report(synthetic_trajectory(times[:9], W[:9]), synthetic_reference(), cert) is None
-    assert decay_report(synthetic_trajectory(times[:10], W[:10]), synthetic_reference(), cert) is not None
+    assert decay_report(synthetic_trajectory(times, W, bad_ref), cert) is None
+    assert decay_report(synthetic_trajectory(times, W, dataclasses.replace(bad_ref, vi_gap_value=np.nan)), cert) is None
+    assert decay_report(synthetic_trajectory(times[:9], W[:9]), cert) is None
+    assert decay_report(synthetic_trajectory(times[:10], W[:10]), cert) is not None
 
     game = small_certified_game(7)
-    ref = solve_equilibrium(game)
     bare = integrate(game, initial_state(game), IntegratorConfig(h=1e-2, T=1.0))
     with pytest.raises(ValueError, match="without a reference"):
-        decay_report(bare, ref, compare_conditions(game))
+        decay_report(bare, compare_conditions(game))
+
+
+def test_decay_report_judges_w_only_against_the_reference_it_was_measured_against() -> None:
+    # W measured against a reference off the fixed point is not judged, even with a verified solve at hand:
+    # the verdict reads the reference off the trajectory, so the two cannot be paired apart
+    game = small_certified_game(7)
+    ref = solve_equilibrium(game)
+    xbar = np.clip(ref.xbar + 0.3, 0.25, 0.75)
+    off = dataclasses.replace(ref, xbar=xbar, sigmabar=xbar.mean(axis=0), vi_gap_value=vi_gap(game, xbar))
+    assert off.vi_gap_value > 0.2 and ref.vi_gap_value <= DECAY_MAX_VI_GAP
+    cfg = IntegratorConfig(h=1e-3, T=10.0, record_every=100)
+    traj = integrate(game, initial_state(game), cfg, reference=off)
+    assert traj.reference is off
+    assert decay_report(traj, compare_conditions(game)) is None
+    assert decay_report(integrate(game, initial_state(game), cfg, reference=ref), compare_conditions(game)) is not None

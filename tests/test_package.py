@@ -48,8 +48,10 @@ def test_loading_a_scenario_imports_only_model_and_geometry() -> None:
         # the routes stay independent: neither loads the other
         ("flow", ["aggseek", "aggseek.flow", "aggseek.geometry", "aggseek.model"]),
         ("equilibrium", ["aggseek", "aggseek.equilibrium", "aggseek.geometry", "aggseek.model"]),
+        # the certificate reads a trajectory's reference off the record, importing neither route
+        ("lyapunov", ["aggseek", "aggseek.geometry", "aggseek.lyapunov", "aggseek.model"]),
     ],
-    ids=["geometry", "flow", "equilibrium"],
+    ids=["geometry", "flow", "equilibrium", "lyapunov"],
 )
 def test_each_module_imports_only_the_layers_below_it(module: str, loaded: list[str]) -> None:
     code = f"import sys, aggseek.{module}; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'aggseek'))"
@@ -96,8 +98,8 @@ def test_traced_cli_names_resolve_and_their_wrappers_run(monkeypatch: pytest.Mon
 
 
 def test_all_lists_the_public_names_each_its_home_modules_object() -> None:
-    assert len(PUBLIC) == 31 and aggseek.__all__ == PUBLIC and aggseek.__version__ == "0.3.0"
-    assert 'version = "0.3.0"' in (ROOT / "pyproject.toml").read_text(encoding="utf-8").splitlines()
+    assert len(PUBLIC) == 31 and aggseek.__all__ == PUBLIC and aggseek.__version__ == "0.4.0"
+    assert 'version = "0.4.0"' in (ROOT / "pyproject.toml").read_text(encoding="utf-8").splitlines()
     for name in MOVED:
         assert not hasattr(aggseek, name), name
     for home, names in HOMES.items():
