@@ -8,7 +8,7 @@ variational-inequality characterization, and evaluates eigenvalue-based
 exponential-decay certificates along trajectories.
 
 Each public name is imported from its submodule on first use (PEP 562), so
-loading a scenario runs only `model` and `geometry`.
+loading a scenario runs only `model`.
 """
 
 __version__ = "0.4.0"

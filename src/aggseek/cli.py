@@ -164,6 +164,13 @@ def _load(path: str) -> GameSpec:
         return load_scenario(fh.read())
 
 
+def _write_report(path: str, report: dict) -> None:
+    """report as strict JSON: every non-finite float (an unsettled time_to_threshold, say) is written as null."""
+    strict = json.loads(json.dumps(report), parse_constant=lambda literal: None)  # NaN, Infinity, -Infinity
+    with _create(path) as fh:
+        json.dump(strict, fh, indent=2, sort_keys=True, allow_nan=False)
+
+
 def _time_to_threshold(traj: Trajectory, level: float = THRESHOLD) -> float:
     """Settling time: first sampled time after which dist_avg stays at or below level.
 
@@ -231,8 +238,7 @@ def cmd_run(scenario: str, k: Optional[float], h: float, T: float, out: Optional
     lines, report = _run_one(game, _lib.integrate(game, initial_state(game), cfg, reference=ref), out)
     _emit(lines)
     if out:
-        with _create(f"{out}.report.json") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+        _write_report(f"{out}.report.json", report)
     return 0
 
 
@@ -255,8 +261,7 @@ def cmd_sweep(scenario: str, ks: Sequence[float], h: float, T: float, out: Optio
         compare_path = f"{out}_compare.svg"
         write_svg(compare_path, overlay, title="dist_avg for each gain k", xlabel="t", ylabel="dist_avg")
         print(f"compare_svg = {compare_path}")
-        with _create(f"{out}.report.json") as fh:
-            json.dump({label: report for label, (_, report) in reports.items()}, fh, indent=2, sort_keys=True)
+        _write_report(f"{out}.report.json", {label: report for label, (_, report) in reports.items()})
     return 0
 
 

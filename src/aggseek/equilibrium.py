@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import positive_int, project_rows, require_members, shaped, vi_min_rows
-from .model import GameLayout, GameSpec, pseudo_gradient_F, strictly_monotone
+from .model import (GameLayout, GameSpec, positive_int, project_rows, pseudo_gradient_F, require_members, shaped,
+                    strictly_monotone, vi_min_rows)
 
 
 class ConvergenceError(RuntimeError):

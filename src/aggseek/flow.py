@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .geometry import positive_int, project_rows, require_members, shaped, tangent_rows
-from .model import GameSpec, SystemState, energy, project_state, state_arrays
+from .model import (GameSpec, SystemState, energy, positive_int, project_rows, project_state, require_members, shaped,
+                    state_arrays, tangent_rows)
 
 if TYPE_CHECKING:
     from .equilibrium import EquilibriumResult

@@ -20,8 +20,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .geometry import shaped
-from .model import GameSpec, SystemState, energy, state_arrays, strictly_monotone
+from .model import GameSpec, SystemState, energy, shaped, state_arrays, strictly_monotone
 
 if TYPE_CHECKING:  # neither route is imported to certify it
     from .equilibrium import EquilibriumResult

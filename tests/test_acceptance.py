@@ -22,9 +22,8 @@ from aggseek.equilibrium import (
     vi_gap,
 )
 from aggseek.flow import IntegratorConfig, integrate, rhs
-from aggseek.geometry import project_rows, tangent_rows
 from aggseek.lyapunov import check_condition_5, compare_conditions, decay_report, reduced_lambda_min
-from aggseek.model import GameSpec, SystemState, pseudo_gradient_F
+from aggseek.model import GameSpec, SystemState, project_rows, pseudo_gradient_F, tangent_rows
 
 from helpers import (
     demand_response_game,

@@ -28,8 +28,17 @@ from aggseek.equilibrium import (
 )
 from aggseek import flow
 from aggseek.flow import IntegratorConfig, NonFiniteStateError, integrate_gains
-from aggseek.geometry import project_rows, tangent_rows, vi_min_rows
-from aggseek.model import GameSpec, SystemState, initial_state, load_scenario, project_state, pseudo_gradient_F
+from aggseek.model import (
+    GameSpec,
+    SystemState,
+    initial_state,
+    load_scenario,
+    project_rows,
+    project_state,
+    pseudo_gradient_F,
+    tangent_rows,
+    vi_min_rows,
+)
 
 from helpers import demand_response_game, load_agents, random_game, single_agent_game
 from oracles import Ball, Box, ConvexSet, QuadraticCost, agents_of, best_response, grad_f, project, tangent_project

@@ -286,6 +286,20 @@ def test_run_tiny_horizon_still_emits_files(tmp_path: Path, capsys: pytest.Captu
     assert "W0" not in kv and "certified" not in kv
 
 
+def test_unsettled_reports_are_strict_json(tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
+    def no_constant(literal: str):
+        raise ValueError(f"report holds the non-JSON literal {literal}")
+
+    short = ["--T", "0.05", "--h", "1e-2"]
+    assert cli.main(["run", "--scenario", SINGLE, *short, "--out", str(tmp_path / "short")]) == 0
+    assert parse_kv(capsys.readouterr().out)["time_to_threshold"] == "nan"  # stdout keeps its nan
+    assert cli.main(["sweep", "--scenario", MIXED, "--k", "0.5,2", *short, "--out", str(tmp_path / "sw")]) == 0
+    capsys.readouterr()
+    run = json.loads((tmp_path / "short.report.json").read_text(), parse_constant=no_constant)
+    sweep = json.loads((tmp_path / "sw.report.json").read_text(), parse_constant=no_constant)
+    assert [report["time_to_threshold"] for report in (run, sweep["k0.5"], sweep["k2"])] == [None] * 3
+
+
 def test_run_gain_override(capsys: pytest.CaptureFixture[str]) -> None:
     assert cli.main(["run", "--scenario", SINGLE, "--k", "0.3", "--T", "0.5", "--h", "0.01"]) == 0
     kv = parse_kv(capsys.readouterr().out)

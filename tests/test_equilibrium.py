@@ -320,7 +320,7 @@ def test_bundled_scenarios_solve_to_pinned_bits(name: str, iterations: int, sigm
 @pytest.mark.parametrize(
     ("name", "sha256"),
     [
-        # the run's CSV was recorded before the flow moved onto geometry's row
+        # the run's CSV was recorded before the flow moved onto the row
         # kernels and is unchanged by it; mixed_sets' after that move (its ball
         # norm is np.sqrt(np.vecdot(d, d))); every SVG and every sweep file was
         # recorded before the writers formatted whole arrays; the stdout, both

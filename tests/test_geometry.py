@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from aggseek.geometry import project_rows, require_members, tangent_rows
-from aggseek.model import GameLayout
+from aggseek.model import GameLayout, project_rows, require_members, tangent_rows
 
 from helpers import one_row, random_boundaryish_point, random_point_in, random_set
 from oracles import (

@@ -15,10 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aggseek.geometry import RuleError
 from aggseek.model import (
     GameLayout,
     GameSpec,
+    RuleError,
     ScenarioError,
     SystemState,
     initial_state,

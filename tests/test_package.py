@@ -12,7 +12,7 @@ import aggseek
 
 ROOT = Path(__file__).resolve().parent.parent
 SINGLE = ROOT / "scenarios" / "single_box.json"
-LOADED = ["aggseek", "aggseek.cli", "aggseek.geometry", "aggseek.model"]  # by every command
+LOADED = ["aggseek", "aggseek.cli", "aggseek.model"]  # by every command
 
 # each public name under the submodule that defines it
 HOMES = {
@@ -31,27 +31,27 @@ MOVED = ["Ball", "Box", "ConvexSet", "QuadraticCost", "assemble_M", "best_respon
          "grad_f", "normal_project", "project", "set_center", "storage_inequality_check", "tangent_project"]
 
 
-def test_loading_a_scenario_imports_only_model_and_geometry() -> None:
+def test_loading_a_scenario_imports_only_model() -> None:
     code = (
         "import sys, aggseek; aggseek.load_scenario(open(sys.argv[1], encoding='utf-8').read()); "
         "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'aggseek')))"
     )
     proc = subprocess.run([sys.executable, "-c", code, str(SINGLE)], capture_output=True, text=True, check=True)
-    assert proc.stdout.split() == ["aggseek", "aggseek.geometry", "aggseek.model"]
+    assert proc.stdout.split() == ["aggseek", "aggseek.model"]
 
 
 @pytest.mark.parametrize(
     "module, loaded",
     [
-        # the kernels name model.GameLayout only for type checking
-        ("geometry", ["aggseek", "aggseek.geometry"]),
+        # the rows, their kernels and the loader import no other layer
+        ("model", ["aggseek", "aggseek.model"]),
         # the routes stay independent: neither loads the other
-        ("flow", ["aggseek", "aggseek.flow", "aggseek.geometry", "aggseek.model"]),
-        ("equilibrium", ["aggseek", "aggseek.equilibrium", "aggseek.geometry", "aggseek.model"]),
+        ("flow", ["aggseek", "aggseek.flow", "aggseek.model"]),
+        ("equilibrium", ["aggseek", "aggseek.equilibrium", "aggseek.model"]),
         # the certificate reads a trajectory's reference off the record, importing neither route
-        ("lyapunov", ["aggseek", "aggseek.geometry", "aggseek.lyapunov", "aggseek.model"]),
+        ("lyapunov", ["aggseek", "aggseek.lyapunov", "aggseek.model"]),
     ],
-    ids=["geometry", "flow", "equilibrium", "lyapunov"],
+    ids=["model", "flow", "equilibrium", "lyapunov"],
 )
 def test_each_module_imports_only_the_layers_below_it(module: str, loaded: list[str]) -> None:
     code = f"import sys, aggseek.{module}; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'aggseek'))"
