@@ -101,30 +101,19 @@ def solve_equilibrium(
         )
     lay = game.layout
     sigma = lay.center.mean(axis=0)
-    update = np.inf
-    iterations = 0
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite update is detected below
-        for _ in range(max_iter):
+        for iterations in range(max_iter):  # at the break, the count of updates larger than tol
             nxt = (1.0 - lam) * sigma + lam * _best_responses(lay, game.C @ sigma).mean(axis=0)
             update = float(np.max(np.abs(nxt - sigma)))
             if not math.isfinite(update):
-                raise ConvergenceError(
-                    f"non-finite fixed-point update at iteration {iterations + 1}",
-                    sigma_last=sigma,
-                    update_norm=update,
-                    iterations=iterations + 1,
-                )
+                raise ConvergenceError(f"non-finite fixed-point update at iteration {iterations + 1}",
+                                       sigma_last=sigma, update_norm=update, iterations=iterations + 1)
             sigma = nxt
             if update <= tol:
                 break
-            iterations += 1
         else:
-            raise ConvergenceError(
-                f"no fixed point within {max_iter} iterations (last update {update:.3e})",
-                sigma_last=sigma,
-                update_norm=update,
-                iterations=max_iter,
-            )
+            raise ConvergenceError(f"no fixed point within {max_iter} iterations (last update {update:.3e})",
+                                   sigma_last=sigma, update_norm=update, iterations=max_iter)
         xbar = _best_responses(lay, game.C @ sigma)
     sigmabar = xbar.mean(axis=0)
     return EquilibriumResult(
@@ -140,8 +129,9 @@ def _agent_gaps(game: GameSpec, x: np.ndarray) -> np.ndarray:
     """Per-agent violation max(0, -min_{z in X_i} (z - x_i)' g_i) of the VI, each x_i inside X_i."""
     x = shaped(x, (game.N, game.n), "x")
     require_members(game.layout, x)
-    worst = -vi_min_rows(game.layout, x, pseudo_gradient_F(game, x))
-    return np.where(worst > 0.0, worst, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a gradient past the float range gives inf or NaN
+        worst = -vi_min_rows(game.layout, x, pseudo_gradient_F(game, x))
+    return np.where(worst <= 0.0, 0.0, worst)  # a NaN violation stays NaN, so it never verifies
 
 
 def vi_gap(game: GameSpec, x: np.ndarray) -> float:
@@ -149,7 +139,8 @@ def vi_gap(game: GameSpec, x: np.ndarray) -> float:
 
     For each agent, g_i is row i of pseudo_gradient_F and the feasible-direction
     infimum min_{z in X_i} (z - x_i)' g_i is evaluated in closed form. The gap
-    is max_i max(0, -min_i): zero exactly when every agent's inequality holds.
+    is max_i max(0, -min_i): zero exactly when every agent's inequality holds,
+    NaN when some agent's cannot be evaluated (0 * inf where g_i overflows).
     Raises ValueError, naming the agent, when some x_i lies outside its set.
     """
     return float(_agent_gaps(game, x).max())

@@ -224,11 +224,9 @@ def integrate_gains(
             if i:
                 _euler(consts, last, now)
             _derive(consts, now)
-            # a non-finite entry of x or of sigma makes the sum of the state row non-finite
-            if not math.isfinite(np.add.reduce(now[0])):
+            if not np.isfinite(now[0]).all():  # some entry of x or sigma: name the first copy that holds one
                 finite = np.isfinite(now[4]).all(axis=(1, 2)) & np.isfinite(now[5]).all(axis=1)
-                if not finite.all():  # else only a sum of finite numbers overflowed
-                    raise NonFiniteStateError(i, i * h, float(ks[np.argmin(finite)]))
+                raise NonFiniteStateError(i, i * h, float(ks[np.argmin(finite)]))
             last = now
             if i % every == 0 or i == n_steps:
                 slot += 1

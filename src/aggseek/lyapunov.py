@@ -70,7 +70,8 @@ def check_condition_5(game: GameSpec) -> tuple[bool, float]:
 
     ell is the game's smallest; the margin is evaluated left to right, as written here.
     """
-    margin = min(game.ell_min, game.k) - 0.5 * float(np.linalg.norm(game.C, np.inf)) - 0.5 * game.k / game.N
+    with np.errstate(over="ignore"):  # a row sum past the float range is inf, and the margin -inf
+        margin = min(game.ell_min, game.k) - 0.5 * float(np.linalg.norm(game.C, np.inf)) - 0.5 * game.k / game.N
     return margin > 0, margin
 
 
@@ -79,25 +80,27 @@ def reduced_lambda_min(game: GameSpec, variant: str) -> float:
 
     Rotating the agent block onto the all-ones direction decouples everything
     except a 2n-by-2n core [[ell I, sqrt(N) B], [sqrt(N) B', k I]]; the
-    remaining n(N-1) eigenvalues all equal ell.
+    remaining n(N-1) eigenvalues all equal ell, which bounds the core's (Cauchy
+    interlacing). A core past the float range gives NaN, never a positive number.
     """
     if variant not in _SIGNS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    B = np.sqrt(game.N) * (0.5 * (_SIGNS[variant] * game.C - (game.k / game.N) * np.eye(game.n)))
+    with np.errstate(over="ignore"):
+        B = np.sqrt(game.N) * (0.5 * (_SIGNS[variant] * game.C - (game.k / game.N) * np.eye(game.n)))
     core = np.block([[game.ell_min * np.eye(game.n), B], [B.T, game.k * np.eye(game.n)]])
-    core_min = float(np.linalg.eigvalsh(core)[0])
-    return core_min if game.N == 1 else min(game.ell_min, core_min)
+    return float(np.minimum(game.ell_min, np.linalg.eigvalsh(core)[0]))
 
 
 def compare_conditions(game: GameSpec) -> CertificateReport:
     """Evaluate every certificate-side condition for one game, with no dense matrix."""
     ell, k, C, N = game.ell_min, game.k, game.C, game.N
     holds, margin = check_condition_5(game)
-    spectral = float(np.linalg.norm(C, 2))
+    with np.errstate(over="ignore"):  # as in check_condition_5
+        spectral, row_sum = float(np.linalg.norm(C, 2)), float(np.linalg.norm(C, np.inf))
     return CertificateReport(
         cond5_holds=holds,
         cond5_margin=margin,
-        gershgorin_rhs=0.5 * float(np.linalg.norm(C, np.inf)) + 0.5 * k / N,
+        gershgorin_rhs=0.5 * row_sum + 0.5 * k / N,
         prior_holds=ell >= spectral,
         prior_margin=ell - spectral,
         strictly_monotone=strictly_monotone(game),

@@ -236,14 +236,10 @@ class GameSpec:
 
 @dataclass(eq=False)
 class SystemState:
-    """The pair (x, sigma): N stacked agent decisions plus the broadcast signal."""
+    """The pair (x, sigma): N stacked agent decisions plus the broadcast signal, held as given (see state_arrays)."""
 
     x: np.ndarray
     sigma: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.x = np.asarray(self.x, dtype=float)
-        self.sigma = np.atleast_1d(np.asarray(self.sigma, dtype=float))
 
 
 def state_arrays(game: GameSpec, state: SystemState) -> tuple[np.ndarray, np.ndarray]:
@@ -258,8 +254,8 @@ def energy(dx: np.ndarray, ds: np.ndarray) -> np.ndarray:
 
 def strictly_monotone(game: GameSpec) -> bool:
     """Whether the stacked pseudo-gradient is strictly monotone, implying uniqueness."""
-    sym_min = float(np.linalg.eigvalsh(game.C + game.C.T)[0])
-    return game.ell_min + 0.5 * sym_min > 0
+    sym_min = float(np.linalg.eigvalsh(0.5 * game.C + 0.5 * game.C.T)[0])  # halved first: no sum overflows
+    return game.ell_min + sym_min > 0
 
 
 def splitmix64(seed: int, count: Optional[int] = None) -> np.ndarray | Iterator[float]:

@@ -172,6 +172,17 @@ def certificate_matrix(ell: float, k: float, C: np.ndarray, N: int, variant: str
     return np.block([[ell * np.eye(n * N), column], [column.T, k * np.eye(n)]])
 
 
+def mean_dynamics_abscissa(ell: float, k: float, C: np.ndarray) -> float:
+    """Spectral abscissa of the mean dynamics [[-ell I, -C], [k I, -k I]] of a game whose agents share ell.
+
+    Away from every constraint, the agents' average and sigma follow this linear system, and each agent's
+    offset from the average decays at rate ell; the equilibrium attracts every such trajectory iff the
+    abscissa, the largest real part of an eigenvalue, is negative.
+    """
+    n = C.shape[0]
+    return float(np.linalg.eigvals(np.block([[-ell * np.eye(n), -C], [k * np.eye(n), -k * np.eye(n)]])).real.max())
+
+
 def storage_inequality_check(agents, C, x, sigma, xdot, xbar, sigmabar, slack: float = 1e-9) -> bool:
     """Pointwise storage inequality for V = half the squared distance to the equilibrium decisions xbar.
 

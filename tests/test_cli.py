@@ -487,6 +487,20 @@ def test_solve_overflow_exits_two_with_one_error_line(warnings: str, tmp_path: P
     assert proc.stderr == "error: non-finite fixed-point update at iteration 1\n"
 
 
+@pytest.mark.parametrize("scenario, C", [(SINGLE, [[1e308]]), (MIXED, [[1e308, 1e308], [1e308, 1e308]])])
+def test_a_finite_coupling_near_the_float_range_runs_without_warnings(
+    scenario: str, C: list, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # C + C', ||C||_inf and a ball row's ||g|| overflow; the suite turns any numpy RuntimeWarning into an error
+    doc = {**json.loads(Path(scenario).read_text(encoding="utf-8")), "C": C}
+    path = write_doc(tmp_path, "extreme.json", doc)
+    for command in (["check"], ["solve"], ["run", "--T", "1", "--h", "1e-2"]):
+        assert cli.main([*command, "--scenario", path]) == 0
+        kv = parse_kv(capsys.readouterr().out)
+        certified = [key for key in ("lambda_min_paper", "lambda_min_symmetrized") if key in kv and float(kv[key]) > 0]
+        assert not certified and kv.get("certificate_rate", "none") == "none"
+
+
 def test_console_entry_point() -> None:
     proc = subprocess.run(
         [sys.executable, "-m", "aggseek.cli", "check", "--scenario", SINGLE],

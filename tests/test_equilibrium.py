@@ -200,6 +200,9 @@ def test_strictly_monotone_examples(demand_game: GameSpec) -> None:
     assert strictly_monotone(demand_game)
     game = single_agent_game()
     assert strictly_monotone(game)
+    # a coupling near the float range, where C + C' would overflow
+    assert strictly_monotone(dataclasses.replace(game, C=np.array([[1e308]])))
+    assert not strictly_monotone(dataclasses.replace(game, C=np.array([[-1e308]])))
 
 
 def test_vi_gap_zero_at_equilibrium() -> None:
@@ -275,6 +278,18 @@ def test_verify_equilibrium_rejects_interior_non_equilibrium() -> None:
     assert not bool(report)
     assert report.gap == pytest.approx(0.2125)
     assert report.worst_agent == 0
+
+
+def test_a_gap_that_is_not_a_number_never_verifies() -> None:
+    # C = 1e308: at x = 3 the pseudo-gradient is +inf, so the agent lowers its cost by moving to 2; the box
+    # term (hi - x) g is 0 * inf = NaN there, which must not read as no violation
+    cost, box = QuadraticCost(1.0, np.array([2.5]), np.array([0.0])), Box(np.array([2.0]), np.array([3.0]))
+    game = load_agents([[1e308]], 1.0, [(cost, box)])
+    report = verify_equilibrium(game, np.array([[3.0]]), tol=1e-9)
+    assert not report.ok and not report.gap <= 1e-9 and report.worst_agent == 0
+    assert vi_gap(game, np.array([[2.5]])) == np.inf
+    # at the equilibrium x = 2 floating point cannot evaluate the inequality either: NaN, a false negative
+    assert np.isnan(vi_gap(game, np.array([[2.0]])))
 
 
 def test_equilibrium_conditions_agree_on_solver_outputs() -> None:

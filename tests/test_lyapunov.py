@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aggseek.equilibrium import EquilibriumResult, solve_equilibrium, vi_gap
 from aggseek.flow import IntegratorConfig, Trajectory, integrate
@@ -22,13 +24,15 @@ from aggseek.lyapunov import (
 from aggseek.model import GameSpec, SystemState, initial_state, load_scenario
 
 from helpers import (
+    demand_response_doc,
     load_agents,
     random_game,
     random_point_in,
     single_agent_game,
     small_certified_game,
 )
-from oracles import Box, QuadraticCost, agents_of, certificate_matrix, grad_f, storage_inequality_check
+from oracles import (Box, QuadraticCost, agents_of, certificate_matrix, grad_f, mean_dynamics_abscissa,
+                     storage_inequality_check)
 
 
 def boxes_game(ell: float, C: float, k: float, N: int) -> GameSpec:
@@ -213,6 +217,33 @@ def test_condition_5_holds_where_the_flow_diverges() -> None:
     cfg = IntegratorConfig(h=1e-2, T=100.0, record_every=100)
     traj = integrate(game, SystemState(xbar + 0.01, sigmabar + 0.01), cfg, reference=ref)
     assert traj.dist_sigma[-1] >= 10 * traj.dist_sigma[0]  # 0.0141 -> 0.178
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 200), st.floats(0.2, 2.0), st.floats(0.1, 5.0),
+       st.integers(1, 3).flatmap(lambda n: st.lists(st.floats(-3.0, 3.0), min_size=n * n, max_size=n * n)))
+@example(5, 1.5, 0.6, [0.1])  # small_certified_game's certificate
+def test_a_certified_game_has_stable_mean_dynamics(N: int, ell: float, k: float, entries: list[float]) -> None:
+    # the certificate is sound on one-ell games: a positive eigenvalue implies a negative abscissa
+    n = math.isqrt(len(entries))
+    C = np.array(entries).reshape(n, n)
+    game = load_scenario(json.dumps({"n": n, "C": C.tolist(), "k": k, "agents": {"generator": {
+        "count": N, "ell": ell, "linear": [0.0] * n, "xstar": {"uniform": {"lo": -1.0, "hi": 1.0, "seed": 1}},
+        "set": {"box": {"lo": [-1.0] * n, "hi": [1.0] * n}}}}}))
+    if compare_conditions(game).lambda_min_symmetrized > 0:
+        assert mean_dynamics_abscissa(ell, k, C) < 0
+
+
+def test_a_core_past_the_float_range_certifies_nothing() -> None:
+    # C = 1e308 on the demand-response population: sqrt(N) B overflows, and the core
+    # [[1.5, 5e308], [5e308, 0.6]] has its smallest eigenvalue near -5e308, so neither variant is positive
+    game = load_scenario(json.dumps({**json.loads(demand_response_doc()), "C": [[1e308]]}))
+    cert = compare_conditions(game)
+    assert not cert.lambda_min_paper > 0 and not cert.lambda_min_symmetrized > 0
+    ref = solve_equilibrium(game)
+    traj = integrate(game, initial_state(game), IntegratorConfig(h=1e-2, T=20.0), reference=ref)
+    report = decay_report(traj, cert)
+    assert report is not None and report.certificate_rate is None and report.certified is None
 
 
 def test_lyapunov_value_examples(single_game: GameSpec, single_ref: EquilibriumResult) -> None:
