@@ -198,7 +198,7 @@ def _run_one(game: GameSpec, traj: Trajectory, out_prefix: Optional[str],
         write_csv(paths["csv"], traj)
         series = [("dist_avg", traj.times, traj.dist_avg), ("dist_sigma", traj.times, traj.dist_sigma)]
         write_svg(paths["svg"], series, f"distance to equilibrium (k = {game.k:g})", "t", "distance")
-    head = {"seed": game.seed, "N": game.N, "n": game.n, "k": float(game.k), "sigmabar": ref.sigmabar,
+    head = {"seed": game.seed, "N": game.N, "n": game.n, "k": game.k, "sigmabar": ref.sigmabar,
             "vi_gap": ref.vi_gap_value, "iterations": ref.iterations}
     tail = {"final_dist_avg": float(traj.dist_avg[-1]), "final_dist_sigma": float(traj.dist_sigma[-1]),
             "final_residual": float(traj.residual[-1]), "time_to_threshold": _time_to_threshold(traj)}
@@ -217,9 +217,9 @@ def cmd_check(scenario: str) -> int:
     return 0
 
 
-def cmd_solve(scenario: str, lam: float, tol: float, out: Optional[str]) -> int:
+def cmd_solve(scenario: str, out: Optional[str] = None, **options: float) -> int:
     game = _load(scenario)
-    res = _lib.solve_equilibrium(game, lam=lam, tol=tol)
+    res = _lib.solve_equilibrium(game, **options)
     _emit([("sigmabar", res.sigmabar), ("vi_gap", res.vi_gap_value), ("iterations", res.iterations),
            ("final_update_norm", res.final_update_norm)])
     if out:
@@ -229,11 +229,11 @@ def cmd_solve(scenario: str, lam: float, tol: float, out: Optional[str]) -> int:
     return 0
 
 
-def cmd_run(scenario: str, k: Optional[float], h: float, T: float, out: Optional[str]) -> int:
+def cmd_run(scenario: str, k: Optional[float] = None, out: Optional[str] = None, **horizon: float) -> int:
     game = _load(scenario)
     if k is not None:
-        game = dataclasses.replace(game, k=float(k))
-    cfg = _lib.IntegratorConfig(h=h, T=T)
+        game = dataclasses.replace(game, k=k)
+    cfg = _lib.IntegratorConfig(**horizon)
     ref = _lib.solve_equilibrium(game)
     lines, report = _run_one(game, _lib.integrate(game, initial_state(game), cfg, reference=ref), out)
     _emit(lines)
@@ -242,7 +242,7 @@ def cmd_run(scenario: str, k: Optional[float], h: float, T: float, out: Optional
     return 0
 
 
-def cmd_sweep(scenario: str, ks: Sequence[float], h: float, T: float, out: Optional[str]) -> int:
+def cmd_sweep(scenario: str, ks: Sequence[float], out: Optional[str] = None, **horizon: float) -> int:
     game = _load(scenario)
     games: dict[str, GameSpec] = {}  # each gain's game, which checks its k, by its label
     for k in ks:
@@ -250,7 +250,7 @@ def cmd_sweep(scenario: str, ks: Sequence[float], h: float, T: float, out: Optio
         if label in games:
             raise ScenarioError(f"gains {games[label].k!r} and {k!r} share the label {label}")
         games[label] = dataclasses.replace(game, k=k)
-    cfg = _lib.IntegratorConfig(h=h, T=T)
+    cfg = _lib.IntegratorConfig(**horizon)
     ref = _lib.solve_equilibrium(game)  # the fixed point does not depend on k
     trajs = _lib.integrate_gains(game, ks, initial_state(game), cfg, reference=ref)
     reports = {label: _run_one(g, traj, out, f"_{label}") for (label, g), traj in zip(games.items(), trajs)}
@@ -287,22 +287,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="aggseek", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    check = sub.add_parser("check", help="evaluate certificate conditions")
-    solve = sub.add_parser("solve", help="compute the equilibrium by fixed point")
-    run = sub.add_parser("run", help="integrate the dynamics and emit CSV/SVG")
-    sweep = sub.add_parser("sweep", help="run several gains k and compare")
+    unset = {"argument_default": argparse.SUPPRESS}  # an option left out is left out of the library call too
+    check = sub.add_parser("check", help="evaluate certificate conditions", **unset)
+    solve = sub.add_parser("solve", help="compute the equilibrium by fixed point", **unset)
+    run = sub.add_parser("run", help="integrate the dynamics and emit CSV/SVG", **unset)
+    sweep = sub.add_parser("sweep", help="run several gains k and compare", **unset)
     for p, handler in ((check, cmd_check), (solve, cmd_solve), (run, cmd_run), (sweep, cmd_sweep)):
         p.add_argument("--scenario", required=True, help="path to a scenario JSON document")
         p.set_defaults(handler=handler)
-    solve.add_argument("--lambda", dest="lam", type=float, default=0.5, help="relaxation in (0, 1]")
-    solve.add_argument("--tol", type=float, default=1e-10, help="fixed-point stop tolerance")
-    solve.add_argument("--out", default=None, help="output file prefix")
-    run.add_argument("--k", type=float, default=None, help="gain override")
+    solve.add_argument("--lambda", dest="lam", type=float, help="relaxation in (0, 1]")
+    solve.add_argument("--tol", type=float, help="fixed-point stop tolerance")
+    solve.add_argument("--out", help="output file prefix")
+    run.add_argument("--k", type=float, help="gain override")
     sweep.add_argument("--k", dest="ks", type=_parse_k_list, required=True, help="comma list of gains")
     for p in (run, sweep):
-        p.add_argument("--h", type=float, default=1e-3, help="integrator step size")
-        p.add_argument("--T", type=float, default=60.0, help="integration horizon")
-        p.add_argument("--out", default=None, help="output file prefix for CSV/SVG/JSON")
+        p.add_argument("--h", type=float, help="integrator step size")
+        p.add_argument("--T", type=float, help="integration horizon")
+        p.add_argument("--out", help="output file prefix for CSV/SVG/JSON")
     return parser
 
 

@@ -100,8 +100,8 @@ def solve_equilibrium(
             stacklevel=2,
         )
     lay = game.layout
-    sigma = lay.center.mean(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite update is detected below
+        sigma = lay.center.mean(axis=0)
         for iterations in range(max_iter):  # at the break, the count of updates larger than tol
             nxt = (1.0 - lam) * sigma + lam * _best_responses(lay, game.C @ sigma).mean(axis=0)
             update = float(np.max(np.abs(nxt - sigma)))
@@ -115,7 +115,7 @@ def solve_equilibrium(
             raise ConvergenceError(f"no fixed point within {max_iter} iterations (last update {update:.3e})",
                                    sigma_last=sigma, update_norm=update, iterations=max_iter)
         xbar = _best_responses(lay, game.C @ sigma)
-    sigmabar = xbar.mean(axis=0)
+        sigmabar = xbar.mean(axis=0)
     return EquilibriumResult(
         xbar=xbar,
         sigmabar=sigmabar,

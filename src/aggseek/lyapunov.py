@@ -112,42 +112,38 @@ def compare_conditions(game: GameSpec) -> CertificateReport:
 def lyapunov_W(game: GameSpec, state: SystemState, ref: EquilibriumResult) -> float:
     """Half the squared distance to the equilibrium pair: model.energy, as in traj.W."""
     x, sigma = state_arrays(game, state)
-    dx = x - shaped(ref.xbar, (game.N, game.n), "ref.xbar")
-    ds = sigma - shaped(ref.sigmabar, (game.n,), "ref.sigmabar")
-    return float(energy(dx, ds))
+    xbar, sigmabar = shaped(ref.xbar, (game.N, game.n), "ref.xbar"), shaped(ref.sigmabar, (game.n,), "ref.sigmabar")
+    with np.errstate(over="ignore"):  # a distance past the float range gives W = inf
+        return float(energy(x - xbar, sigma - sigmabar))
 
 
 def decay_report(traj: Trajectory, cert: CertificateReport) -> Optional[DecayReport]:
     """Judge W along a trajectory: monotonicity, fitted decay rate, certificate bound.
 
     W is traj.W, recorded by the integrator against traj.reference; a trajectory
-    integrated without one raises ValueError. One too short, or whose reference
-    is not verified, is not judged (see DECAY_*): the report is None. The fitted
-    rate is the negated least-squares slope of ln W over the prefix ending at
-    the first sample with W <= W0/2, falling back to the full window when W
-    never halves (NaN when W0 = 0 or fewer than two samples are positive). When
+    integrated without one raises ValueError. One too short, whose reference is
+    not verified (see DECAY_*), or whose W0 is not finite is not judged: the
+    report is None. The fitted rate is the negated least-squares slope of ln W
+    over one window, the samples through the first with W <= W0/2 or all of
+    them when W never halves; NaN when fewer than two of those are positive. When
     the symmetrized certificate eigenvalue is positive, the exponential
     envelope W(t) <= W0 * exp(-rate * t) * 1.01 is checked at every sample;
     otherwise the certificate fields stay None.
     """
     if traj.reference is None:
         raise ValueError("trajectory was integrated without a reference, so it has no W")
-    if len(traj) < DECAY_MIN_SAMPLES or not traj.reference.vi_gap_value <= DECAY_MAX_VI_GAP:
-        return None
     W = traj.W
+    if len(traj) < DECAY_MIN_SAMPLES or not traj.reference.vi_gap_value <= DECAY_MAX_VI_GAP or not np.isfinite(W[0]):
+        return None
     W0 = float(W[0])
     monotone = bool(np.all(W[1:] <= W[:-1] * (1.0 + 1e-9)))
 
+    below = np.flatnonzero(W <= 0.5 * W0)
+    window = W[: below[0] + 1] if below.size else W
+    pos = np.flatnonzero(window > 0)
     fitted_rate = float("nan")
-    if W0 > 0:
-        below = np.nonzero(W <= 0.5 * W0)[0]
-        window = np.arange(below[0] + 1) if below.size else np.arange(len(W))
-        pos = window[W[window] > 0]
-        if pos.size < 2:
-            pos = np.nonzero(W > 0)[0]
-        if pos.size >= 2:
-            slope = np.polyfit(traj.times[pos], np.log(W[pos]), 1)[0]
-            fitted_rate = -float(slope)
+    if pos.size >= 2:
+        fitted_rate = -float(np.polyfit(traj.times[pos], np.log(window[pos]), 1)[0])
 
     certificate_rate: Optional[float] = None
     certified: Optional[bool] = None

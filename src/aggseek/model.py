@@ -56,10 +56,11 @@ class RuleError(ValueError):
 
 
 def shaped(a, shape: tuple[int, ...], name: str) -> np.ndarray:
-    """a, of any layout with prod(shape) entries, as a float array of that shape; else ValueError naming it."""
-    a = np.asarray(a, dtype=float)
-    if a.size != math.prod(shape):
-        raise ValueError(f"{name} has {a.size} entries, expected shape {shape}")
+    """a, flat (a number for one entry) or of that shape, as a float array of that shape; else ValueError naming it."""
+    a, size = np.asarray(a, dtype=float), math.prod(shape)
+    if a.size != size or a.ndim > 1 and a.shape != shape:
+        got = f"shape {a.shape}" if a.size == size else f"{a.size} entries"  # a transposed x, say
+        raise ValueError(f"{name} has {got}, expected shape {shape}")
     return a.reshape(shape)
 
 
@@ -209,7 +210,7 @@ class GameSpec:
 
     def __post_init__(self) -> None:
         n = self.n
-        C = np.asarray(self.C, dtype=float)
+        C = np.array(self.C, dtype=float)  # a copy, read-only below: games that share C cannot change each other
         if C.shape != (n, n):
             raise ValueError(f"C has shape {C.shape}, expected ({n}, {n})")
         if not np.isfinite(C).all():
@@ -217,6 +218,7 @@ class GameSpec:
         k = float(self.k)
         if not (k > 0 and math.isfinite(k)):
             raise ValueError(f"k must be positive and finite, got {k}")
+        C.setflags(write=False)
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "k", k)
 
@@ -376,13 +378,15 @@ def load_scenario(document: str) -> GameSpec:
 def pseudo_gradient_F(game: GameSpec, x: np.ndarray) -> np.ndarray:
     """Stacked pseudo-gradient: row i is agent i's local gradient ell_i (x_i - xstar_i) + linear_i plus C avg(x)."""
     x = shaped(x, (game.N, game.n), "x")
-    return game.C @ x.mean(axis=0) - game.layout.descent(x)  # C avg(x) plus the local gradient, the same bits
+    with np.errstate(over="ignore", invalid="ignore"):  # a gradient past the float range gives inf or NaN
+        return game.C @ x.mean(axis=0) - game.layout.descent(x)  # C avg(x) plus the local gradient, the same bits
 
 
 def initial_state(game: GameSpec) -> SystemState:
     """Deterministic default start: agents at their set centers, sigma at the average."""
     x0 = game.layout.center.copy()
-    return SystemState(x=x0, sigma=x0.mean(axis=0))
+    with np.errstate(over="ignore"):  # a mean past the float range is inf
+        return SystemState(x=x0, sigma=x0.mean(axis=0))
 
 
 def project_state(game: GameSpec, state: SystemState) -> SystemState:

@@ -308,6 +308,39 @@ def test_run_gain_override(capsys: pytest.CaptureFixture[str]) -> None:
     assert float(kv["cond5_margin"]) == pytest.approx(-0.35, abs=1e-12)
 
 
+def test_an_option_left_out_is_left_out_of_the_library_call(monkeypatch: pytest.MonkeyPatch) -> None:
+    # the library owns every default: the parser passes on only the options given
+    calls: list[tuple[str, dict]] = []
+    for name in ("solve_equilibrium", "IntegratorConfig"):
+        def recording(*args, _name=name, _original=getattr(cli, name), **kwargs):
+            calls.append((_name, kwargs))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, recording)
+    for argv, want in (
+        (["solve"], [("solve_equilibrium", {})]),
+        (["solve", "--lambda", "0.3", "--tol", "1e-12"], [("solve_equilibrium", {"lam": 0.3, "tol": 1e-12})]),
+        (["run"], [("IntegratorConfig", {}), ("solve_equilibrium", {})]),
+        (["run", "--T", "5", "--h", "1e-2"], [("IntegratorConfig", {"T": 5.0, "h": 1e-2}), ("solve_equilibrium", {})]),
+        (["sweep", "--k", "0.5,2", "--T", "5"], [("IntegratorConfig", {"T": 5.0}), ("solve_equilibrium", {})]),
+    ):
+        calls.clear()
+        assert cli.main([*argv, "--scenario", SINGLE]) == 0
+        assert calls == want, argv
+
+
+@pytest.mark.parametrize("command", [["solve"], ["run"]])
+def test_an_agent_mean_past_the_float_range_exits_two_with_one_error_line(
+    command: list[str], tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # three agents in the box [8e307, 9e307]: their centers sum past the float range, so the solver's
+    # starting mean is inf; the suite turns a numpy RuntimeWarning into an error
+    agent = {"ell": 1.0, "xstar": [8.5e307], "linear": [0.0], "set": {"box": {"lo": [8e307], "hi": [9e307]}}}
+    scenario = write_doc(tmp_path, "top.json", {"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"list": [agent] * 3}})
+    assert cli.main([*command, "--scenario", scenario]) == 2
+    assert capsys.readouterr().err == "error: non-finite fixed-point update at iteration 1\n"
+
+
 def test_run_blowup_exits_two(tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
     doc = wide_box_doc()
     doc["k"] = 1e8

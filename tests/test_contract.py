@@ -1,7 +1,8 @@
 """The one array contract of every library entry point.
 
-x is any array of N*n entries and sigma, sigmabar any of n; a mis-sized array
-raises ValueError naming it; a flat x and an (N, n) x give the same bits. The
+x is a flat array of N*n entries or an (N, n) one, and sigma, sigmabar one of n;
+a mis-sized array, or an x of any other shape (transposed, say), raises
+ValueError naming it; a flat x and an (N, n) x give the same bits. The
 VI checks and rhs reject a decision outside its set, a non-finite one included,
 and a game's rows and C reject non-finite data.
 """
@@ -100,6 +101,18 @@ def test_mis_sized_argument_is_named(game: str, entry: str, name: str, extra: in
     bad = good[:extra] if extra < 0 else np.append(good, 0.0)
     with pytest.raises(ValueError, match=f"^{re.escape(name)} has {bad.size} entries, expected shape"):
         call({**arrays, name: bad})
+
+
+# every decision array of mixed_sets, where N = 3 and n = 2 differ, so its transpose has the right size
+TRANSPOSED = [pytest.param(entry, name, id=f"{entry}-{name}")
+              for entry, (_, arrays) in ENTRY_POINTS["mixed_sets"].items() for name, a in arrays.items() if a.ndim == 2]
+
+
+@pytest.mark.parametrize("entry, name", TRANSPOSED)
+def test_transposed_decision_array_is_named(entry: str, name: str) -> None:
+    call, arrays = ENTRY_POINTS["mixed_sets"][entry]
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} has shape \(2, 3\), expected shape \(3, 2\)$"):
+        call({**arrays, name: arrays[name].T})
 
 
 @pytest.mark.parametrize("game, entry", ENTRIES)

@@ -207,8 +207,7 @@ def test_condition_5_holds_where_the_flow_diverges() -> None:
         "set": {"box": {"lo": [-10.0, -10.0], "hi": [10.0, 10.0]}}}}}))
     report = compare_conditions(game)
     assert report.cond5_holds and report.strictly_monotone
-    mean_dynamics = np.block([[-ell * np.eye(n), -C], [k * np.eye(n), -k * np.eye(n)]])
-    assert np.linalg.eigvals(mean_dynamics).real.max() > 0  # +0.0236
+    assert mean_dynamics_abscissa(ell, k, C) > 0  # +0.0236
     # the interior fixed point, solved directly: solve_equilibrium does not converge on this game
     sigmabar = np.linalg.solve(np.eye(n) + C / ell, game.layout.xstar.mean(axis=0))
     xbar = game.layout.xstar - (C @ sigmabar) / ell
@@ -358,6 +357,26 @@ def test_decay_report_full_window_fallback_when_never_halving() -> None:
     assert W[-1] > 0.5 * W[0]
     report = decay_report(synthetic_trajectory(times, W), synthetic_certificate(0.01))
     assert report.fitted_rate == pytest.approx(rho, rel=1e-6)
+
+
+def test_decay_report_fits_one_window_only() -> None:
+    # W reaches 0 at the second sample, which ends the window: one positive sample there, so no rate,
+    # and no refit across the zero over the samples after it
+    W = np.array([1.0, 0.0, *(0.5 * 0.9 ** np.arange(10))])
+    report = decay_report(synthetic_trajectory(np.linspace(0.0, 1.1, 12), W), synthetic_certificate(0.1))
+    assert math.isnan(report.fitted_rate)
+
+
+def test_decay_report_does_not_judge_a_run_whose_w_overflowed() -> None:
+    # x0 = 0 and xbar = 1e200: half their squared distance is past the float range, so every W is inf,
+    # and an envelope of W0 = inf would pass every sample
+    game = load_agents([[0.0]], 1.0, [(QuadraticCost(1.0, np.array([1e200]), np.array([0.0])),
+                                       Box(np.array([-1e300]), np.array([1e300])))])
+    ref = solve_equilibrium(game)
+    assert ref.vi_gap_value == 0.0 and compare_conditions(game).lambda_min_symmetrized > 0
+    traj = integrate(game, initial_state(game), IntegratorConfig(h=1e-2, T=20.0), reference=ref)
+    assert len(traj) == 2001 and np.all(traj.W == np.inf)
+    assert decay_report(traj, compare_conditions(game)) is None
 
 
 def test_decay_report_skips_certificate_when_uncertified(demand_game: GameSpec) -> None:

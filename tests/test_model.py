@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aggseek.equilibrium import ConvergenceError, EquilibriumResult, solve_equilibrium
+from aggseek.lyapunov import lyapunov_W
 from aggseek.model import (
     GameLayout,
     GameSpec,
@@ -368,6 +370,35 @@ def test_replace_gain_shares_the_read_only_layout() -> None:
         faster.layout.xstar[0, 0] = 5.0
     with pytest.raises(ValueError, match="read-only"):
         game.layout.lo[0, 0] = 0.0
+
+
+def test_games_that_share_c_cannot_change_each_other() -> None:
+    game = single_agent_game()  # C = [[1]]
+    with pytest.raises(ValueError, match="read-only"):
+        dataclasses.replace(game, k=2.0).C[0, 0] = 99.0
+    assert game.C[0, 0] == 1.0
+    # a game holds its own copy: the caller's array stays writable, and writing to it changes no game
+    C = np.array([[1.0]])
+    spec = GameSpec(C, 0.6, game.layout)
+    C[0, 0] = 99.0
+    assert spec.C[0, 0] == 1.0
+
+
+def test_public_functions_run_without_warnings_near_the_float_range() -> None:
+    # finite input whose products, squares or agent sums pass the float range; the suite turns a numpy
+    # RuntimeWarning into an error
+    wide = Box(np.array([-5.0]), np.array([5.0]))
+    coupled = load_agents([[1e308]], 1.0, [(QuadraticCost(1.0, np.array([0.0]), np.array([0.0])), wide)])
+    assert pseudo_gradient_F(coupled, np.array([[3.0]]))[0, 0] == np.inf
+    far = load_agents([[0.0]], 1.0, [(QuadraticCost(1.0, np.array([0.0]), np.array([0.0])),
+                                      Box(np.array([-1e300]), np.array([1e300])))])
+    ref = EquilibriumResult(np.zeros((1, 1)), np.zeros(1), 0, 0.0, 0.0)
+    assert lyapunov_W(far, SystemState(np.array([[1e200]]), np.zeros(1)), ref) == np.inf
+    top = Box(np.array([8e307]), np.array([9e307]))
+    high = load_agents([[1.0]], 1.0, [(QuadraticCost(1.0, np.array([8.5e307]), np.array([0.0])), top)] * 3)
+    assert initial_state(high).sigma[0] == np.inf
+    with pytest.raises(ConvergenceError, match="^non-finite fixed-point update at iteration 1$"):
+        solve_equilibrium(high)
 
 
 def test_load_explicit_agent_list() -> None:
