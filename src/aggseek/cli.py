@@ -28,6 +28,7 @@ if TYPE_CHECKING:
 _lib = sys.modules[__name__]
 
 THRESHOLD = 1e-2  # dist_avg level used for time-to-threshold reporting
+CSV_ROWS = 4096  # rows formatted per write: a CSV never holds more than this many rows as text
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -61,7 +62,9 @@ def _write_rows(path: str, header: Sequence[str], rows: np.ndarray) -> None:
     with _create(path) as fh:
         fh.write(",".join(header) + "\n")
         line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-        fh.write(line * rows.shape[0] % tuple(rows.ravel().tolist()))
+        for start in range(0, rows.shape[0], CSV_ROWS):
+            block = rows[start:start + CSV_ROWS]
+            fh.write(line * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 def write_csv(path: str, traj: Trajectory) -> None:
@@ -70,10 +73,10 @@ def write_csv(path: str, traj: Trajectory) -> None:
     _write_rows(path, ("t", "dist_avg", "dist_sigma", "W", "residual"), rows)
 
 
-def _finite_range(values: np.ndarray, fallback: tuple[float, float]) -> tuple[float, float]:
+def _finite_range(values: np.ndarray) -> tuple[float, float]:
     finite = values[np.isfinite(values)]
     if finite.size == 0:
-        return fallback
+        return 0.0, 1.0
     lo, hi = float(finite.min()), float(finite.max())
     if lo == hi:
         pad = abs(lo) * 0.1 or 1.0
@@ -85,18 +88,17 @@ def write_svg(
     path: str,
     series: Sequence[tuple[str, np.ndarray, np.ndarray]],
     title: str,
-    xlabel: str,
     ylabel: str,
 ) -> None:
-    """Hand-rolled line plot: one polyline per series, legend, linear axes."""
+    """Hand-rolled line plot against time t: one polyline per series, legend, linear axes."""
     width, height = 720.0, 480.0
     ml, mr, mt, mb = 72.0, 24.0, 44.0, 56.0
     pw, ph = width - ml - mr, height - mt - mb
 
     all_x = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
     all_y = np.concatenate([np.asarray(s[2], dtype=float) for s in series])
-    x0, x1 = _finite_range(all_x, (0.0, 1.0))
-    y0, y1 = _finite_range(all_y, (0.0, 1.0))
+    x0, x1 = _finite_range(all_x)
+    y0, y1 = _finite_range(all_y)
 
     def sx(v):  # a float or an array of them
         return ml + (v - x0) / (x1 - x0) * pw
@@ -132,7 +134,7 @@ def write_svg(
         ]
     parts += [
         f'<text x="{ml + pw / 2:g}" y="{height - 12:g}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{esc(xlabel)}</text>',
+        'font-family="sans-serif" font-size="13">t</text>',
         f'<text x="18" y="{mt + ph / 2:g}" text-anchor="middle" font-family="sans-serif" '
         f'font-size="13" transform="rotate(-90 18 {mt + ph / 2:g})">{esc(ylabel)}</text>',
     ]
@@ -171,14 +173,14 @@ def _write_report(path: str, report: dict) -> None:
         json.dump(strict, fh, indent=2, sort_keys=True, allow_nan=False)
 
 
-def _time_to_threshold(traj: Trajectory, level: float = THRESHOLD) -> float:
-    """Settling time: first sampled time after which dist_avg stays at or below level.
+def _time_to_threshold(traj: Trajectory) -> float:
+    """Settling time: first sampled time after which dist_avg stays at or below THRESHOLD.
 
     The plain first crossing is dominated by the fast decision transient, which
-    can overshoot and re-exceed the level; the settling time is what the gain k
+    can overshoot and re-exceed THRESHOLD; the settling time is what the gain k
     actually controls. NaN when the trajectory never settles within the horizon.
     """
-    above = np.nonzero(traj.dist_avg > level)[0]
+    above = np.nonzero(traj.dist_avg > THRESHOLD)[0]
     if above.size == 0:
         return float(traj.times[0])
     if above[-1] == len(traj) - 1:
@@ -197,7 +199,7 @@ def _run_one(game: GameSpec, traj: Trajectory, out_prefix: Optional[str],
         paths = {"csv": f"{out_prefix}{suffix}.csv", "svg": f"{out_prefix}{suffix}.svg"}
         write_csv(paths["csv"], traj)
         series = [("dist_avg", traj.times, traj.dist_avg), ("dist_sigma", traj.times, traj.dist_sigma)]
-        write_svg(paths["svg"], series, f"distance to equilibrium (k = {game.k:g})", "t", "distance")
+        write_svg(paths["svg"], series, f"distance to equilibrium (k = {game.k:g})", "distance")
     head = {"seed": game.seed, "N": game.N, "n": game.n, "k": game.k, "sigmabar": ref.sigmabar,
             "vi_gap": ref.vi_gap_value, "iterations": ref.iterations}
     tail = {"final_dist_avg": float(traj.dist_avg[-1]), "final_dist_sigma": float(traj.dist_sigma[-1]),
@@ -259,7 +261,7 @@ def cmd_sweep(scenario: str, ks: Sequence[float], out: Optional[str] = None, **h
     if out:
         overlay = [(f"k = {k:g}", traj.times, traj.dist_avg) for k, traj in zip(ks, trajs)]
         compare_path = f"{out}_compare.svg"
-        write_svg(compare_path, overlay, title="dist_avg for each gain k", xlabel="t", ylabel="dist_avg")
+        write_svg(compare_path, overlay, title="dist_avg for each gain k", ylabel="dist_avg")
         print(f"compare_svg = {compare_path}")
         _write_report(f"{out}.report.json", {label: report for label, (_, report) in reports.items()})
     return 0

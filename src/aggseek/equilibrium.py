@@ -16,12 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (GameLayout, GameSpec, positive_int, project_rows, pseudo_gradient_F, require_members, shaped,
+from .model import (GameLayout, GameSpec, initial_state, project_rows, pseudo_gradient_F, require_members, shaped,
                     strictly_monotone, vi_min_rows)
+
+# relaxed updates before solve_equilibrium gives up; read at call time, so a test may lower it
+MAX_ITER = 100_000
 
 
 class ConvergenceError(RuntimeError):
-    """Fixed-point iteration exhausted max_iter or left the finite numbers."""
+    """Fixed-point iteration exhausted MAX_ITER or left the finite numbers."""
 
     def __init__(self, message: str, sigma_last: np.ndarray, update_norm: float, iterations: int):
         super().__init__(message)
@@ -70,30 +73,24 @@ def aggregation_map(game: GameSpec, sigma: np.ndarray) -> np.ndarray:
         return _best_responses(game.layout, game.C @ shaped(sigma, (game.n,), "sigma")).mean(axis=0)
 
 
-def solve_equilibrium(
-    game: GameSpec,
-    lam: float = 0.5,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-) -> EquilibriumResult:
+def solve_equilibrium(game: GameSpec, lam: float = 0.5, tol: float = 1e-10) -> EquilibriumResult:
     """Fixed-point solve of sigma = T(sigma) by relaxed iteration.
 
-    Starts from the average of the constraint-set centers and iterates
-    sigma <- (1 - lam) sigma + lam T(sigma) until the sup-norm update drops
-    to tol. Returns the stacked best responses at the final sigma together
-    with their exact average and the VI gap there. The reported iteration
-    count is the number of updates that moved sigma by more than tol (the
-    terminating no-op pass is not counted).
+    Starts from initial_state's sigma, the average of the constraint-set
+    centers, and iterates sigma <- (1 - lam) sigma + lam T(sigma) until the
+    sup-norm update drops to tol. Returns the stacked best responses at the
+    final sigma together with their exact average and the VI gap there. The
+    reported iteration count is the number of updates that moved sigma by
+    more than tol (the terminating no-op pass is not counted).
 
     Warns when the strict-monotonicity check fails (the fixed point may not
-    be unique); raises ConvergenceError when max_iter is exhausted or at the
-    first update that is not finite.
+    be unique); raises ConvergenceError when MAX_ITER updates are exhausted or
+    at the first update that is not finite.
     """
     if not 0 < lam <= 1:
         raise ValueError(f"lam must lie in (0, 1], got {lam}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    max_iter = positive_int(max_iter, "max_iter")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if not strictly_monotone(game):
         warnings.warn(
             "pseudo-gradient is not strictly monotone; the equilibrium may not be unique",
@@ -101,8 +98,8 @@ def solve_equilibrium(
         )
     lay = game.layout
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite update is detected below
-        sigma = lay.center.mean(axis=0)
-        for iterations in range(max_iter):  # at the break, the count of updates larger than tol
+        sigma = initial_state(game).sigma
+        for iterations in range(MAX_ITER):  # at the break, the count of updates larger than tol
             nxt = (1.0 - lam) * sigma + lam * _best_responses(lay, game.C @ sigma).mean(axis=0)
             update = float(np.max(np.abs(nxt - sigma)))
             if not math.isfinite(update):
@@ -112,8 +109,8 @@ def solve_equilibrium(
             if update <= tol:
                 break
         else:
-            raise ConvergenceError(f"no fixed point within {max_iter} iterations (last update {update:.3e})",
-                                   sigma_last=sigma, update_norm=update, iterations=max_iter)
+            raise ConvergenceError(f"no fixed point within {MAX_ITER} iterations (last update {update:.3e})",
+                                   sigma_last=sigma, update_norm=update, iterations=MAX_ITER)
         xbar = _best_responses(lay, game.C @ sigma)
         sigmabar = xbar.mean(axis=0)
     return EquilibriumResult(

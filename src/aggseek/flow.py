@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .model import (GameSpec, SystemState, energy, positive_int, project_rows, project_state, require_members, shaped,
-                    state_arrays, tangent_rows)
+from .model import (GameSpec, SystemState, energy, project_rows, project_state, require_members, shaped, state_arrays,
+                    tangent_rows)
 
 if TYPE_CHECKING:
     from .equilibrium import EquilibriumResult
@@ -50,12 +50,15 @@ class IntegratorConfig:
             raise ValueError(f"step size h must be positive and finite, got {self.h}")
         if not (self.T >= self.h and math.isfinite(self.T / self.h)):
             raise ValueError(f"horizon T must be at least h and T / h finite, got T={self.T}, h={self.h}")
-        object.__setattr__(self, "record_every", positive_int(self.record_every, "record_every"))
+        every = self.record_every  # an integer of at least 1, and a bool is no count
+        if isinstance(every, bool) or not isinstance(every, (int, np.integer)) or every < 1:
+            raise ValueError(f"record_every must be a positive integer, got {every}")
+        object.__setattr__(self, "record_every", int(every))
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Per-sample diagnostics of one run, and its final state x (N, n), sigma (n,).
+    """Per-sample diagnostics of one run, and its final state x (N, n), sigma (n,), all read-only.
 
     W, dist_avg and dist_sigma are measured against reference, the equilibrium handed
     to the integrator, and are NaN when it is None; times and residual are always filled.
@@ -240,5 +243,7 @@ def integrate_gains(
                         dist_sigma[:, block] = np.sqrt(np.vecdot(ds, ds)).T
                 j = slot % K
 
-    fields_b = zip(last[4].copy(), last[5].copy(), W, residual, dist_avg, dist_sigma)
-    return [Trajectory(times, *arrays, reference=reference) for arrays in fields_b]
+    arrays = times, last[4].copy(), last[5].copy(), W, residual, dist_avg, dist_sigma
+    for a in arrays:  # the trajectories share times and these bases: none may change another's
+        a.setflags(write=False)
+    return [Trajectory(times, *fields, reference=reference) for fields in zip(*arrays[1:])]

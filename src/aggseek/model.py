@@ -64,13 +64,6 @@ def shaped(a, shape: tuple[int, ...], name: str) -> np.ndarray:
     return a.reshape(shape)
 
 
-def positive_int(value, name: str) -> int:
-    """value as an int when it is an integer of at least 1 (a bool is not); else ValueError naming it."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value}")
-    return int(value)
-
-
 @dataclass(frozen=True, eq=False)
 class GameLayout:
     """Every agent's set and cost stacked row-wise, row i for agent i, checked against the cost and set rules."""

@@ -68,7 +68,7 @@ def test_criterion_1_reference_scenario_converges_faster_with_larger_gain(
         )
         assert traj.dist_avg[-1] <= 1e-4, f"k={k}: dist_avg(T) = {traj.dist_avg[-1]:.3e}"
         assert traj.dist_sigma[-1] <= 1e-4, f"k={k}: dist_sigma(T) = {traj.dist_sigma[-1]:.3e}"
-        settle_times.append(cli._time_to_threshold(traj, 1e-2))
+        settle_times.append(cli._time_to_threshold(traj))
     assert all(np.isfinite(settle_times))
     assert settle_times[0] > settle_times[1] > settle_times[2], f"settle times {settle_times}"
     elapsed = time.perf_counter() - start

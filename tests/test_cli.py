@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -371,6 +372,7 @@ def test_run_rejects_bad_config(capsys: pytest.CaptureFixture[str]) -> None:
         (["run", "--h", "inf", "--T", "inf"], "step size h"),
         (["run", "--k", "inf"], "k must be"),
         (["sweep", "--k", "1,inf"], "k must be"),
+        (["solve", "--tol", "inf"], "tol must be"),
     ],
 )
 def test_nonfinite_numbers_are_input_errors(
@@ -472,6 +474,10 @@ def test_sweep_rejects_empty_gain_list(capsys: pytest.CaptureFixture[str]) -> No
     assert_usage_error(["sweep", "--scenario", SINGLE, "--k", ",,"], "argument --k: bad k list ',,'", capsys)
 
 
+def test_sweep_rejects_a_gain_that_is_not_a_number(capsys: pytest.CaptureFixture[str]) -> None:
+    assert_usage_error(["sweep", "--scenario", SINGLE, "--k", "a,b"], "argument --k: bad k list 'a,b'", capsys)
+
+
 def test_sweep_rejects_nonpositive_gain(capsys: pytest.CaptureFixture[str]) -> None:
     assert cli.main(["sweep", "--scenario", SINGLE, "--k", "0.2,-0.4"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -559,7 +565,63 @@ def test_cli_import_leaves_out_the_network_stack(tmp_path: Path) -> None:
 
 def test_svg_escapes_markup_in_text(tmp_path: Path) -> None:
     path = tmp_path / "plot.svg"
-    cli.write_svg(path, [("a<b", np.array([0.0, 1.0]), np.array([1.0, 0.5]))], "x & y > z", "t", "d")
+    cli.write_svg(path, [("a<b", np.array([0.0, 1.0]), np.array([1.0, 0.5]))], "x & y > z", "d")
     text = path.read_text()
     assert ">x &amp; y &gt; z</text>" in text and ">a&lt;b</text>" in text
     assert polyline_count(path) == 1
+
+
+def y_ticks(svg_path: Path) -> list[str]:
+    root = ET.fromstring(svg_path.read_text())
+    return [el.text for el in root.iter() if el.tag.endswith("text") and el.get("text-anchor") == "end"]
+
+
+def test_plots_of_a_flat_or_an_unplottable_series_keep_their_axes(
+    tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # a run that starts at its equilibrium: every distance is 0, so the y range is padded to [-1, 1],
+    # and dist_avg has settled at the first sample
+    agent = {"ell": 1.0, "xstar": [0.5], "linear": [0.0], "set": {"box": {"lo": [0.0], "hi": [1.0]}}}
+    at_rest = write_doc(tmp_path, "at_rest.json", {"n": 1, "C": [[0.0]], "k": 1.0, "agents": {"list": [agent]}})
+    assert cli.main(["run", "--scenario", at_rest, "--T", "1", "--h", "0.1", "--out", str(tmp_path / "rest")]) == 0
+    assert parse_kv(capsys.readouterr().out)["time_to_threshold"] == "0"
+    assert y_ticks(tmp_path / "rest.svg") == ["-1", "-0.6", "-0.2", "0.2", "0.6", "1"]
+    # an optimum at 1e200 from a start at 0: every distance overflows to inf, no point is drawn,
+    # and the y axis falls back to [0, 1]
+    far = {**agent, "xstar": [1e200], "set": {"box": {"lo": [-1e300], "hi": [1e300]}}}
+    far_doc = write_doc(tmp_path, "far.json", {"n": 1, "C": [[0.0]], "k": 1.0, "agents": {"list": [far]}})
+    assert cli.main(["run", "--scenario", far_doc, "--T", "1", "--h", "0.1", "--out", str(tmp_path / "far")]) == 0
+    assert parse_kv(capsys.readouterr().out)["final_dist_avg"] == "inf"
+    assert re.findall(r'points="([^"]*)"', (tmp_path / "far.svg").read_text()) == ["", ""]
+    assert y_ticks(tmp_path / "far.svg") == ["0", "0.2", "0.4", "0.6", "0.8", "1"]
+
+
+def test_main_reraises_a_runtime_error_that_is_not_numerical(monkeypatch: pytest.MonkeyPatch) -> None:
+    # only ConvergenceError and NonFiniteStateError become exit 2; any other RuntimeError is a fault
+    def broken(game):
+        raise RuntimeError("not a numerical failure")
+
+    monkeypatch.setattr(cli, "compare_conditions", broken)
+    with pytest.raises(RuntimeError, match="^not a numerical failure$"):
+        cli.main(["check", "--scenario", SINGLE])
+
+
+def test_csv_blocks_match_per_row_formatting(tmp_path: Path) -> None:
+    # two full blocks and a remainder, with values of every magnitude the 17 digits must keep
+    rows = np.random.default_rng(3).standard_normal((2 * cli.CSV_ROWS + 7, 3)) * np.array([1e-300, 1.0, 1e300])
+    path = tmp_path / "blocks.csv"
+    cli._write_rows(str(path), ("a", "b", "c"), rows)
+    expected = "a,b,c\n" + "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows)
+    assert path.read_bytes() == expected.encode()
+
+
+def test_csv_writer_memory_does_not_grow_with_the_rows(tmp_path: Path) -> None:
+    # 10^5 rows of 5 floats are 3.8 MiB of data; the writer holds one block of them as text at a time
+    rows = np.random.default_rng(4).random((100_000, 5))
+    tracemalloc.start()
+    try:
+        cli._write_rows(str(tmp_path / "big.csv"), ("t", "a", "b", "c", "d"), rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"traced peak {peak} bytes"

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aggseek import cli
+from aggseek import cli, equilibrium
 from aggseek.equilibrium import (
     ConvergenceError,
     EquilibriumResult,
@@ -167,19 +167,18 @@ def test_solve_parameter_validation() -> None:
         solve_equilibrium(game, lam=1.5)
     with pytest.raises(ValueError):
         solve_equilibrium(game, tol=0.0)
-    # the rule of record_every: a bool or a non-integer is no count, though range() would take True
-    for max_iter in (0, -3, 1.5, True):
-        with pytest.raises(ValueError, match=f"^max_iter must be a positive integer, got {max_iter}$"):
-            solve_equilibrium(game, max_iter=max_iter)
+    with pytest.raises(ValueError, match="^tol must be positive and finite, got inf$"):
+        solve_equilibrium(game, tol=float("inf"))
 
 
-def test_solve_raises_on_oscillating_iteration() -> None:
+def test_solve_raises_on_oscillating_iteration(monkeypatch: pytest.MonkeyPatch) -> None:
     # strong positive coupling makes the relaxed map a 2-cycle, not a contraction
     cost = QuadraticCost(1.0, np.array([1.0]), np.array([0.0]))
     box = Box(np.array([-10.0]), np.array([10.0]))
     game = load_agents([[5.0]], 1.0, [(cost, box)])
+    monkeypatch.setattr(equilibrium, "MAX_ITER", 2000)
     with pytest.raises(ConvergenceError) as excinfo:
-        solve_equilibrium(game, max_iter=2000)
+        solve_equilibrium(game)
     err = excinfo.value
     assert err.iterations == 2000
     assert err.sigma_last.shape == (1,)

@@ -298,3 +298,17 @@ def test_integrate_gains_memory_is_state_plus_samples() -> None:
     assert [len(traj) for traj in trajs] == [2001] * 4
     assert all(traj.x.shape == (2000, 1) for traj in trajs)
     assert peak < 4_000_000, f"traced peak {peak} bytes"
+
+
+def test_a_sweeps_trajectories_cannot_change_each_other() -> None:
+    # every gain's trajectory holds the same times array and views of shared bases, all read-only
+    game = mixed_game()
+    a, b = integrate_gains(game, (0.5, 2.0), initial_state(game), IntegratorConfig(h=0.1, T=0.3),
+                           reference=solve_equilibrium(game))
+    for name in ("times", "x", "sigma", "W", "residual", "dist_avg", "dist_sigma"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(a, name).flat[1] = 99.0
+    assert b.times[1] == 0.1
+    state = a.final_state  # copies the caller may change
+    state.x[0, 0], state.sigma[0] = 99.0, 99.0
+    assert a.x[0, 0] != 99.0 and a.sigma[0] != 99.0
