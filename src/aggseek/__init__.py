@@ -20,8 +20,8 @@ _EXPORTS = {
              "stationarity_residual", "step"),
     "lyapunov": ("CertificateReport", "DecayReport", "check_condition_5", "compare_conditions", "decay_report",
                  "lyapunov_W", "reduced_lambda_min"),
-    "model": ("GameSpec", "ScenarioError", "SystemState", "initial_state", "load_scenario", "project_state",
-              "pseudo_gradient_F", "splitmix64", "strictly_monotone"),
+    "model": ("GameSpec", "NumericalError", "ScenarioError", "SystemState", "initial_state", "load_scenario",
+              "project_state", "pseudo_gradient_F", "splitmix64", "strictly_monotone"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -3,7 +3,8 @@
 Subcommands: check (certificate conditions), solve (fixed-point equilibrium),
 run (one trajectory with CSV/SVG emission), sweep (several gains k against the
 same equilibrium in one batched integration, plus a comparison plot). Exit
-codes: 0 success, 1 input error, 2 numerical failure or non-convergence.
+codes: 0 success, 1 input error, 2 numerical failure or non-convergence. A
+command prints its result after writing its files, so one that fails prints none.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, TextIO
 import numpy as np
 
 from . import _HOME
-from .model import GameSpec, ScenarioError, initial_state, load_scenario
+from .model import GameSpec, NumericalError, ScenarioError, initial_state, load_scenario
 
 if TYPE_CHECKING:
     from .flow import Trajectory
@@ -222,12 +223,12 @@ def cmd_check(scenario: str) -> int:
 def cmd_solve(scenario: str, out: Optional[str] = None, **options: float) -> int:
     game = _load(scenario)
     res = _lib.solve_equilibrium(game, **options)
-    _emit([("sigmabar", res.sigmabar), ("vi_gap", res.vi_gap_value), ("iterations", res.iterations),
-           ("final_update_norm", res.final_update_norm)])
+    lines = [("sigmabar", res.sigmabar), ("vi_gap", res.vi_gap_value), ("iterations", res.iterations),
+             ("final_update_norm", res.final_update_norm)]
     if out:
-        path = f"{out}.xbar.csv"
+        lines.append(("xbar", path := f"{out}.xbar.csv"))
         _write_rows(path, [f"x{j}" for j in range(game.n)], res.xbar)
-        print(f"xbar = {path}")
+    _emit(lines)
     return 0
 
 
@@ -238,9 +239,9 @@ def cmd_run(scenario: str, k: Optional[float] = None, out: Optional[str] = None,
     cfg = _lib.IntegratorConfig(**horizon)
     ref = _lib.solve_equilibrium(game)
     lines, report = _run_one(game, _lib.integrate(game, initial_state(game), cfg, reference=ref), out)
-    _emit(lines)
     if out:
         _write_report(f"{out}.report.json", report)
+    _emit(lines)
     return 0
 
 
@@ -256,14 +257,13 @@ def cmd_sweep(scenario: str, ks: Sequence[float], out: Optional[str] = None, **h
     ref = _lib.solve_equilibrium(game)  # the fixed point does not depend on k
     trajs = _lib.integrate_gains(game, ks, initial_state(game), cfg, reference=ref)
     reports = {label: _run_one(g, traj, out, f"_{label}") for (label, g), traj in zip(games.items(), trajs)}
-    for label, (lines, _) in reports.items():
-        _emit([(f"{label}.{key}", value) for key, value in lines])
+    lines = [(f"{label}.{key}", value) for label, (shown, _) in reports.items() for key, value in shown]
     if out:
         overlay = [(f"k = {k:g}", traj.times, traj.dist_avg) for k, traj in zip(ks, trajs)]
-        compare_path = f"{out}_compare.svg"
-        write_svg(compare_path, overlay, title="dist_avg for each gain k", ylabel="dist_avg")
-        print(f"compare_svg = {compare_path}")
+        lines.append(("compare_svg", path := f"{out}_compare.svg"))
+        write_svg(path, overlay, title="dist_avg for each gain k", ylabel="dist_avg")
         _write_report(f"{out}.report.json", {label: report for label, (_, report) in reports.items()})
+    _emit(lines)
     return 0
 
 
@@ -314,13 +314,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     del args["command"]
     try:
         return args.pop("handler")(**args)
-    except (OSError, RuntimeError, ValueError) as e:
-        # ScenarioError is a ValueError: input errors exit 1, numerical failures (two RuntimeErrors) 2
-        numerical = isinstance(e, RuntimeError)
-        if numerical and not isinstance(e, (_lib.ConvergenceError, _lib.NonFiniteStateError)):
-            raise
+    except (NumericalError, OSError, ValueError) as e:  # any other exception is a fault, and propagates
         print(f"error: {e}", file=sys.stderr)
-        return 2 if numerical else 1
+        return 2 if isinstance(e, NumericalError) else 1  # ScenarioError is a ValueError: an input error
 
 
 def __getattr__(name: str):

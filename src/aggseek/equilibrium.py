@@ -16,14 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (GameLayout, GameSpec, initial_state, project_rows, pseudo_gradient_F, require_members, shaped,
-                    strictly_monotone, vi_min_rows)
+from .model import (GameLayout, GameSpec, NumericalError, initial_state, project_rows, pseudo_gradient_F,
+                    require_members, shaped, strictly_monotone, vi_min_rows)
 
 # relaxed updates before solve_equilibrium gives up; read at call time, so a test may lower it
 MAX_ITER = 100_000
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(NumericalError):
     """Fixed-point iteration exhausted MAX_ITER or left the finite numbers."""
 
     def __init__(self, message: str, sigma_last: np.ndarray, update_norm: float, iterations: int):

@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .model import (GameSpec, SystemState, energy, project_rows, project_state, require_members, shaped, state_arrays,
-                    tangent_rows)
+from .model import (GameSpec, NumericalError, SystemState, energy, project_rows, project_state, require_members,
+                    shaped, state_arrays, tangent_rows)
 
 if TYPE_CHECKING:
     from .equilibrium import EquilibriumResult
@@ -27,7 +27,7 @@ if TYPE_CHECKING:
 BLOCK_FLOATS = 1 << 14
 
 
-class NonFiniteStateError(RuntimeError):
+class NonFiniteStateError(NumericalError):
     """Integration produced NaN or infinity."""
 
     def __init__(self, step_index: int, time: float, k: float):

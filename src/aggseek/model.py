@@ -47,6 +47,10 @@ class ScenarioError(ValueError):
     """Raised when a scenario document is malformed or inconsistent."""
 
 
+class NumericalError(RuntimeError):
+    """A route failed on valid input: it did not converge, or it left the finite numbers."""
+
+
 class RuleError(ValueError):
     """Agent row breaks a rule on the value at field of its scenario entry (set.ball.radius, say)."""
 

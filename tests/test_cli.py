@@ -215,21 +215,26 @@ def test_solve_full_relaxation_single_update(tmp_path: Path, capsys: pytest.Capt
     assert float(kv["sigmabar"].strip("[]")) == pytest.approx(0.4)
 
 
+def two_cycle_doc() -> dict:
+    """x = 1/6 is its equilibrium, and T(sigma) = 1 - 5 sigma its best response, so the relaxed map
+    sigma <- (1 - 6 lam) sigma + lam contracts if and only if 0 < lam < 1/3."""
+    agent = {"ell": 1.0, "xstar": [1.0], "linear": [0.0], "set": {"box": {"lo": [-10.0], "hi": [10.0]}}}
+    return {"n": 1, "C": [[5.0]], "k": 1.0, "agents": {"list": [agent]}}
+
+
 def test_solve_nonconvergent_exits_two(tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
-    doc = {
-        "n": 1,
-        "C": [[5.0]],
-        "k": 1.0,
-        "agents": {
-            "list": [
-                {"ell": 1.0, "xstar": [1.0], "linear": [0.0],
-                 "set": {"box": {"lo": [-10.0], "hi": [10.0]}}}
-            ]
-        },
-    }
-    scenario = write_doc(tmp_path, "cycle.json", doc)
+    # at the default lam = 0.5 the map doubles the distance to 1/6 until the box clips it into a 2-cycle
+    scenario = write_doc(tmp_path, "cycle.json", two_cycle_doc())
     assert cli.main(["solve", "--scenario", scenario]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_solve_lambda_converges_where_the_default_cycles(tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
+    scenario = write_doc(tmp_path, "cycle.json", two_cycle_doc())
+    assert cli.main(["solve", "--scenario", scenario, "--lambda", "0.2"]) == 0
+    kv = parse_kv(capsys.readouterr().out)
+    assert float(kv["sigmabar"].strip("[]")) == pytest.approx(1 / 6, abs=1e-10)
+    assert float(kv["vi_gap"]) <= 20 * 6e-10  # the box's width times the gradient 6 sigma - 1 at that distance
 
 
 def test_run_reports_and_certifies(capsys: pytest.CaptureFixture[str]) -> None:
@@ -330,16 +335,21 @@ def test_an_option_left_out_is_left_out_of_the_library_call(monkeypatch: pytest.
         assert calls == want, argv
 
 
-@pytest.mark.parametrize("command", [["solve"], ["run"]])
+@pytest.mark.parametrize("command", [["solve"], ["run"], ["check"]])
 def test_an_agent_mean_past_the_float_range_exits_two_with_one_error_line(
     command: list[str], tmp_path: Path, capsys: pytest.CaptureFixture[str]
 ) -> None:
     # three agents in the box [8e307, 9e307]: their centers sum past the float range, so the solver's
-    # starting mean is inf; the suite turns a numpy RuntimeWarning into an error
+    # starting mean is inf; the suite turns a numpy RuntimeWarning into an error. The certificate reads
+    # C, k and ell, not the agents' mean, so check still reports
     agent = {"ell": 1.0, "xstar": [8.5e307], "linear": [0.0], "set": {"box": {"lo": [8e307], "hi": [9e307]}}}
     scenario = write_doc(tmp_path, "top.json", {"n": 1, "C": [[1.0]], "k": 1.0, "agents": {"list": [agent] * 3}})
-    assert cli.main([*command, "--scenario", scenario]) == 2
-    assert capsys.readouterr().err == "error: non-finite fixed-point update at iteration 1\n"
+    code = cli.main([*command, "--scenario", scenario])
+    out, err = capsys.readouterr()
+    if command == ["check"]:
+        assert (code, err) == (0, "") and "cond5_holds = " in out
+    else:
+        assert (code, out, err) == (2, "", "error: non-finite fixed-point update at iteration 1\n")
 
 
 def test_run_blowup_exits_two(tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
@@ -380,7 +390,7 @@ def test_nonfinite_numbers_are_input_errors(
 ) -> None:
     assert cli.main([*args, "--scenario", SINGLE, "--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and field in err and "inf" in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and field in err and "inf" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -399,6 +409,24 @@ def test_oversized_horizons_exit_1(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "T" in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []  # no file, and no --out directory either
+
+
+@pytest.mark.parametrize(
+    "command, last_file",
+    [
+        (["solve"], "x.xbar.csv"),
+        (["run", "--T", "0.1", "--h", "0.01"], "x.report.json"),
+        (["sweep", "--k", "0.5,2", "--T", "0.1", "--h", "0.01"], "x.report.json"),
+    ],
+    ids=["solve", "run", "sweep"],
+)
+def test_a_command_whose_last_file_cannot_be_written_prints_no_result(
+    command: list, last_file: str, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    (tmp_path / last_file).mkdir()  # a directory where the command writes its last file
+    assert cli.main([*command, "--scenario", MIXED, "--out", str(tmp_path / "x")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def assert_usage_error(args: list, message: str, capsys: pytest.CaptureFixture[str]) -> None:
@@ -526,7 +554,9 @@ def test_solve_overflow_exits_two_with_one_error_line(warnings: str, tmp_path: P
     assert proc.stderr == "error: non-finite fixed-point update at iteration 1\n"
 
 
-@pytest.mark.parametrize("scenario, C", [(SINGLE, [[1e308]]), (MIXED, [[1e308, 1e308], [1e308, 1e308]])])
+@pytest.mark.parametrize(
+    "scenario, C", [(SINGLE, [[1e308]]), (MIXED, [[1e308, 1e308], [1e308, 1e308]]), (DEMAND, [[1e308]])]
+)
 def test_a_finite_coupling_near_the_float_range_runs_without_warnings(
     scenario: str, C: list, tmp_path: Path, capsys: pytest.CaptureFixture[str]
 ) -> None:
@@ -597,13 +627,38 @@ def test_plots_of_a_flat_or_an_unplottable_series_keep_their_axes(
 
 
 def test_main_reraises_a_runtime_error_that_is_not_numerical(monkeypatch: pytest.MonkeyPatch) -> None:
-    # only ConvergenceError and NonFiniteStateError become exit 2; any other RuntimeError is a fault
+    # only a NumericalError becomes exit 2; any other RuntimeError is a fault
     def broken(game):
         raise RuntimeError("not a numerical failure")
 
     monkeypatch.setattr(cli, "compare_conditions", broken)
     with pytest.raises(RuntimeError, match="^not a numerical failure$"):
         cli.main(["check", "--scenario", SINGLE])
+
+
+@pytest.mark.parametrize(
+    "base, result, err",
+    [
+        ("aggseek.NumericalError", "exit 2", "error: a failure that no module of the package names\n"),
+        ("RuntimeError", "raised Failure", ""),
+    ],
+    ids=["numerical", "fault"],
+)
+def test_main_maps_a_failure_by_its_type_alone(base: str, result: str, err: str) -> None:
+    # a new NumericalError exits 2 with no edit to the CLI, and any other RuntimeError propagates;
+    # telling them apart imports neither route
+    code = (
+        "import sys, aggseek\n"
+        "from aggseek import cli\n"
+        f"class Failure({base}): pass\n"
+        "def broken(game): raise Failure('a failure that no module of the package names')\n"
+        "cli.compare_conditions = broken\n"
+        "try: print('exit', cli.main(sys.argv[1:]))\n"
+        "except RuntimeError as e: print('raised', type(e).__name__)\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'aggseek'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, "check", "--scenario", SINGLE], capture_output=True, text=True)
+    assert proc.stdout.splitlines() == [result, "aggseek aggseek.cli aggseek.model"] and proc.stderr == err
 
 
 def test_csv_blocks_match_per_row_formatting(tmp_path: Path) -> None:

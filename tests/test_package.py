@@ -22,8 +22,8 @@ HOMES = {
              "stationarity_residual", "step"],
     "lyapunov": ["CertificateReport", "DecayReport", "check_condition_5", "compare_conditions", "decay_report",
                  "lyapunov_W", "reduced_lambda_min"],
-    "model": ["GameSpec", "ScenarioError", "SystemState", "initial_state", "load_scenario", "project_state",
-              "pseudo_gradient_F", "splitmix64", "strictly_monotone"],
+    "model": ["GameSpec", "NumericalError", "ScenarioError", "SystemState", "initial_state", "load_scenario",
+              "project_state", "pseudo_gradient_F", "splitmix64", "strictly_monotone"],
 }
 PUBLIC = sorted(name for names in HOMES.values() for name in names)
 # the scalar object model of 0.1.0, now the test oracles in tests/oracles.py
@@ -98,7 +98,7 @@ def test_traced_cli_names_resolve_and_their_wrappers_run(monkeypatch: pytest.Mon
 
 
 def test_all_lists_the_public_names_each_its_home_modules_object() -> None:
-    assert len(PUBLIC) == 31 and aggseek.__all__ == PUBLIC and aggseek.__version__ == "0.5.0"
+    assert len(PUBLIC) == 32 and aggseek.__all__ == PUBLIC and aggseek.__version__ == "0.5.0"
     assert 'version = "0.5.0"' in (ROOT / "pyproject.toml").read_text(encoding="utf-8").splitlines()
     for name in MOVED:
         assert not hasattr(aggseek, name), name
