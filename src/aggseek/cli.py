@@ -4,7 +4,7 @@ Subcommands: check (certificate conditions), solve (fixed-point equilibrium),
 run (one trajectory with CSV/SVG emission), sweep (several gains k against the
 same equilibrium in one batched integration, plus a comparison plot). Exit
 codes: 0 success, 1 input error, 2 numerical failure or non-convergence. A
-command prints its result after writing its files, so one that fails prints none.
+command that fails prints no result and removes every file it wrote; a directory it made stays.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ _lib = sys.modules[__name__]
 
 THRESHOLD = 1e-2  # dist_avg level used for time-to-threshold reporting
 CSV_ROWS = 4096  # rows formatted per write: a CSV never holds more than this many rows as text
+Lines = list[tuple[str, object]]  # a command's result: the (key, value) pairs that main prints as key = value
+_created: list[str] = []  # every file _create opened in the current command, which main removes if it fails
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -46,16 +48,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(lines: Sequence[tuple[str, object]]) -> None:
-    for key, value in lines:
-        print(f"{key} = {_fmt(value)}")
-
-
 def _create(path: str) -> TextIO:
-    """Open path for writing text, making its directory first, so a command that
-    fails before its first file leaves nothing on disk."""
+    """Open path for writing text, making its directory first, and record it, so main removes it if the
+    command fails; the directory stays. A file that cannot be opened is not recorded: it is not the command's."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    return open(path, "w", encoding="utf-8", newline="\n")
+    fh = open(path, "w", encoding="utf-8", newline="\n")
+    _created.append(path)
+    return fh
 
 
 def _write_rows(path: str, header: Sequence[str], rows: np.ndarray) -> None:
@@ -189,8 +188,7 @@ def _time_to_threshold(traj: Trajectory) -> float:
     return float(traj.times[above[-1] + 1])
 
 
-def _run_one(game: GameSpec, traj: Trajectory, out_prefix: Optional[str],
-             suffix: str = "") -> tuple[list[tuple[str, object]], dict]:
+def _run_one(game: GameSpec, traj: Trajectory, out_prefix: Optional[str], suffix: str = "") -> tuple[Lines, dict]:
     """One trajectory's report, as `key = value` lines and as a JSON dict built from the same fields."""
     cert, ref = _lib.compare_conditions(game), traj.reference
     decay = _lib.decay_report(traj, cert)
@@ -214,13 +212,12 @@ def _run_one(game: GameSpec, traj: Trajectory, out_prefix: Optional[str],
     return lines, report
 
 
-def cmd_check(scenario: str) -> int:
+def cmd_check(scenario: str) -> Lines:
     cert = _lib.compare_conditions(_load(scenario))
-    _emit([(f.name, getattr(cert, f.name)) for f in dataclasses.fields(cert)])
-    return 0
+    return [(f.name, getattr(cert, f.name)) for f in dataclasses.fields(cert)]
 
 
-def cmd_solve(scenario: str, out: Optional[str] = None, **options: float) -> int:
+def cmd_solve(scenario: str, out: Optional[str] = None, **options: float) -> Lines:
     game = _load(scenario)
     res = _lib.solve_equilibrium(game, **options)
     lines = [("sigmabar", res.sigmabar), ("vi_gap", res.vi_gap_value), ("iterations", res.iterations),
@@ -228,11 +225,10 @@ def cmd_solve(scenario: str, out: Optional[str] = None, **options: float) -> int
     if out:
         lines.append(("xbar", path := f"{out}.xbar.csv"))
         _write_rows(path, [f"x{j}" for j in range(game.n)], res.xbar)
-    _emit(lines)
-    return 0
+    return lines
 
 
-def cmd_run(scenario: str, k: Optional[float] = None, out: Optional[str] = None, **horizon: float) -> int:
+def cmd_run(scenario: str, k: Optional[float] = None, out: Optional[str] = None, **horizon: float) -> Lines:
     game = _load(scenario)
     if k is not None:
         game = dataclasses.replace(game, k=k)
@@ -241,11 +237,10 @@ def cmd_run(scenario: str, k: Optional[float] = None, out: Optional[str] = None,
     lines, report = _run_one(game, _lib.integrate(game, initial_state(game), cfg, reference=ref), out)
     if out:
         _write_report(f"{out}.report.json", report)
-    _emit(lines)
-    return 0
+    return lines
 
 
-def cmd_sweep(scenario: str, ks: Sequence[float], out: Optional[str] = None, **horizon: float) -> int:
+def cmd_sweep(scenario: str, ks: Sequence[float], out: Optional[str] = None, **horizon: float) -> Lines:
     game = _load(scenario)
     games: dict[str, GameSpec] = {}  # each gain's game, which checks its k, by its label
     for k in ks:
@@ -263,8 +258,7 @@ def cmd_sweep(scenario: str, ks: Sequence[float], out: Optional[str] = None, **h
         lines.append(("compare_svg", path := f"{out}_compare.svg"))
         write_svg(path, overlay, title="dist_avg for each gain k", ylabel="dist_avg")
         _write_report(f"{out}.report.json", {label: report for label, (_, report) in reports.items()})
-    _emit(lines)
-    return 0
+    return lines
 
 
 class _Parser(argparse.ArgumentParser):
@@ -310,11 +304,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = vars(build_parser().parse_args(argv))
+    parser = build_parser()
+    args = vars(parser.parse_args(argv))
+    if "out" in args and os.path.basename(args["out"]) in ("", ".", ".."):  # dir/ would write dir/.csv
+        parser.error(f"argument --out: the prefix must end in a file name, got {args['out']!r}")
     del args["command"]
+    _created.clear()
     try:
-        return args.pop("handler")(**args)
+        for key, value in args.pop("handler")(**args):  # the result, printed only once every file is written
+            print(f"{key} = {_fmt(value)}")
+        return 0
     except (NumericalError, OSError, ValueError) as e:  # any other exception is a fault, and propagates
+        for path in filter(os.path.lexists, _created):  # one already gone is skipped
+            os.remove(path)
         print(f"error: {e}", file=sys.stderr)
         return 2 if isinstance(e, NumericalError) else 1  # ScenarioError is a ValueError: an input error
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -427,6 +428,46 @@ def test_a_command_whose_last_file_cannot_be_written_prints_no_result(
     assert cli.main([*command, "--scenario", MIXED, "--out", str(tmp_path / "x")]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [tmp_path / last_file]  # every file the command wrote is removed
+
+
+def test_a_failed_command_keeps_the_files_of_the_command_before_it(
+    tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # main forgets a finished command's files, so a later failure in the same process removes only its own
+    short = ["--T", "0.1", "--h", "0.01"]
+    assert cli.main(["run", "--scenario", SINGLE, *short, "--out", str(tmp_path / "ok")]) == 0
+    (tmp_path / "x.report.json").mkdir()
+    assert cli.main(["run", "--scenario", SINGLE, *short, "--out", str(tmp_path / "x")]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.csv", "ok.report.json", "ok.svg", "x.report.json"]
+
+
+class BrokenStdout(io.TextIOBase):
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_result_that_cannot_be_printed_exits_1_and_leaves_no_file(
+    tmp_path: Path, capsys: pytest.CaptureFixture[str], monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # main prints the result inside its try: a failing stdout gives one error line, and the files go
+    monkeypatch.setattr(sys, "stdout", BrokenStdout())
+    assert cli.main(["run", "--scenario", SINGLE, "--T", "0.1", "--h", "0.01", "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: [Errno 32] Broken pipe\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [["solve"], ["run"], ["sweep", "--k", "0.5,2"]])
+@pytest.mark.parametrize("prefix", ["", "dir/", ".", "dir/.."])
+def test_an_out_prefix_that_names_no_file_is_a_usage_error(
+    command: list, prefix: str, tmp_path: Path, capsys: pytest.CaptureFixture[str], monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # "" wrote nothing, and the others wrote hidden files such as dir/.csv, dir/_k0.5.csv and ..csv
+    monkeypatch.chdir(tmp_path)
+    message = f"argument --out: the prefix must end in a file name, got {prefix!r}"
+    assert_usage_error([*command, "--scenario", SINGLE, "--out", prefix], message, capsys)
+    assert list(tmp_path.iterdir()) == []
 
 
 def assert_usage_error(args: list, message: str, capsys: pytest.CaptureFixture[str]) -> None:
