@@ -10,6 +10,7 @@ command that fails prints no result and removes every file it wrote; a directory
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -20,7 +21,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, TextIO
 import numpy as np
 
 from . import _HOME
-from .model import GameSpec, NumericalError, ScenarioError, initial_state, load_scenario
+from .model import GameSpec, NumericalError, initial_state, load_scenario
 
 if TYPE_CHECKING:
     from .flow import Trajectory
@@ -240,21 +241,16 @@ def cmd_run(scenario: str, k: Optional[float] = None, out: Optional[str] = None,
     return lines
 
 
-def cmd_sweep(scenario: str, ks: Sequence[float], out: Optional[str] = None, **horizon: float) -> Lines:
+def cmd_sweep(scenario: str, ks: dict[str, float], out: Optional[str] = None, **horizon: float) -> Lines:
     game = _load(scenario)
-    games: dict[str, GameSpec] = {}  # each gain's game, which checks its k, by its label
-    for k in ks:
-        label = f"k{k:g}"
-        if label in games:
-            raise ScenarioError(f"gains {games[label].k!r} and {k!r} share the label {label}")
-        games[label] = dataclasses.replace(game, k=k)
+    games = {label: dataclasses.replace(game, k=k) for label, k in ks.items()}  # each gain's game checks its k
     cfg = _lib.IntegratorConfig(**horizon)
     ref = _lib.solve_equilibrium(game)  # the fixed point does not depend on k
-    trajs = _lib.integrate_gains(game, ks, initial_state(game), cfg, reference=ref)
+    trajs = _lib.integrate_gains(game, list(ks.values()), initial_state(game), cfg, reference=ref)
     reports = {label: _run_one(g, traj, out, f"_{label}") for (label, g), traj in zip(games.items(), trajs)}
     lines = [(f"{label}.{key}", value) for label, (shown, _) in reports.items() for key, value in shown]
     if out:
-        overlay = [(f"k = {k:g}", traj.times, traj.dist_avg) for k, traj in zip(ks, trajs)]
+        overlay = [(f"k = {k:g}", traj.times, traj.dist_avg) for k, traj in zip(ks.values(), trajs)]
         lines.append(("compare_svg", path := f"{out}_compare.svg"))
         write_svg(path, overlay, title="dist_avg for each gain k", ylabel="dist_avg")
         _write_report(f"{out}.report.json", {label: report for label, (_, report) in reports.items()})
@@ -269,14 +265,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
-def _parse_k_list(text: str) -> list[float]:
+def _parse_k_list(text: str) -> dict[str, float]:
     try:
         ks = [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         ks = []
     if not ks:
         raise argparse.ArgumentTypeError(f"bad k list {text!r}")
-    return ks
+    gains: dict[str, float] = {}  # by the label k%g that names each gain's keys and files, so no two may share one
+    for k in ks:
+        if (label := f"k{k:g}") in gains:
+            raise argparse.ArgumentTypeError(f"gains {gains[label]!r} and {k!r} share the label {label}")
+        gains[label] = k
+    return gains
+
+
+def _out_prefix(text: str) -> str:
+    if os.path.basename(text) in ("", ".", ".."):  # dir/ would write dir/.csv
+        raise argparse.ArgumentTypeError(f"the prefix must end in a file name, got {text!r}")
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,30 +300,30 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
     solve.add_argument("--lambda", dest="lam", type=float, help="relaxation in (0, 1]")
     solve.add_argument("--tol", type=float, help="fixed-point stop tolerance")
-    solve.add_argument("--out", help="output file prefix")
+    solve.add_argument("--out", type=_out_prefix, help="output file prefix")
     run.add_argument("--k", type=float, help="gain override")
     sweep.add_argument("--k", dest="ks", type=_parse_k_list, required=True, help="comma list of gains")
     for p in (run, sweep):
         p.add_argument("--h", type=float, help="integrator step size")
         p.add_argument("--T", type=float, help="integration horizon")
-        p.add_argument("--out", help="output file prefix for CSV/SVG/JSON")
+        p.add_argument("--out", type=_out_prefix, help="output file prefix for CSV/SVG/JSON")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = vars(parser.parse_args(argv))
-    if "out" in args and os.path.basename(args["out"]) in ("", ".", ".."):  # dir/ would write dir/.csv
-        parser.error(f"argument --out: the prefix must end in a file name, got {args['out']!r}")
+    args = vars(build_parser().parse_args(argv))
     del args["command"]
     _created.clear()
     try:
-        for key, value in args.pop("handler")(**args):  # the result, printed only once every file is written
-            print(f"{key} = {_fmt(value)}")
+        result = args.pop("handler")(**args)  # printed only once every file is written, and flushed to its last byte
+        print("".join(f"{key} = {_fmt(value)}\n" for key, value in result), end="", flush=True)
         return 0
     except (NumericalError, OSError, ValueError) as e:  # any other exception is a fault, and propagates
         for path in filter(os.path.lexists, _created):  # one already gone is skipped
             os.remove(path)
+        if isinstance(e, BrokenPipeError):  # a closed stdout: Python's flush at exit would fail on the kept bytes
+            with contextlib.suppress(OSError):  # a stdout with no file descriptor has no such flush
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {e}", file=sys.stderr)
         return 2 if isinstance(e, NumericalError) else 1  # ScenarioError is a ValueError: an input error
 

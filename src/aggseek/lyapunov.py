@@ -28,7 +28,6 @@ if TYPE_CHECKING:  # neither route is imported to certify it
 
 # the sign s of C in the off-diagonal block B = 0.5 * (s*C - (k/N) I) of each variant
 _SIGNS = {"paper": -1.0, "symmetrized": 1.0}
-VARIANTS = tuple(_SIGNS)
 # decay_report judges only a trajectory of this many samples or more, against a reference of vi_gap at most this
 DECAY_MIN_SAMPLES = 10
 DECAY_MAX_VI_GAP = 1e-6
@@ -84,7 +83,7 @@ def reduced_lambda_min(game: GameSpec, variant: str) -> float:
     interlacing). A core past the float range gives NaN, never a positive number.
     """
     if variant not in _SIGNS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+        raise ValueError(f"variant must be one of {tuple(_SIGNS)}, got {variant!r}")
     with np.errstate(over="ignore"):
         B = np.sqrt(game.N) * (0.5 * (_SIGNS[variant] * game.C - (game.k / game.N) * np.eye(game.n)))
     core = np.block([[game.ell_min * np.eye(game.n), B], [B.T, game.k * np.eye(game.n)]])

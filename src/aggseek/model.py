@@ -307,23 +307,19 @@ def _require_finite(node, path: str, kind=None) -> None:
         want = type(node) if type(node) in (dict, list) else float
     if isinstance(node, bool) or not isinstance(node, (int, float) if want is float else want):
         raise ScenarioError(f"{path or 'scenario root'} must be {_NAMES[want]}, got {node!r}")
+    if want is float and not math.isfinite(node):
+        raise ScenarioError(f"{path} is not finite ({node!r})")
     if want is dict:
         keys = node.keys()
         if isinstance(kind, _OneOf) and len(keys & kind.keys()) != 1:
             raise ScenarioError(f"{path} must hold exactly one of {', '.join(kind)}")
         if type(kind) is dict and not keys >= kind.keys():
             raise ScenarioError(f"{path}.{min(kind.keys() - keys)} is missing".lstrip("."))  # a root key: no dot
-        for key, value in node.items():  # a finite float where a number belongs needs no call
-            sub = kind and kind.get(key)
-            if type(value) is not float or sub is not float and sub is not None or not math.isfinite(value):
-                _require_finite(value, f"{path}.{key}" if path else key, sub)
+        for key, value in node.items():
+            _require_finite(value, f"{path}.{key}" if path else key, kind and kind.get(key))
     elif want is list:
-        sub = kind and kind[0]
         for idx, value in enumerate(node):
-            if type(value) is not float or sub is not float and sub is not None or not math.isfinite(value):
-                _require_finite(value, f"{path}[{idx}]", sub)
-    elif want is float and not math.isfinite(node):
-        raise ScenarioError(f"{path} is not finite ({node!r})")
+            _require_finite(value, f"{path}[{idx}]", kind and kind[0])
 
 
 def load_scenario(document: str) -> GameSpec:

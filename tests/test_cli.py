@@ -458,6 +458,22 @@ def test_a_result_that_cannot_be_printed_exits_1_and_leaves_no_file(
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_stdout_closed_before_the_result_is_flushed_exits_1_and_leaves_no_file(tmp_path: Path) -> None:
+    # the pipe's read end is closed before the spawn, and stdout is block-buffered, as it is on a pipe by
+    # default: the result fails at main's flush, inside its try, and fd 1 then points at /dev/null, so
+    # Python's own flush at exit has nothing left to fail on
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        args = ["-m", "aggseek.cli", "run", "--scenario", MIXED, "--T", "0.1", "--h", "0.01", "--out", str(tmp_path / "x")]
+        proc = subprocess.run([sys.executable, *args], stdout=write, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "error: [Errno 32] Broken pipe\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", [["solve"], ["run"], ["sweep", "--k", "0.5,2"]])
 @pytest.mark.parametrize("prefix", ["", "dir/", ".", "dir/.."])
 def test_an_out_prefix_that_names_no_file_is_a_usage_error(
@@ -476,7 +492,7 @@ def assert_usage_error(args: list, message: str, capsys: pytest.CaptureFixture[s
         cli.main(args)
     err = capsys.readouterr().err
     assert excinfo.value.code == 1
-    assert err.startswith("usage: aggseek ") and f"error: {message}" in err and "Traceback" not in err
+    assert err.startswith(f"usage: aggseek {args[0]} ") and f"error: {message}" in err and "Traceback" not in err
 
 
 def test_run_rejects_multiple_gains(capsys: pytest.CaptureFixture[str]) -> None:
@@ -553,11 +569,10 @@ def test_sweep_rejects_nonpositive_gain(capsys: pytest.CaptureFixture[str]) -> N
 
 
 def test_sweep_rejects_gains_with_one_label(tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
-    out = tmp_path / "collide"
-    args = ["sweep", "--scenario", SINGLE, "--k", "0.5,0.5000001", "--T", "1", "--out", str(out)]
-    assert cli.main(args) == 1
-    err = capsys.readouterr().err
-    assert "0.5 and 0.5000001" in err and "k0.5" in err
+    # argparse rejects the list before the scenario is read: this one does not exist
+    missing, out = str(tmp_path / "missing.json"), str(tmp_path / "collide")
+    args = ["sweep", "--scenario", missing, "--k", "0.5,0.5000001", "--T", "1", "--out", out]
+    assert_usage_error(args, "argument --k: gains 0.5 and 0.5000001 share the label k0.5", capsys)
     assert list(tmp_path.iterdir()) == []
 
 
