@@ -11,7 +11,7 @@ Each public name is imported from its submodule on first use (PEP 562), so
 loading a scenario runs only `model`.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 _EXPORTS = {
     "equilibrium": ("ConvergenceError", "EquilibriumResult", "VerificationReport", "aggregation_map",

@@ -298,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     for p, handler in ((check, cmd_check), (solve, cmd_solve), (run, cmd_run), (sweep, cmd_sweep)):
         p.add_argument("--scenario", required=True, help="path to a scenario JSON document")
         p.set_defaults(handler=handler)
-    solve.add_argument("--lambda", dest="lam", type=float, help="relaxation in (0, 1]")
     solve.add_argument("--tol", type=float, help="fixed-point stop tolerance")
     solve.add_argument("--out", type=_out_prefix, help="output file prefix")
     run.add_argument("--k", type=float, help="gain override")

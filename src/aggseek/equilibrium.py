@@ -1,8 +1,9 @@
 """Reference equilibrium computation and verification.
 
 The equilibrium aggregate is found as a fixed point of the averaged
-best-response map under relaxed (Krasnoselskij) iteration, entirely
-independent of the dynamical-system route, so the two can cross-validate.
+best-response map under relaxed (Krasnoselskij) iteration whose relaxation
+the solver picks from the residual it measures, entirely independent of the
+dynamical-system route, so the two can cross-validate.
 Verification goes through the variational inequality: at an equilibrium the
 per-agent gradient makes a nonnegative inner product with every feasible
 direction.
@@ -73,45 +74,48 @@ def aggregation_map(game: GameSpec, sigma: np.ndarray) -> np.ndarray:
         return _best_responses(game.layout, game.C @ shaped(sigma, (game.n,), "sigma")).mean(axis=0)
 
 
-def solve_equilibrium(game: GameSpec, lam: float = 0.5, tol: float = 1e-10) -> EquilibriumResult:
-    """Fixed-point solve of sigma = T(sigma) by relaxed iteration.
+def solve_equilibrium(game: GameSpec, tol: float = 1e-10) -> EquilibriumResult:
+    """Fixed-point solve of sigma = T(sigma) by relaxed iteration that picks its own relaxation lam.
 
-    Starts from initial_state's sigma, the average of the constraint-set
-    centers, and iterates sigma <- (1 - lam) sigma + lam T(sigma) until the
-    sup-norm update drops to tol. Returns the stacked best responses at the
-    final sigma together with their exact average and the VI gap there. The
-    reported iteration count is the number of updates that moved sigma by
-    more than tol (the terminating no-op pass is not counted).
+    From initial_state's sigma (the mean of the set centers), steps sigma <- (1 - lam) sigma + lam T(sigma),
+    lam = 1/2 at first, until r = T(sigma) - sigma has ½‖r‖∞ <= tol or is below sigma's float resolution (a
+    step at lam = 1/2 would not move sigma). If strictly_monotone accepts the game, lam halves whenever ‖r‖₂
+    fails to fall below its least value since the last halving; else it stays 1/2. Returns the best responses
+    at the final sigma, their exact mean and the VI gap there; iterations counts the steps before the last,
+    and final_update_norm is the last step's size.
 
-    Warns when the strict-monotonicity check fails (the fixed point may not
-    be unique); raises ConvergenceError when MAX_ITER updates are exhausted or
-    at the first update that is not finite.
+    For n = 1, F = sigma - T(sigma) is piecewise linear with slopes in [m, M], where m = mu/ell_min,
+    mu = ell_min + min(0, C) and M = 1 + |C|/ell_min, so a step maps F to (1 - lam s) F with s in [m, M].
+    Once lam <= 1/M the residual falls by 1 - lam m or more at each step. So lam halves only while above
+    1/M: at most ceil(log2(M/2)) times, and never below 1/(2M); each step at lam <= 1/M contracts the
+    residual by 1 - m/(2M) or better. No rate is proven while lam > 1/M, nor any bound for n >= 2.
+
+    Warns when strictly_monotone fails (the fixed point may not be unique); raises ConvergenceError when
+    MAX_ITER steps are exhausted or at the first step that is not finite.
     """
-    if not 0 < lam <= 1:
-        raise ValueError(f"lam must lie in (0, 1], got {lam}")
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if not strictly_monotone(game):
-        warnings.warn(
-            "pseudo-gradient is not strictly monotone; the equilibrium may not be unique",
-            stacklevel=2,
-        )
-    lay = game.layout
+    if not (monotone := strictly_monotone(game)):
+        warnings.warn("pseudo-gradient is not strictly monotone; the equilibrium may not be unique", stacklevel=2)
+    lam, least = 0.5, math.inf  # least: the smallest ‖r‖₂ since the last halving
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite update is detected below
         sigma = initial_state(game).sigma
-        for iterations in range(MAX_ITER):  # at the break, the count of updates larger than tol
-            nxt = (1.0 - lam) * sigma + lam * _best_responses(lay, game.C @ sigma).mean(axis=0)
+        for iterations in range(MAX_ITER):  # at the break, the count of steps before the last
+            target = _best_responses(game.layout, game.C @ sigma).mean(axis=0)
+            nxt = (1.0 - lam) * sigma + lam * target
             update = float(np.max(np.abs(nxt - sigma)))
             if not math.isfinite(update):
                 raise ConvergenceError(f"non-finite fixed-point update at iteration {iterations + 1}",
                                        sigma_last=sigma, update_norm=update, iterations=iterations + 1)
-            sigma = nxt
-            if update <= tol:
+            residual, previous, sigma = target - sigma, sigma, nxt
+            if 0.5 * np.max(np.abs(residual)) <= tol or (0.5 * previous + 0.5 * target == previous).all():
                 break
+            norm = math.hypot(*residual)  # ‖r‖₂, which a sum of squares would overflow past 1e154
+            lam, least = (lam, norm) if norm < least or not monotone else (lam / 2, math.inf)
         else:
             raise ConvergenceError(f"no fixed point within {MAX_ITER} iterations (last update {update:.3e})",
                                    sigma_last=sigma, update_norm=update, iterations=MAX_ITER)
-        xbar = _best_responses(lay, game.C @ sigma)
+        xbar = _best_responses(game.layout, game.C @ sigma)
         sigmabar = xbar.mean(axis=0)
     return EquilibriumResult(
         xbar=xbar,

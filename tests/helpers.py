@@ -59,6 +59,17 @@ def demand_response_game(k: float = 0.6, count: int = 100, seed: int = 42) -> Ga
     return load_scenario(demand_response_doc(k=k, count=count, seed=seed))
 
 
+def wide_box_population_doc(ell: float, C: float) -> str:
+    """100 box agents on [-10, 10] with xstar from U[0, 3] (generator seed 1), scalar coupling C and k = 1.
+
+    Strictly monotone for every C > 0. At C = 5 with ell = 1, and C = 6, 10 or 4.5 with ell = 1.5, the
+    relaxed map at lam = 1/2 never converges, while the flow does.
+    """
+    return json.dumps({"n": 1, "C": [[C]], "k": 1.0, "agents": {"generator": {
+        "count": 100, "ell": ell, "linear": [0.0], "xstar": {"uniform": {"lo": 0.0, "hi": 3.0, "seed": 1}},
+        "set": {"box": {"lo": [-10.0], "hi": [10.0]}}}}})
+
+
 def small_certified_game(seed: int = 7) -> GameSpec:
     """Five agents with weak coupling: the symmetrized certificate eigenvalue is positive."""
     doc = json.dumps(

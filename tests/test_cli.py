@@ -15,7 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aggseek import cli
+from aggseek import cli, equilibrium
+
+from helpers import wide_box_population_doc
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 DEMAND = str(SCENARIOS / "demand_response.json")
@@ -195,27 +197,6 @@ def test_solve_writes_decisions(tmp_path: Path, capsys: pytest.CaptureFixture[st
     assert float(lines[1]) == pytest.approx(0.25, abs=1e-9)
 
 
-def test_solve_full_relaxation_single_update(tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
-    doc = {
-        "n": 1,
-        "C": [[0.0]],
-        "k": 1.0,
-        "agents": {
-            "list": [
-                {"ell": 1.0, "xstar": [0.2], "linear": [0.0],
-                 "set": {"box": {"lo": [-5.0], "hi": [5.0]}}},
-                {"ell": 1.0, "xstar": [0.6], "linear": [0.0],
-                 "set": {"box": {"lo": [-5.0], "hi": [5.0]}}},
-            ]
-        },
-    }
-    scenario = write_doc(tmp_path, "decoupled.json", doc)
-    assert cli.main(["solve", "--scenario", scenario, "--lambda", "1.0"]) == 0
-    kv = parse_kv(capsys.readouterr().out)
-    assert int(kv["iterations"]) == 1
-    assert float(kv["sigmabar"].strip("[]")) == pytest.approx(0.4)
-
-
 def two_cycle_doc() -> dict:
     """x = 1/6 is its equilibrium, and T(sigma) = 1 - 5 sigma its best response, so the relaxed map
     sigma <- (1 - 6 lam) sigma + lam contracts if and only if 0 < lam < 1/3."""
@@ -223,19 +204,46 @@ def two_cycle_doc() -> dict:
     return {"n": 1, "C": [[5.0]], "k": 1.0, "agents": {"list": [agent]}}
 
 
-def test_solve_nonconvergent_exits_two(tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
-    # at the default lam = 0.5 the map doubles the distance to 1/6 until the box clips it into a 2-cycle
+def test_solve_nonconvergent_exits_two(
+    tmp_path: Path, capsys: pytest.CaptureFixture[str], monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # the solver needs 37 steps on this game: with 20 allowed, it gives up
+    monkeypatch.setattr(equilibrium, "MAX_ITER", 20)
     scenario = write_doc(tmp_path, "cycle.json", two_cycle_doc())
     assert cli.main(["solve", "--scenario", scenario]) == 2
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: no fixed point within 20 iterations")
 
 
-def test_solve_lambda_converges_where_the_default_cycles(tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
+def test_solve_converges_where_half_relaxation_cycles(tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
+    # at lam = 1/2 the map doubles the distance to 1/6 until the box clips it into a 2-cycle; the residual
+    # grows, so the solver halves lam to 1/4, where the map halves the distance
     scenario = write_doc(tmp_path, "cycle.json", two_cycle_doc())
-    assert cli.main(["solve", "--scenario", scenario, "--lambda", "0.2"]) == 0
+    assert cli.main(["solve", "--scenario", scenario]) == 0
     kv = parse_kv(capsys.readouterr().out)
     assert float(kv["sigmabar"].strip("[]")) == pytest.approx(1 / 6, abs=1e-10)
     assert float(kv["vi_gap"]) <= 20 * 6e-10  # the box's width times the gradient 6 sigma - 1 at that distance
+
+
+def test_run_exits_zero_on_a_population_where_half_relaxation_cycles(
+    tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    scenario = tmp_path / "population.json"
+    scenario.write_text(wide_box_population_doc(1.0, 5.0))
+    assert cli.main(["run", "--scenario", str(scenario), "--h", "1e-2", "--T", "60"]) == 0
+    kv = parse_kv(capsys.readouterr().out)
+    assert float(kv["vi_gap"]) <= 1e-6 and int(kv["iterations"]) == 37
+    assert float(kv["final_dist_avg"]) <= 1e-6  # the flow ends at the solver's equilibrium
+
+
+def test_solve_has_no_lambda_option(capsys: pytest.CaptureFixture[str]) -> None:
+    # the solver picks its relaxation: --lambda is an option solve does not have, which argparse reports
+    # with the top-level usage line
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["solve", "--scenario", SINGLE, "--lambda", "0.5"])
+    err = capsys.readouterr().err
+    assert excinfo.value.code == 1
+    assert err.startswith("usage: aggseek ") and err.endswith("error: unrecognized arguments: --lambda 0.5\n")
 
 
 def test_run_reports_and_certifies(capsys: pytest.CaptureFixture[str]) -> None:
@@ -326,7 +334,7 @@ def test_an_option_left_out_is_left_out_of_the_library_call(monkeypatch: pytest.
         monkeypatch.setattr(cli, name, recording)
     for argv, want in (
         (["solve"], [("solve_equilibrium", {})]),
-        (["solve", "--lambda", "0.3", "--tol", "1e-12"], [("solve_equilibrium", {"lam": 0.3, "tol": 1e-12})]),
+        (["solve", "--tol", "1e-12"], [("solve_equilibrium", {"tol": 1e-12})]),
         (["run"], [("IntegratorConfig", {}), ("solve_equilibrium", {})]),
         (["run", "--T", "5", "--h", "1e-2"], [("IntegratorConfig", {"T": 5.0, "h": 1e-2}), ("solve_equilibrium", {})]),
         (["sweep", "--k", "0.5,2", "--T", "5"], [("IntegratorConfig", {"T": 5.0}), ("solve_equilibrium", {})]),

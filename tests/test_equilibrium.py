@@ -4,11 +4,14 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aggseek import cli, equilibrium
 from aggseek.equilibrium import (
@@ -23,7 +26,7 @@ from aggseek.equilibrium import (
 from aggseek.flow import stationarity_residual
 from aggseek.model import GameSpec, SystemState, initial_state, load_scenario
 
-from helpers import load_agents, random_game, random_point_in, single_agent_game
+from helpers import load_agents, random_game, random_point_in, single_agent_game, wide_box_population_doc
 from oracles import (
     Ball,
     Box,
@@ -145,26 +148,10 @@ def test_solve_demand_scenario(demand_ref: EquilibriumResult) -> None:
     assert demand_ref.sigmabar == pytest.approx(demand_ref.xbar.mean(axis=0), abs=0.0)
 
 
-def test_solve_decoupled_full_relaxation_counts_one_update() -> None:
-    mk = lambda xs: QuadraticCost(1.0, np.array([xs]), np.array([0.0]))
-    game = load_agents([[0.0]], 1.0, [(mk(0.2), WIDE), (mk(0.6), WIDE)])
-    res = solve_equilibrium(game, lam=1.0)
-    assert res.iterations == 1
-    assert res.sigmabar == pytest.approx([0.4])
-
-
-def test_solve_relaxation_invariance(demand_game: GameSpec, demand_ref: EquilibriumResult) -> None:
-    full = solve_equilibrium(demand_game, lam=1.0)
-    assert np.linalg.norm(full.sigmabar - demand_ref.sigmabar) <= 1e-8
-    assert np.max(np.abs(full.xbar - demand_ref.xbar)) <= 1e-8
-
-
 def test_solve_parameter_validation() -> None:
     game = single_agent_game()
-    with pytest.raises(ValueError):
-        solve_equilibrium(game, lam=0.0)
-    with pytest.raises(ValueError):
-        solve_equilibrium(game, lam=1.5)
+    with pytest.raises(TypeError, match="lam"):  # the solver picks its relaxation itself
+        solve_equilibrium(game, lam=0.5)
     with pytest.raises(ValueError):
         solve_equilibrium(game, tol=0.0)
     with pytest.raises(ValueError, match="^tol must be positive and finite, got inf$"):
@@ -172,17 +159,93 @@ def test_solve_parameter_validation() -> None:
 
 
 def test_solve_raises_on_oscillating_iteration(monkeypatch: pytest.MonkeyPatch) -> None:
-    # strong positive coupling makes the relaxed map a 2-cycle, not a contraction
+    # strong positive coupling: at lam = 1/2 the relaxed map sigma <- -2 sigma + 1/2 doubles the distance to
+    # 1/6 with alternating sign; after the halving, at lam = 1/4, it still alternates and needs more than 20 steps
     cost = QuadraticCost(1.0, np.array([1.0]), np.array([0.0]))
     box = Box(np.array([-10.0]), np.array([10.0]))
     game = load_agents([[5.0]], 1.0, [(cost, box)])
-    monkeypatch.setattr(equilibrium, "MAX_ITER", 2000)
-    with pytest.raises(ConvergenceError) as excinfo:
+    monkeypatch.setattr(equilibrium, "MAX_ITER", 20)
+    with pytest.raises(ConvergenceError, match="^no fixed point within 20 iterations") as excinfo:
         solve_equilibrium(game)
     err = excinfo.value
-    assert err.iterations == 2000
+    assert err.iterations == 20
     assert err.sigma_last.shape == (1,)
-    assert err.update_norm == pytest.approx(20.0 / 3.0, rel=1e-6)
+    assert err.update_norm > 1e-10
+
+
+def relaxation_steps(game: GameSpec, tol: float = 1e-10) -> tuple[np.ndarray, list[tuple[float, float]]]:
+    """The solver's rule on a strictly monotone game, replayed through the public map: the final sigma and,
+    for each step, its lam and the sup norm of the residual T(sigma) - sigma at the sigma it started from."""
+    sigma, lam, least, steps = initial_state(game).sigma, 0.5, math.inf, []
+    for _ in range(equilibrium.MAX_ITER):
+        target = aggregation_map(game, sigma)
+        residual, nxt = target - sigma, (1.0 - lam) * sigma + lam * target
+        steps.append((lam, float(np.max(np.abs(residual)))))
+        if 0.5 * steps[-1][1] <= tol or (0.5 * sigma + 0.5 * target == sigma).all():
+            return nxt, steps
+        sigma, norm = nxt, math.hypot(*residual)
+        lam, least = (lam, norm) if norm < least else (lam / 2, math.inf)
+    pytest.fail("the replay did not stop")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-0.9, 10.0),
+       st.lists(st.tuples(st.floats(0.2, 2.0), st.floats(-3.0, 3.0), st.floats(-2.0, 0.0), st.floats(0.2, 3.0)),
+                min_size=1, max_size=12))
+def test_solve_keeps_lam_within_the_one_dimensional_bound(ratio: float, agents: list) -> None:
+    # n = 1, intervals of mixed width and place, unequal ell, C = ratio * ell_min: |C| / ell_min <= 10 and
+    # mu = ell_min + min(0, C) >= 0.1 ell_min. The docstring's bound: F = sigma - T(sigma) has slopes in [m, M],
+    # lam halves at most ceil(log2(M / 2)) times and stays at 1 / (2M) or above, and every step taken at
+    # lam <= 1 / M contracts the residual by 1 - m / (2M) or better
+    game = load_scenario(json.dumps({"n": 1, "C": [[ratio * min(a[0] for a in agents)]], "k": 1.0, "agents": {
+        "list": [{"ell": ell, "xstar": [xstar], "linear": [0.0], "set": {"box": {"lo": [lo], "hi": [lo + width]}}}
+                 for ell, xstar, lo, width in agents]}}))
+    assert strictly_monotone(game)
+    res = solve_equilibrium(game)
+    sigma, steps = relaxation_steps(game)
+    assert res.iterations == len(steps) - 1
+    assert np.array_equal(res.sigmabar, aggregation_map(game, sigma))  # the replay is the solver's rule
+    C = float(game.C[0, 0])
+    m, M = (game.ell_min + min(0.0, C)) / game.ell_min, 1.0 + abs(C) / game.ell_min
+    lams = [lam for lam, _ in steps]
+    assert sum(a != b for a, b in zip(lams, lams[1:])) <= max(0, math.ceil(math.log2(M / 2)))
+    assert min(lams) >= 1 / (2 * M)
+    for (lam, r), (_, r_next) in zip(steps, steps[1:]):
+        if lam <= 1 / M:
+            assert r_next <= (1 - m / (2 * M)) * r + 1e-12
+
+
+def test_solve_can_take_many_steps_above_the_bound() -> None:
+    # no rate is proven while lam > 1 / M: one interior agent with C / ell = 2.98 has M = 3.98, so lam = 1/2
+    # maps the residual to -0.99 times itself, which falls at every step and is never halved
+    cost, box = QuadraticCost(1.0, np.array([1.0]), np.array([0.0])), Box(np.array([-10.0]), np.array([10.0]))
+    res = solve_equilibrium(load_agents([[2.98]], 1.0, [(cost, box)]))
+    assert res.iterations == 2223
+    assert abs(float(res.sigmabar[0]) - 1 / 3.98) <= 1e-9
+
+
+@pytest.mark.parametrize(("ell", "C", "iterations"), [(1.0, 5.0, 37), (1.5, 6.0, 20), (1.5, 10.0, 286),
+                                                      (1.5, 4.5, 3)])
+def test_solve_converges_where_half_relaxation_cycles(ell: float, C: float, iterations: int) -> None:
+    game = load_scenario(wide_box_population_doc(ell, C))
+    assert strictly_monotone(game)
+    res = solve_equilibrium(game)
+    assert res.iterations == iterations
+    assert verify_equilibrium(game, res.xbar, tol=1e-6)
+
+
+def test_a_game_that_is_not_strictly_monotone_keeps_half_relaxation() -> None:
+    # one agent with C = -1.5 < -ell has three equilibria, -10, -1 and 10. lam stays 1/2 here: the solve is the
+    # fixed-relaxation iteration it was before the solver picked lam, to the iteration count and the bit.
+    # Halving would stall it: the residual grows as sigma leaves -1 for 10
+    cost, box = QuadraticCost(1.0, np.array([0.5]), np.array([0.0])), Box(np.array([-10.0]), np.array([10.0]))
+    game = load_agents([[-1.5]], 1.5, [(cost, box)])
+    with pytest.warns(UserWarning, match="not strictly monotone"):
+        res = solve_equilibrium(game)
+    assert res.iterations == 44
+    assert [float(v).hex() for v in res.sigmabar] == ["0x1.4000000000000p+3"]
+    assert float(res.final_update_norm).hex() == "0x1.c654000000000p-35"
+    assert res.vi_gap_value == 0.0
 
 
 def test_solve_warns_when_uniqueness_unverified() -> None:

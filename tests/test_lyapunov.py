@@ -208,7 +208,7 @@ def test_condition_5_holds_where_the_flow_diverges() -> None:
     report = compare_conditions(game)
     assert report.cond5_holds and report.strictly_monotone
     assert mean_dynamics_abscissa(ell, k, C) > 0  # +0.0236
-    # the interior fixed point, solved directly: solve_equilibrium does not converge on this game
+    # the interior fixed point, solved directly, so the check does not rest on the solver
     sigmabar = np.linalg.solve(np.eye(n) + C / ell, game.layout.xstar.mean(axis=0))
     xbar = game.layout.xstar - (C @ sigmabar) / ell
     assert np.all(np.abs(xbar) < 10)
@@ -218,19 +218,53 @@ def test_condition_5_holds_where_the_flow_diverges() -> None:
     assert traj.dist_sigma[-1] >= 10 * traj.dist_sigma[0]  # 0.0141 -> 0.178
 
 
+def one_ell_game(N: int, ell: float, k: float, C: np.ndarray) -> GameSpec:
+    """N generated agents with the one curvature ell, in the box [-1, 1]^n."""
+    n = C.shape[0]
+    return load_scenario(json.dumps({"n": n, "C": C.tolist(), "k": k, "agents": {"generator": {
+        "count": N, "ell": ell, "linear": [0.0] * n, "xstar": {"uniform": {"lo": -1.0, "hi": 1.0, "seed": 1}},
+        "set": {"box": {"lo": [-1.0] * n, "hi": [1.0] * n}}}}}))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 200), st.floats(0.2, 2.0), st.floats(0.1, 5.0),
        st.integers(1, 3).flatmap(lambda n: st.lists(st.floats(-3.0, 3.0), min_size=n * n, max_size=n * n)))
 @example(5, 1.5, 0.6, [0.1])  # small_certified_game's certificate
+@example(1, 1.0, 0.1, [0.9])  # the prior holds; the symmetrized eigenvalue is negative
 def test_a_certified_game_has_stable_mean_dynamics(N: int, ell: float, k: float, entries: list[float]) -> None:
-    # the certificate is sound on one-ell games: a positive eigenvalue implies a negative abscissa
+    # both certificates are sound on one-ell games: ell > ‖C‖₂ (a positive prior_margin) and a positive
+    # symmetrized eigenvalue each imply strict monotonicity, so one equilibrium, and a negative abscissa
     n = math.isqrt(len(entries))
     C = np.array(entries).reshape(n, n)
-    game = load_scenario(json.dumps({"n": n, "C": C.tolist(), "k": k, "agents": {"generator": {
-        "count": N, "ell": ell, "linear": [0.0] * n, "xstar": {"uniform": {"lo": -1.0, "hi": 1.0, "seed": 1}},
-        "set": {"box": {"lo": [-1.0] * n, "hi": [1.0] * n}}}}}))
-    if compare_conditions(game).lambda_min_symmetrized > 0:
-        assert mean_dynamics_abscissa(ell, k, C) < 0
+    cert = compare_conditions(one_ell_game(N, ell, k, C))
+    for certified in (cert.prior_margin > 0, cert.lambda_min_symmetrized > 0):
+        if certified:
+            assert cert.strictly_monotone
+            assert mean_dynamics_abscissa(ell, k, C) < 0
+
+
+def test_the_prior_at_margin_zero_certifies_nothing() -> None:
+    # prior_holds reads ell >= ‖C‖₂, and at equality it proves neither claim: C = -ell makes
+    # ell + ½λmin(C + Cᵀ) = 0 and gives the mean dynamics an eigenvalue 0
+    C = np.array([[-1.0]])
+    cert = compare_conditions(one_ell_game(1, 1.0, 1.0, C))
+    assert cert.prior_holds and cert.prior_margin == 0.0 and not cert.strictly_monotone
+    assert mean_dynamics_abscissa(1.0, 1.0, C) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_lambda_min_paper_certifies_neither_uniqueness_nor_stability() -> None:
+    # one agent, ell = 1, C = -1.5, k = 1.5: the paper variant's off-diagonal block is ½(1.5 - 1.5) = 0, so its
+    # eigenvalue is ell = 1, yet the game is not strictly monotone and has three equilibria
+    cost, box = QuadraticCost(1.0, np.array([0.5]), np.array([0.0])), Box(np.array([-10.0]), np.array([10.0]))
+    game = load_agents([[-1.5]], 1.5, [(cost, box)])
+    cert = compare_conditions(game)
+    assert cert.lambda_min_paper == 1.0 and not cert.strictly_monotone
+    for x in (-10.0, -1.0, 10.0):
+        assert vi_gap(game, np.array([[x]])) == 0.0
+    # the middle one repels: the flow from either side of it ends at an end of the box
+    for start, end in ((-1.5, -10.0), (-0.5, 10.0)):
+        traj = integrate(game, SystemState(np.array([[start]]), np.array([start])), IntegratorConfig(h=1e-2, T=60.0))
+        assert traj.x[0, 0] == pytest.approx(end, abs=1e-9) and traj.sigma[0] == pytest.approx(end, abs=1e-9)
 
 
 def test_a_core_past_the_float_range_certifies_nothing() -> None:
