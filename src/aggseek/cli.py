@@ -218,9 +218,9 @@ def cmd_check(scenario: str) -> Lines:
     return [(f.name, getattr(cert, f.name)) for f in dataclasses.fields(cert)]
 
 
-def cmd_solve(scenario: str, out: Optional[str] = None, **options: float) -> Lines:
+def cmd_solve(scenario: str, out: Optional[str] = None) -> Lines:
     game = _load(scenario)
-    res = _lib.solve_equilibrium(game, **options)
+    res = _lib.solve_equilibrium(game)
     lines = [("sigmabar", res.sigmabar), ("vi_gap", res.vi_gap_value), ("iterations", res.iterations),
              ("final_update_norm", res.final_update_norm)]
     if out:
@@ -229,10 +229,8 @@ def cmd_solve(scenario: str, out: Optional[str] = None, **options: float) -> Lin
     return lines
 
 
-def cmd_run(scenario: str, k: Optional[float] = None, out: Optional[str] = None, **horizon: float) -> Lines:
+def cmd_run(scenario: str, out: Optional[str] = None, **horizon: float) -> Lines:
     game = _load(scenario)
-    if k is not None:
-        game = dataclasses.replace(game, k=k)
     cfg = _lib.IntegratorConfig(**horizon)
     ref = _lib.solve_equilibrium(game)
     lines, report = _run_one(game, _lib.integrate(game, initial_state(game), cfg, reference=ref), out)
@@ -297,10 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run several gains k and compare", **unset)
     for p, handler in ((check, cmd_check), (solve, cmd_solve), (run, cmd_run), (sweep, cmd_sweep)):
         p.add_argument("--scenario", required=True, help="path to a scenario JSON document")
-        p.set_defaults(handler=handler)
-    solve.add_argument("--tol", type=float, help="fixed-point stop tolerance")
+        p.set_defaults(handler=handler, usage=p)  # main reports an option p lacks with p's usage line
     solve.add_argument("--out", type=_out_prefix, help="output file prefix")
-    run.add_argument("--k", type=float, help="gain override")
     sweep.add_argument("--k", dest="ks", type=_parse_k_list, required=True, help="comma list of gains")
     for p in (run, sweep):
         p.add_argument("--h", type=float, help="integrator step size")
@@ -310,8 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = vars(build_parser().parse_args(argv))
-    del args["command"]
+    parsed, extra = build_parser().parse_known_args(argv)
+    if extra:
+        parsed.usage.error(f"unrecognized arguments: {' '.join(extra)}")
+    args = vars(parsed)
+    del args["command"], args["usage"]
     _created.clear()
     try:
         result = args.pop("handler")(**args)  # printed only once every file is written, and flushed to its last byte

@@ -20,8 +20,10 @@ import numpy as np
 from .model import (GameLayout, GameSpec, NumericalError, initial_state, project_rows, pseudo_gradient_F,
                     require_members, shaped, strictly_monotone, vi_min_rows)
 
-# relaxed updates before solve_equilibrium gives up; read at call time, so a test may lower it
+# relaxed updates before solve_equilibrium gives up, and its stop on ½‖T(σ) − σ‖∞; both read at call time,
+# so a test may lower MAX_ITER and a script that needs a tighter reference may lower TOL
 MAX_ITER = 100_000
+TOL = 1e-10
 
 
 class ConvergenceError(NumericalError):
@@ -74,11 +76,11 @@ def aggregation_map(game: GameSpec, sigma: np.ndarray) -> np.ndarray:
         return _best_responses(game.layout, game.C @ shaped(sigma, (game.n,), "sigma")).mean(axis=0)
 
 
-def solve_equilibrium(game: GameSpec, tol: float = 1e-10) -> EquilibriumResult:
+def solve_equilibrium(game: GameSpec) -> EquilibriumResult:
     """Fixed-point solve of sigma = T(sigma) by relaxed iteration that picks its own relaxation lam.
 
     From initial_state's sigma (the mean of the set centers), steps sigma <- (1 - lam) sigma + lam T(sigma),
-    lam = 1/2 at first, until r = T(sigma) - sigma has ½‖r‖∞ <= tol or is below sigma's float resolution (a
+    lam = 1/2 at first, until r = T(sigma) - sigma has ½‖r‖∞ <= TOL or is below sigma's float resolution (a
     step at lam = 1/2 would not move sigma). If strictly_monotone accepts the game, lam halves whenever ‖r‖₂
     fails to fall below its least value since the last halving; else it stays 1/2. Returns the best responses
     at the final sigma, their exact mean and the VI gap there; iterations counts the steps before the last,
@@ -93,8 +95,6 @@ def solve_equilibrium(game: GameSpec, tol: float = 1e-10) -> EquilibriumResult:
     Warns when strictly_monotone fails (the fixed point may not be unique); raises ConvergenceError when
     MAX_ITER steps are exhausted or at the first step that is not finite.
     """
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
     if not (monotone := strictly_monotone(game)):
         warnings.warn("pseudo-gradient is not strictly monotone; the equilibrium may not be unique", stacklevel=2)
     lam, least = 0.5, math.inf  # least: the smallest ‖r‖₂ since the last halving
@@ -108,7 +108,7 @@ def solve_equilibrium(game: GameSpec, tol: float = 1e-10) -> EquilibriumResult:
                 raise ConvergenceError(f"non-finite fixed-point update at iteration {iterations + 1}",
                                        sigma_last=sigma, update_norm=update, iterations=iterations + 1)
             residual, previous, sigma = target - sigma, sigma, nxt
-            if 0.5 * np.max(np.abs(residual)) <= tol or (0.5 * previous + 0.5 * target == previous).all():
+            if 0.5 * np.max(np.abs(residual)) <= TOL or (0.5 * previous + 0.5 * target == previous).all():
                 break
             norm = math.hypot(*residual)  # ‖r‖₂, which a sum of squares would overflow past 1e154
             lam, least = (lam, norm) if norm < least or not monotone else (lam / 2, math.inf)

@@ -39,7 +39,7 @@ class CertificateReport:
 
     cond5_margin is min{ell, k} - 0.5*||C||_inf - 0.5*k/N; the condition holds
     iff the margin is positive. gershgorin_rhs is the subtracted bound itself.
-    prior refers to the older ell >= ||C||_2 requirement; strictly_monotone to
+    prior refers to the older ell > ||C||_2 requirement; strictly_monotone to
     ell + 0.5*lambda_min(C + C') > 0, which guarantees a unique equilibrium.
     """
 
@@ -100,7 +100,7 @@ def compare_conditions(game: GameSpec) -> CertificateReport:
         cond5_holds=holds,
         cond5_margin=margin,
         gershgorin_rhs=0.5 * row_sum + 0.5 * k / N,
-        prior_holds=ell >= spectral,
+        prior_holds=ell > spectral,
         prior_margin=ell - spectral,
         strictly_monotone=strictly_monotone(game),
         lambda_min_paper=reduced_lambda_min(game, "paper"),

@@ -45,6 +45,12 @@ def write_doc(tmp_path: Path, name: str, doc: dict) -> str:
     return str(path)
 
 
+def with_gain(tmp_path: Path, scenario: str, k: float) -> str:
+    """A copy of the scenario document with its gain set to k: run integrates the scenario as written."""
+    doc = {**json.loads(Path(scenario).read_text(encoding="utf-8")), "k": k}
+    return write_doc(tmp_path, f"{Path(scenario).stem}_k{k:g}.json", doc)
+
+
 def wide_box_doc() -> dict:
     return {
         "n": 1,
@@ -236,16 +242,6 @@ def test_run_exits_zero_on_a_population_where_half_relaxation_cycles(
     assert float(kv["final_dist_avg"]) <= 1e-6  # the flow ends at the solver's equilibrium
 
 
-def test_solve_has_no_lambda_option(capsys: pytest.CaptureFixture[str]) -> None:
-    # the solver picks its relaxation: --lambda is an option solve does not have, which argparse reports
-    # with the top-level usage line
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(["solve", "--scenario", SINGLE, "--lambda", "0.5"])
-    err = capsys.readouterr().err
-    assert excinfo.value.code == 1
-    assert err.startswith("usage: aggseek ") and err.endswith("error: unrecognized arguments: --lambda 0.5\n")
-
-
 def test_run_reports_and_certifies(capsys: pytest.CaptureFixture[str]) -> None:
     assert cli.main(["run", "--scenario", SINGLE, "--T", "2", "--h", "0.001"]) == 0
     kv = parse_kv(capsys.readouterr().out)
@@ -315,11 +311,11 @@ def test_unsettled_reports_are_strict_json(tmp_path: Path, capsys: pytest.Captur
     assert [report["time_to_threshold"] for report in (run, sweep["k0.5"], sweep["k2"])] == [None] * 3
 
 
-def test_run_gain_override(capsys: pytest.CaptureFixture[str]) -> None:
-    assert cli.main(["run", "--scenario", SINGLE, "--k", "0.3", "--T", "0.5", "--h", "0.01"]) == 0
+def test_run_certifies_the_scenario_gain(tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
+    assert cli.main(["run", "--scenario", with_gain(tmp_path, SINGLE, 0.3), "--T", "0.5", "--h", "0.01"]) == 0
     kv = parse_kv(capsys.readouterr().out)
     assert float(kv["k"]) == 0.3
-    # the certificate must reflect the overridden gain: min(1.5, 0.3) - 0.5 - 0.15
+    # the certificate must reflect the scenario's gain: min(1.5, 0.3) - 0.5 - 0.15
     assert float(kv["cond5_margin"]) == pytest.approx(-0.35, abs=1e-12)
 
 
@@ -334,7 +330,6 @@ def test_an_option_left_out_is_left_out_of_the_library_call(monkeypatch: pytest.
         monkeypatch.setattr(cli, name, recording)
     for argv, want in (
         (["solve"], [("solve_equilibrium", {})]),
-        (["solve", "--tol", "1e-12"], [("solve_equilibrium", {"tol": 1e-12})]),
         (["run"], [("IntegratorConfig", {}), ("solve_equilibrium", {})]),
         (["run", "--T", "5", "--h", "1e-2"], [("IntegratorConfig", {"T": 5.0, "h": 1e-2}), ("solve_equilibrium", {})]),
         (["sweep", "--k", "0.5,2", "--T", "5"], [("IntegratorConfig", {"T": 5.0}), ("solve_equilibrium", {})]),
@@ -371,8 +366,8 @@ def test_run_blowup_exits_two(tmp_path: Path, capsys: pytest.CaptureFixture[str]
     assert not (tmp_path / "sub").exists()
 
 
-def test_run_oscillatory_discretization_is_flagged(capsys: pytest.CaptureFixture[str]) -> None:
-    code = cli.main(["run", "--scenario", DEMAND, "--k", "50", "--h", "0.045", "--T", "10"])
+def test_run_oscillatory_discretization_is_flagged(tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
+    code = cli.main(["run", "--scenario", with_gain(tmp_path, DEMAND, 50.0), "--h", "0.045", "--T", "10"])
     assert code == 0
     kv = parse_kv(capsys.readouterr().out)
     assert kv["monotone"] == "false"
@@ -389,9 +384,8 @@ def test_run_rejects_bad_config(capsys: pytest.CaptureFixture[str]) -> None:
     [
         (["run", "--T", "inf"], "horizon T"),
         (["run", "--h", "inf", "--T", "inf"], "step size h"),
-        (["run", "--k", "inf"], "k must be"),
+        (["sweep", "--k", "inf"], "k must be"),
         (["sweep", "--k", "1,inf"], "k must be"),
-        (["solve", "--tol", "inf"], "tol must be"),
     ],
 )
 def test_nonfinite_numbers_are_input_errors(
@@ -495,17 +489,19 @@ def test_an_out_prefix_that_names_no_file_is_a_usage_error(
 
 
 def assert_usage_error(args: list, message: str, capsys: pytest.CaptureFixture[str]) -> None:
-    """argparse rejects the arguments: exit 1, the usage line and the error, no traceback."""
+    """argparse rejects the arguments: exit 1, an empty stdout, the subcommand's usage line and the error."""
     with pytest.raises(SystemExit) as excinfo:
         cli.main(args)
-    err = capsys.readouterr().err
-    assert excinfo.value.code == 1
+    out, err = capsys.readouterr()
+    assert (excinfo.value.code, out) == (1, "")
     assert err.startswith(f"usage: aggseek {args[0]} ") and f"error: {message}" in err and "Traceback" not in err
 
 
-def test_run_rejects_multiple_gains(capsys: pytest.CaptureFixture[str]) -> None:
-    args = ["run", "--scenario", SINGLE, "--k", "0.2,0.4"]
-    assert_usage_error(args, "argument --k: invalid float value: '0.2,0.4'", capsys)
+@pytest.mark.parametrize("args", [["solve", "--lambda", "0.5"], ["solve", "--tol", "1e-12"], ["run", "--k", "2"]])
+def test_a_removed_option_is_a_usage_error(args: list, capsys: pytest.CaptureFixture[str]) -> None:
+    # solve picks its relaxation and stops at equilibrium.TOL, and run integrates the scenario's k (sweep --k
+    # runs other gains): each option is one its subcommand does not have, reported with that subcommand's usage
+    assert_usage_error([*args, "--scenario", SINGLE], f"unrecognized arguments: {' '.join(args[1:])}\n", capsys)
 
 
 def test_sweep_full_outputs(tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
@@ -543,8 +539,8 @@ def test_sweep_csvs_match_single_gain_runs(
     sweep = ["sweep", "--scenario", scenario, "--k", "0.4,0.8,3", *horizon]
     assert cli.main(sweep + ["--out", str(tmp_path / "sweep")]) == 0
     for k in ("0.4", "0.8", "3"):
-        run = ["run", "--scenario", scenario, "--k", k, *horizon, "--out", str(tmp_path / f"run{k}")]
-        assert cli.main(run) == 0
+        run = ["run", "--scenario", with_gain(tmp_path, scenario, float(k)), *horizon]
+        assert cli.main([*run, "--out", str(tmp_path / f"run{k}")]) == 0
         assert (tmp_path / f"sweep_k{k}.csv").read_bytes() == (tmp_path / f"run{k}.csv").read_bytes()
     capsys.readouterr()
 
@@ -600,7 +596,7 @@ def test_usage_errors_exit_one() -> None:
         cli.main(["frobnicate", "--scenario", SINGLE])
     assert excinfo.value.code == 1
     with pytest.raises(SystemExit) as excinfo:
-        cli.main(["run", "--scenario", SINGLE, "--k", "zebra"])
+        cli.main(["sweep", "--scenario", SINGLE, "--k", "zebra"])
     assert excinfo.value.code == 1
 
 

@@ -244,11 +244,11 @@ def test_a_certified_game_has_stable_mean_dynamics(N: int, ell: float, k: float,
 
 
 def test_the_prior_at_margin_zero_certifies_nothing() -> None:
-    # prior_holds reads ell >= ‖C‖₂, and at equality it proves neither claim: C = -ell makes
+    # prior_holds reads prior_margin > 0, as equality would prove neither claim: C = -ell makes
     # ell + ½λmin(C + Cᵀ) = 0 and gives the mean dynamics an eigenvalue 0
     C = np.array([[-1.0]])
     cert = compare_conditions(one_ell_game(1, 1.0, 1.0, C))
-    assert cert.prior_holds and cert.prior_margin == 0.0 and not cert.strictly_monotone
+    assert not cert.prior_holds and cert.prior_margin == 0.0 and not cert.strictly_monotone
     assert mean_dynamics_abscissa(1.0, 1.0, C) == pytest.approx(0.0, abs=1e-15)
 
 

@@ -98,8 +98,8 @@ def test_traced_cli_names_resolve_and_their_wrappers_run(monkeypatch: pytest.Mon
 
 
 def test_all_lists_the_public_names_each_its_home_modules_object() -> None:
-    assert len(PUBLIC) == 32 and aggseek.__all__ == PUBLIC and aggseek.__version__ == "0.6.0"
-    assert 'version = "0.6.0"' in (ROOT / "pyproject.toml").read_text(encoding="utf-8").splitlines()
+    assert len(PUBLIC) == 32 and aggseek.__all__ == PUBLIC and aggseek.__version__ == "0.7.0"
+    assert 'version = "0.7.0"' in (ROOT / "pyproject.toml").read_text(encoding="utf-8").splitlines()
     for name in MOVED:
         assert not hasattr(aggseek, name), name
     for home, names in HOMES.items():
