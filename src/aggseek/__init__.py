@@ -11,11 +11,10 @@ Each public name is imported from its submodule on first use (PEP 562), so
 loading a scenario runs only `model`.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 _EXPORTS = {
-    "equilibrium": ("ConvergenceError", "EquilibriumResult", "VerificationReport", "aggregation_map",
-                    "solve_equilibrium", "verify_equilibrium", "vi_gap"),
+    "equilibrium": ("ConvergenceError", "EquilibriumResult", "aggregation_map", "solve_equilibrium", "vi_gap"),
     "flow": ("IntegratorConfig", "NonFiniteStateError", "Trajectory", "integrate", "integrate_gains", "rhs",
              "stationarity_residual", "step"),
     "lyapunov": ("CertificateReport", "DecayReport", "check_condition_5", "compare_conditions", "decay_report",

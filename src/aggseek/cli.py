@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from typing import TYPE_CHECKING, Optional, Sequence, TextIO
 
 import numpy as np
@@ -312,18 +313,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = vars(parsed)
     del args["command"], args["usage"]
     _created.clear()
-    try:
-        result = args.pop("handler")(**args)  # printed only once every file is written, and flushed to its last byte
-        print("".join(f"{key} = {_fmt(value)}\n" for key, value in result), end="", flush=True)
-        return 0
-    except (NumericalError, OSError, ValueError) as e:  # any other exception is a fault, and propagates
-        for path in filter(os.path.lexists, _created):  # one already gone is skipped
-            os.remove(path)
-        if isinstance(e, BrokenPipeError):  # a closed stdout: Python's flush at exit would fail on the kept bytes
-            with contextlib.suppress(OSError):  # a stdout with no file descriptor has no such flush
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: {e}", file=sys.stderr)
-        return 2 if isinstance(e, NumericalError) else 1  # ScenarioError is a ValueError: an input error
+    with warnings.catch_warnings():  # a library warning is one line, and the caller's hook is back on return
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            result = args.pop("handler")(**args)  # printed once every file is written, and flushed to its last byte
+            print("".join(f"{key} = {_fmt(value)}\n" for key, value in result), end="", flush=True)
+            return 0
+        except (NumericalError, OSError, ValueError) as e:  # any other exception is a fault, and propagates
+            for path in filter(os.path.lexists, _created):  # one already gone is skipped
+                os.remove(path)
+            if isinstance(e, BrokenPipeError):  # a closed stdout: Python's flush at exit would fail on the kept bytes
+                with contextlib.suppress(OSError):  # a stdout with no file descriptor has no such flush
+                    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print(f"error: {e}", file=sys.stderr)
+            return 2 if isinstance(e, NumericalError) else 1  # ScenarioError is a ValueError: an input error
 
 
 def __getattr__(name: str):

@@ -47,19 +47,6 @@ class EquilibriumResult:
     vi_gap_value: float
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of the variational-inequality check, truthy iff it passed."""
-
-    ok: bool
-    gap: float
-    worst_agent: int
-    tol: float
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def _best_responses(lay: GameLayout, csig: np.ndarray) -> np.ndarray:
     """Best responses of the layout's rows to the coupling term C sigma.
 
@@ -126,15 +113,6 @@ def solve_equilibrium(game: GameSpec) -> EquilibriumResult:
     )
 
 
-def _agent_gaps(game: GameSpec, x: np.ndarray) -> np.ndarray:
-    """Per-agent violation max(0, -min_{z in X_i} (z - x_i)' g_i) of the VI, each x_i inside X_i."""
-    x = shaped(x, (game.N, game.n), "x")
-    require_members(game.layout, x)
-    with np.errstate(over="ignore", invalid="ignore"):  # a gradient past the float range gives inf or NaN
-        worst = -vi_min_rows(game.layout, x, pseudo_gradient_F(game, x))
-    return np.where(worst <= 0.0, 0.0, worst)  # a NaN violation stays NaN, so it never verifies
-
-
 def vi_gap(game: GameSpec, x: np.ndarray) -> float:
     """Worst-agent violation of the equilibrium variational inequality.
 
@@ -144,12 +122,8 @@ def vi_gap(game: GameSpec, x: np.ndarray) -> float:
     NaN when some agent's cannot be evaluated (0 * inf where g_i overflows).
     Raises ValueError, naming the agent, when some x_i lies outside its set.
     """
-    return float(_agent_gaps(game, x).max())
-
-
-def verify_equilibrium(game: GameSpec, x: np.ndarray, tol: float) -> VerificationReport:
-    """VI check at tolerance tol, reporting the worst-violating agent; x must be feasible, as for vi_gap."""
-    gaps = _agent_gaps(game, x)
-    worst = int(np.argmax(gaps))
-    gap = float(gaps[worst])
-    return VerificationReport(ok=gap <= tol, gap=gap, worst_agent=worst, tol=tol)
+    x = shaped(x, (game.N, game.n), "x")
+    require_members(game.layout, x)
+    with np.errstate(over="ignore", invalid="ignore"):  # a gradient past the float range gives inf or NaN
+        worst = -vi_min_rows(game.layout, x, pseudo_gradient_F(game, x))
+    return float(np.where(worst <= 0.0, 0.0, worst).max())  # a NaN violation stays NaN, so it never passes

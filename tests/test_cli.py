@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -240,6 +241,34 @@ def test_run_exits_zero_on_a_population_where_half_relaxation_cycles(
     kv = parse_kv(capsys.readouterr().out)
     assert float(kv["vi_gap"]) <= 1e-6 and int(kv["iterations"]) == 37
     assert float(kv["final_dist_avg"]) <= 1e-6  # the flow ends at the solver's equilibrium
+
+
+# one agent, ell = 1, C = -1.5 < -ell: not strictly monotone, with three equilibria, -10, -1 and 10
+THREE_EQUILIBRIA = {"n": 1, "C": [[-1.5]], "k": 1.5, "agents": {"list": [
+    {"ell": 1.0, "xstar": [0.5], "linear": [0.0], "set": {"box": {"lo": [-10.0], "hi": [10.0]}}}]}}
+NOT_UNIQUE = "warning: pseudo-gradient is not strictly monotone; the equilibrium may not be unique\n"
+
+
+@pytest.mark.parametrize(
+    "command, err",
+    [(["check"], ""), (["solve"], NOT_UNIQUE), (["run", "--T", "5", "--h", "1e-2"], NOT_UNIQUE),
+     (["sweep", "--k", "1,2", "--T", "5", "--h", "1e-2"], NOT_UNIQUE)],
+    ids=["check", "solve", "run", "sweep"],
+)
+def test_a_library_warning_prints_one_line(
+    command: list, err: str, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # Python's own format would show an internal path and source line; stdout is the same as with the warning off
+    argv = [*command, "--scenario", write_doc(tmp_path, "three.json", THREE_EQUILIBRIA)]
+    proc = subprocess.run([sys.executable, "-m", "aggseek.cli", *argv], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == err
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli.main(argv) == 0
+    assert capsys.readouterr() == (proc.stdout, "")
+    hook = warnings.showwarning
+    assert cli.main(argv) == 0 and warnings.showwarning is hook  # a caller in the same process keeps its hook
+    assert capsys.readouterr() == (proc.stdout, err)
 
 
 def test_run_reports_and_certifies(capsys: pytest.CaptureFixture[str]) -> None:

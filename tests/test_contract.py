@@ -2,9 +2,9 @@
 
 x is a flat array of N*n entries or an (N, n) one, and sigma, sigmabar one of n;
 a mis-sized array, or an x of any other shape (transposed, say), raises
-ValueError naming it; a flat x and an (N, n) x give the same bits. The
-VI checks and rhs reject a decision outside its set, a non-finite one included,
-and a game's rows and C reject non-finite data.
+ValueError naming it; a flat x and an (N, n) x give the same bits. vi_gap
+and rhs reject a decision outside its set, a non-finite one included, and a
+game's rows and C reject non-finite data.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aggseek.equilibrium import aggregation_map, solve_equilibrium, verify_equilibrium, vi_gap
+from aggseek.equilibrium import aggregation_map, solve_equilibrium, vi_gap
 from aggseek.flow import IntegratorConfig, integrate, integrate_gains, rhs, stationarity_residual, step
 from aggseek.lyapunov import lyapunov_W
 from aggseek.model import GameSpec, SystemState, initial_state, load_scenario, project_state, pseudo_gradient_F
@@ -49,7 +49,6 @@ def _entry_points(game: GameSpec) -> dict:
         "pseudo_gradient_F": (lambda a: pseudo_gradient_F(game, a["x"]), {"x": ref.xbar}),
         "aggregation_map": (lambda a: aggregation_map(game, a["sigma"]), {"sigma": ref.sigmabar}),
         "vi_gap": (lambda a: vi_gap(game, a["x"]), {"x": ref.xbar}),
-        "verify_equilibrium": (lambda a: verify_equilibrium(game, a["x"], 1e-6), {"x": ref.xbar}),
         "project_state": (lambda a: project_state(game, as_state(a)), state),
         "rhs": (lambda a: rhs(game, as_state(a)), state),
         "stationarity_residual": (lambda a: stationarity_residual(game, as_state(a)), state),
@@ -77,7 +76,6 @@ ARGUMENTS = [
     pytest.param(game, entry, name, id=_ID(game, entry, name))
     for game, calls in ENTRY_POINTS.items() for entry, (_, arrays) in calls.items() for name in arrays
 ]
-VI_CHECKS = (vi_gap, lambda game, x: verify_equilibrium(game, x, tol=1e-6))
 
 
 def _leaves(result) -> list[np.ndarray]:
@@ -145,9 +143,8 @@ def test_array_records_compare_by_identity() -> None:
 def test_vi_checks_share_one_membership_rule() -> None:
     # xstar = 5 outside the box [0, 1], at x = 3: no feasible direction is checked, so the gap alone reads 0
     game = load_agents(np.zeros((1, 1)), 1.0, [(QuadraticCost(1.0, [5.0], [0.0]), Box([0.0], [1.0]))])
-    for check in VI_CHECKS:
-        with pytest.raises(ValueError, match="^agent 0 decision lies outside its set$"):
-            check(game, np.array([[3.0]]))
+    with pytest.raises(ValueError, match="^agent 0 decision lies outside its set$"):
+        vi_gap(game, np.array([[3.0]]))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -156,9 +153,8 @@ def test_non_finite_decision_lies_outside_its_set(value: float) -> None:
     for agent in range(GAME.N):  # the box row and both ball rows
         poisoned = x.copy()
         poisoned[agent, 1] = value
-        for check in VI_CHECKS:
-            with pytest.raises(ValueError, match=f"^agent {agent} decision lies outside its set$"):
-                check(GAME, poisoned)
+        with pytest.raises(ValueError, match=f"^agent {agent} decision lies outside its set$"):
+            vi_gap(GAME, poisoned)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

@@ -20,7 +20,6 @@ from aggseek.equilibrium import (
     aggregation_map,
     solve_equilibrium,
     strictly_monotone,
-    verify_equilibrium,
     vi_gap,
 )
 from aggseek.flow import stationarity_residual
@@ -229,7 +228,7 @@ def test_solve_converges_where_half_relaxation_cycles(ell: float, C: float, iter
     assert strictly_monotone(game)
     res = solve_equilibrium(game)
     assert res.iterations == iterations
-    assert verify_equilibrium(game, res.xbar, tol=1e-6)
+    assert vi_gap(game, res.xbar) <= 1e-6
 
 
 def test_a_game_that_is_not_strictly_monotone_keeps_half_relaxation() -> None:
@@ -321,23 +320,15 @@ def test_vi_gap_ball_matches_boundary_sampling() -> None:
         assert gap == pytest.approx(max(0.0, -sampled), abs=1e-7)
 
 
-def test_verify_equilibrium_accepts_solver_output(
-    demand_game: GameSpec, demand_ref: EquilibriumResult
-) -> None:
-    report = verify_equilibrium(demand_game, demand_ref.xbar, tol=1e-6)
-    assert report.ok
-    assert bool(report)
-    assert report.gap <= 1e-6
-    assert report.tol == 1e-6
+def test_vi_gap_accepts_solver_output(demand_game: GameSpec, demand_ref: EquilibriumResult) -> None:
+    assert vi_gap(demand_game, demand_ref.xbar) <= 1e-6
 
 
-def test_verify_equilibrium_rejects_interior_non_equilibrium() -> None:
+def test_vi_gap_rejects_interior_non_equilibrium() -> None:
     game = single_agent_game()
-    report = verify_equilibrium(game, np.array([[0.5]]), tol=1e-3)
-    assert not report.ok
-    assert not bool(report)
-    assert report.gap == pytest.approx(0.2125)
-    assert report.worst_agent == 0
+    gap = vi_gap(game, np.array([[0.5]]))
+    assert not gap <= 1e-3
+    assert gap == pytest.approx(0.2125)
 
 
 def test_a_gap_that_is_not_a_number_never_verifies() -> None:
@@ -345,8 +336,8 @@ def test_a_gap_that_is_not_a_number_never_verifies() -> None:
     # term (hi - x) g is 0 * inf = NaN there, which must not read as no violation
     cost, box = QuadraticCost(1.0, np.array([2.5]), np.array([0.0])), Box(np.array([2.0]), np.array([3.0]))
     game = load_agents([[1e308]], 1.0, [(cost, box)])
-    report = verify_equilibrium(game, np.array([[3.0]]), tol=1e-9)
-    assert not report.ok and not report.gap <= 1e-9 and report.worst_agent == 0
+    gap = vi_gap(game, np.array([[3.0]]))
+    assert np.isnan(gap) and not gap <= 1e-9
     assert vi_gap(game, np.array([[2.5]])) == np.inf
     # at the equilibrium x = 2 floating point cannot evaluate the inequality either: NaN, a false negative
     assert np.isnan(vi_gap(game, np.array([[2.0]])))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,8 +17,7 @@ LOADED = ["aggseek", "aggseek.cli", "aggseek.model"]  # by every command
 
 # each public name under the submodule that defines it
 HOMES = {
-    "equilibrium": ["ConvergenceError", "EquilibriumResult", "VerificationReport", "aggregation_map",
-                    "solve_equilibrium", "verify_equilibrium", "vi_gap"],
+    "equilibrium": ["ConvergenceError", "EquilibriumResult", "aggregation_map", "solve_equilibrium", "vi_gap"],
     "flow": ["IntegratorConfig", "NonFiniteStateError", "Trajectory", "integrate", "integrate_gains", "rhs",
              "stationarity_residual", "step"],
     "lyapunov": ["CertificateReport", "DecayReport", "check_condition_5", "compare_conditions", "decay_report",
@@ -98,14 +98,25 @@ def test_traced_cli_names_resolve_and_their_wrappers_run(monkeypatch: pytest.Mon
 
 
 def test_all_lists_the_public_names_each_its_home_modules_object() -> None:
-    assert len(PUBLIC) == 32 and aggseek.__all__ == PUBLIC and aggseek.__version__ == "0.7.0"
-    assert 'version = "0.7.0"' in (ROOT / "pyproject.toml").read_text(encoding="utf-8").splitlines()
+    assert len(PUBLIC) == 30 and aggseek.__all__ == PUBLIC and aggseek.__version__ == "0.8.0"
+    assert 'version = "0.8.0"' in (ROOT / "pyproject.toml").read_text(encoding="utf-8").splitlines()
     for name in MOVED:
         assert not hasattr(aggseek, name), name
+    for name in ("VerificationReport", "verify_equilibrium"):  # gone in 0.8.0: vi_gap is the one VI check
+        assert not hasattr(aggseek, name) and not hasattr(importlib.import_module("aggseek.equilibrium"), name), name
     for home, names in HOMES.items():
         module = importlib.import_module(f"aggseek.{home}")
         for name in names:
             assert getattr(aggseek, name) is getattr(module, name), name
+
+
+def test_readme_lists_the_exports_each_under_its_home_module() -> None:
+    library = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    paragraph = " ".join(library.split("\nThe package exports ", 1)[1].split("\n\n", 1)[0].split())
+    count, version = re.match(r"(\d+) names \(`aggseek\.__all__`, version ([^)]+)\)", paragraph).groups()
+    listed = {module: re.findall(r"`(\w+)`", names) for module, names in re.findall(r"- `(\w+)`: ([^;.]*)", paragraph)}
+    assert int(count) == len(aggseek.__all__) and version == aggseek.__version__
+    assert listed == {module: list(names) for module, names in aggseek._EXPORTS.items()}
 
 
 def test_star_import_and_dir_cover_every_name() -> None:
