@@ -271,6 +271,15 @@ def test_a_library_warning_prints_one_line(
     assert capsys.readouterr() == (proc.stdout, err)
 
 
+def test_readme_quotes_the_warning_line_solve_prints(tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
+    readme = " ".join((SCENARIOS.parent / "README.md").read_text(encoding="utf-8").split())
+    quoted = re.findall(r"`(warning: [^`<]+)`", readme)
+    assert quoted
+    assert cli.main(["solve", "--scenario", write_doc(tmp_path, "three.json", THREE_EQUILIBRIA)]) == 0
+    err = capsys.readouterr().err
+    assert [f"{line}\n" for line in quoted] == [err] * len(quoted)
+
+
 def test_run_reports_and_certifies(capsys: pytest.CaptureFixture[str]) -> None:
     assert cli.main(["run", "--scenario", SINGLE, "--T", "2", "--h", "0.001"]) == 0
     kv = parse_kv(capsys.readouterr().out)

@@ -343,6 +343,18 @@ def test_a_gap_that_is_not_a_number_never_verifies() -> None:
     assert np.isnan(vi_gap(game, np.array([[2.0]])))
 
 
+def test_a_ball_gap_past_the_float_range_never_verifies() -> None:
+    # the ball [2, 3] with the same overflowing pseudo-gradient: (c - x) g - r |g| is -inf - inf on the far
+    # side of the center, and NaN at the center (0 * inf) and on the near boundary (inf - inf)
+    cost, ball = QuadraticCost(1.0, np.array([2.5]), np.array([0.0])), Ball(np.array([2.5]), 0.5)
+    game = load_agents([[1e308]], 1.0, [(cost, ball)])
+    assert vi_gap(game, np.array([[3.0]])) == np.inf
+    assert vi_gap(game, np.array([[2.75]])) == np.inf
+    for x in (2.5, 2.0):
+        gap = vi_gap(game, np.array([[x]]))
+        assert np.isnan(gap) and not gap <= 1e-9
+
+
 def test_equilibrium_conditions_agree_on_solver_outputs() -> None:
     rng = np.random.default_rng(16)
     for _ in range(20):
